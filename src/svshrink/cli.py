@@ -35,8 +35,8 @@ from .bench import (
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, verify_laws
 from .shrinkage import Atn, Svht, Svlt, Svst, apply
-from .spectral import DenoiseProblem, eym_truncate, read_matrix, svd, write_matrix
-from .sure import GAP_TOL_FACTOR, GridSpec, solve_svlet, sure, tune_grid
+from .spectral import DenoiseProblem, eym_truncate, read_matrix, reconstruct, svd, write_matrix
+from .sure import GAP_TOL_FACTOR, SVLT_P1, GridSpec, solve_svlet, sure, tune_grid
 
 _DEFAULT_METHODS = (
     "svlet(C=10,K=2)",
@@ -200,7 +200,7 @@ def _fixed_or_tuned(args, problem, factors):
         return rule, {"tau": rule.tau, "gamma": rule.gamma}, report.sure
     given = (args.p2 is not None, args.p3 is not None)
     if all(given):
-        p1 = DEFAULT_SVLT_P1 if args.p1 is None else args.p1
+        p1 = SVLT_P1 if args.p1 is None else args.p1
         rule = Svlt(p1=p1, p2=args.p2, p3=args.p3)
         return rule, {"p1": p1, "p2": args.p2, "p3": args.p3}, sure(problem, factors, rule).sure
     if any(given):
@@ -209,9 +209,6 @@ def _fixed_or_tuned(args, problem, factors):
     report = tune_grid(problem, factors, "svlt", grid)
     rule = report.rule
     return rule, {"p1": rule.p1, "p2": rule.p2, "p3": rule.p3}, report.sure
-
-
-DEFAULT_SVLT_P1 = 100.0
 
 
 def cmd_denoise(args) -> int:
@@ -224,16 +221,16 @@ def cmd_denoise(args) -> int:
         solved = solve_svlet(problem, factors, K=args.K, C=args.C)
         params = {"C": solved.rule.basis.C, "K": solved.rule.basis.K}
         sure_value = solved.report.sure
-        Xhat = (factors.U * apply(solved.rule, factors.S)) @ factors.V.T
+        Xhat = reconstruct(factors, apply(solved.rule, factors.S))
     elif args.method in ("svst", "atn", "svlt"):
         rule, params, sure_value = _fixed_or_tuned(args, problem, factors)
-        Xhat = (factors.U * apply(rule, factors.S)) @ factors.V.T
+        Xhat = reconstruct(factors, apply(rule, factors.S))
     elif args.method == "svht":
         mu = args.mu
         if mu is None:
             mu = SVHT_COEFF * float(np.sqrt(problem.shape.n)) * problem.sigma
         params = {"mu": mu}
-        Xhat = (factors.U * apply(Svht(mu=mu), factors.S)) @ factors.V.T
+        Xhat = reconstruct(factors, apply(Svht(mu=mu), factors.S))
     elif args.method == "opt-shrink":
         params = {"beta": AspectRatio.of(problem.shape).beta}
         Xhat = asymptotic_denoise(problem, factors, OPTIMAL_SHRINK)
@@ -278,9 +275,8 @@ def cmd_tune(args) -> int:
         return 0
     report = tune_grid(problem, factors, args.family)
     columns = {"svst": ("lam",), "atn": ("tau", "gamma"), "svlt": ("p1", "p2", "p3")}[args.family]
-    best = min(report.trace, key=lambda item: (item[1], item[0]))
-    pairs = " ".join(f"{name}={repr(value)}" for name, value in zip(columns, best[0]))
-    print(f"# best {pairs} sure={repr(best[1])}")
+    pairs = " ".join(f"{name}={getattr(report.rule, name)!r}" for name in columns)
+    print(f"# best {pairs} sure={report.sure!r}")
     print(",".join(columns + ("sure",)))
     for params, value in report.trace:
         print(",".join([repr(float(p)) for p in params] + [repr(float(value))]))

@@ -290,16 +290,7 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     W = rng.standard_normal((n, m)) / root_m
     w = np.linalg.svd(W, compute_uv=False)
     checks.append(_check("bulk-edge", float(w[0]), ratio.edge_high, 0.1, "abs"))
-    checks.append(
-        LawCheck(
-            name="quarter-circle-ks",
-            statistic=ks_distance(w, ratio),
-            target=0.0,
-            tolerance=0.05,
-            mode="abs",
-            passed=bool(ks_distance(w, ratio) <= 0.05),
-        )
-    )
+    checks.append(_check("quarter-circle-ks", ks_distance(w, ratio), 0.0, 0.05, "abs"))
 
     for x in (1.5, 2.0, 3.0):
         tops = []

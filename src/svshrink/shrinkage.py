@@ -2,9 +2,11 @@
 
 Each rule maps an observed singular value y_i (and, for the logistic rule,
 its 1-based rank index i) to a replacement value, leaving the singular
-vectors untouched.  Rules are frozen dataclasses validated at construction;
-`apply` evaluates a rule on a whole spectrum and `derivative` gives the
-analytic d(eta)/dy at fixed index, which the risk engine needs.
+vectors untouched.  Rules are frozen dataclasses validated at construction.
+Each rule's `_vals`/`_ders` pair is the one formula (and its analytic
+d(eta)/dy at fixed index) that the risk engine scores; `apply` evaluates it
+on a whole spectrum and `derivative` at one point, both with the
+non-negativity clamp.
 
 Derivative convention at a threshold point: the one-sided value from the
 right (the branch the rule enters as y grows).
@@ -207,25 +209,19 @@ class SvletBasis:
 @dataclass(frozen=True, eq=False)
 class Svlet:
     """Linear expansion of derivative-of-Gaussian atoms with a solved
-    coefficient vector; applying it clamps negative outputs to zero."""
+    coefficient vector.  The formula is the unclamped expansion, which the
+    risk engine scores; applying it clamps negative outputs to zero."""
 
     basis: SvletBasis
 
     def __post_init__(self) -> None:
         _require(isinstance(self.basis, SvletBasis), f"basis must be an SvletBasis, got {type(self.basis).__name__}")
 
-    def _raw_vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return dog_basis(y, self.basis.K, self.basis.T) @ self.basis.a
 
-    def _raw_ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return dog_basis_deriv(y, self.basis.K, self.basis.T) @ self.basis.a
-
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.maximum(self._raw_vals(y, idx), 0.0)
-
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        raw = self._raw_vals(y, idx)
-        return np.where(raw < 0.0, 0.0, self._raw_ders(y, idx))
+        return dog_basis_deriv(y, self.basis.K, self.basis.T) @ self.basis.a
 
 
 @dataclass(frozen=True)
@@ -288,26 +284,34 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_rule(rule) -> None:
+    if not isinstance(rule, _RULES):
+        raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
+
+
 def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     """Evaluate a rule entrywise on a descending non-negative spectrum.
 
-    The output is non-negative and finite but need not be descending
-    (the expansion rule in particular may reorder magnitudes).
+    Every rule's formula is clamped to non-negative values here (only the
+    expansion's can go negative; the risk engine scores it unclamped).  The
+    output is non-negative and finite but need not be descending (the
+    expansion rule in particular may reorder magnitudes).
     """
-    if not isinstance(rule, _RULES):
-        raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
+    _check_rule(rule)
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    out = rule._vals(s, idx)
+    out = np.maximum(rule._vals(s, idx), 0.0)
     if not np.all(np.isfinite(out)):
         raise ContractError("rule produced non-finite output")
     return out
 
 
 def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
-    """Analytic d(eta)/dy at the point y, holding the rank index i fixed."""
-    if not isinstance(rule, _RULES):
-        raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
+    """Analytic d(eta)/dy at the point y, holding the rank index i fixed.
+
+    Where apply's non-negativity clamp is active the derivative is 0.
+    """
+    _check_rule(rule)
     y = float(y)
     if not np.isfinite(y) or y <= 0.0:
         raise ContractError(f"derivative requires y > 0, got {y!r}")
@@ -315,31 +319,6 @@ def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
         raise ContractError(f"index must be >= 1, got {i}")
     ya = np.asarray([y], dtype=float)
     ia = np.asarray([float(i)])
+    if rule._vals(ya, ia)[0] < 0.0:
+        return 0.0
     return float(rule._ders(ya, ia)[0])
-
-
-def risk_values(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
-    """Rule outputs as seen by the risk engine.
-
-    Identical to `apply` for every rule except the solved expansion, whose
-    clamp is an application-time safeguard only: the quadratic risk model is
-    built on the unclamped linear form, so the engine evaluates that form.
-    """
-    s = _check_spectrum(spectrum)
-    idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    if isinstance(rule, Svlet):
-        return rule._raw_vals(s, idx)
-    if not isinstance(rule, _RULES):
-        raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
-    return rule._vals(s, idx)
-
-
-def risk_derivatives(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
-    """Entrywise derivatives matching risk_values."""
-    s = _check_spectrum(spectrum)
-    idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    if isinstance(rule, Svlet):
-        return rule._raw_ders(s, idx)
-    if not isinstance(rule, _RULES):
-        raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
-    return rule._ders(s, idx)

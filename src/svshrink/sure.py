@@ -2,14 +2,15 @@
 
 For Y = X + sigma * G with i.i.d. standard Gaussian G, an estimator that
 keeps the singular vectors of Y and replaces each singular value y_i by
-eta(y_i) admits a closed-form divergence on simple positive spectra:
+eta(y_i) admits a closed-form divergence on simple positive spectra.  With
+the spectral weight
 
-    div = sum_i eta'(y_i)
-        + |n - m| * sum_i eta(y_i) / y_i
-        + 2 * sum_{i != j} y_i * eta(y_i) / (y_i^2 - y_j^2)
+    w_i = |n - m| / y_i + 2 * y_i * sum_{j != i} 1 / (y_i^2 - y_j^2),
 
-and the unbiased risk estimate is
+which depends on the spectrum alone, the divergence and the unbiased risk
+estimate are
 
+    div  = sum_i eta'(y_i) + sum_i eta(y_i) * w_i,
     SURE = -n*m*sigma^2 + sum_i (y_i - eta(y_i))^2 + 2*sigma^2 * div.
 
 Because SURE is quadratic in the coefficients of a linear expansion of
@@ -32,10 +33,10 @@ from .shrinkage import (
     SvletBasis,
     Svlt,
     Svst,
+    _check_rule,
+    apply,
     dog_basis,
     dog_basis_deriv,
-    risk_derivatives,
-    risk_values,
 )
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors
 
@@ -45,6 +46,8 @@ GAP_TOL_FACTOR = 1e-10
 CONDITION_LIMIT = 1e12
 RIDGE_FACTOR = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-8
+# svlt steepness p1 when none is given (the default grid holds it fixed).
+SVLT_P1 = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +121,29 @@ def deterministic_jitter(spectrum: np.ndarray) -> np.ndarray:
     return s - (1e-9 * s[0]) * np.arange(s.shape[0], dtype=float)
 
 
-def _inv_gap_rowsums(s: np.ndarray) -> np.ndarray:
-    """Row sums sum_{j != i} 1 / (y_i^2 - y_j^2)."""
+def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, gap_factor: float) -> tuple:
+    """Check a spectrum once and compute what every rule's risk shares:
+    (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2))."""
+    s = _checked_spectrum(spectrum, shape, gap_factor)
     sq = s * s
     diff = sq[:, None] - sq[None, :]
     np.fill_diagonal(diff, np.inf)
-    return np.sum(1.0 / diff, axis=1)
+    idx = np.arange(1, s.shape[0] + 1, dtype=float)
+    return s, idx, np.sum(1.0 / diff, axis=1)
+
+
+def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> SureReport:
+    """SURE of a rule from its formula's values and derivatives on a
+    checked spectrum; the one place the estimate is assembled."""
+    resid = float(np.sum((s - vals) ** 2))
+    # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
+    # and its gap term; forming w first would move SURE in the last bits.
+    div = float(np.sum(ders))
+    div += abs(shape.n - shape.m) * float(np.sum(vals / s))
+    div += 2.0 * float(np.dot(s * vals, rowsums))
+    sigma2 = sigma * sigma
+    value = -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div
+    return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
 
 
 def divergence(
@@ -132,21 +152,25 @@ def divergence(
     shape: MatrixShape,
     *,
     gap_factor: float = GAP_TOL_FACTOR,
-    _rowsums: np.ndarray | None = None,
 ) -> float:
     """Closed-form divergence of the induced spectral estimator.
 
-    Uses the risk-side view of the rule (the unclamped linear form for a
-    solved expansion), matching how the SURE objective is defined.
+    Scores the rule's formula, which for a solved expansion is the
+    unclamped linear form, matching how the SURE objective is defined.
     """
-    s = _checked_spectrum(spectrum, shape, gap_factor)
-    vals = risk_values(rule, s)
-    ders = risk_derivatives(rule, s)
-    rowsums = _inv_gap_rowsums(s) if _rowsums is None else _rowsums
-    total = float(np.sum(ders))
-    total += abs(shape.n - shape.m) * float(np.sum(vals / s))
-    total += 2.0 * float(np.dot(s * vals, rowsums))
-    return total
+    s, idx, rowsums = _spectral_pieces(spectrum, shape, gap_factor)
+    _check_rule(rule)
+    # sigma only scales the SURE value, which is discarded here.
+    return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, 1.0).divergence
+
+
+def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> None:
+    shape = factors.shape
+    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
+        raise ContractError(
+            f"factors shape ({shape.n}, {shape.m}) does not match problem shape "
+            f"({problem.shape.n}, {problem.shape.m})"
+        )
 
 
 def sure(
@@ -155,26 +179,17 @@ def sure(
     rule: ShrinkageRule,
     *,
     gap_factor: float = GAP_TOL_FACTOR,
-    _rowsums: np.ndarray | None = None,
 ) -> SureReport:
     """Unbiased estimate of ||Xhat - X||_F^2 for the spectral rule.
 
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
+    _check_matching(problem, factors)
     shape = factors.shape
-    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
-        raise ContractError(
-            f"factors shape ({shape.n}, {shape.m}) does not match problem shape "
-            f"({problem.shape.n}, {problem.shape.m})"
-        )
-    s = _checked_spectrum(factors.S, shape, gap_factor)
-    vals = risk_values(rule, s)
-    resid = float(np.sum((s - vals) ** 2))
-    div = divergence(s, rule, shape, gap_factor=gap_factor, _rowsums=_rowsums)
-    sigma2 = problem.sigma * problem.sigma
-    value = -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div
-    return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape, gap_factor)
+    _check_rule(rule)
+    return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, problem.sigma)
 
 
 def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -> dict:
@@ -187,9 +202,8 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
     s = factors.S
-    idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    raw = rule._raw_vals(s, idx)
-    clamped = np.maximum(raw, 0.0)
+    raw = rule._vals(s, np.arange(1, s.shape[0] + 1, dtype=float))
+    clamped = apply(rule, s)
     r_raw = float(np.sum((s - raw) ** 2))
     r_clamped = float(np.sum((s - clamped) ** 2))
     return {
@@ -232,6 +246,29 @@ def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarr
     return a, cond, ridge
 
 
+def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: float, fit_count) -> tuple:
+    """solve_expansion on a checked spectrum; also returns the basis and its
+    derivatives, (phi, phid, M, c, a, condition_estimate, ridge_used)."""
+    L = s.shape[0]
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise ContractError(f"K must be an integer >= 1, got {K!r}")
+    if not np.isfinite(T) or T <= 0.0:
+        raise ContractError(f"T must be a finite positive number, got {T!r}")
+    fit = L if fit_count is None else int(fit_count)
+    if fit < 1 or fit > L:
+        raise ContractError(f"fit_count must lie in [1, {L}], got {fit_count}")
+    sigma2 = float(sigma) * float(sigma)
+    g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
+    phi = dog_basis(s, int(K), float(T))
+    phid = dog_basis_deriv(s, int(K), float(T))
+    phi_fit = phi[:fit]
+    M = phi_fit.T @ phi_fit
+    M = 0.5 * (M + M.T)
+    c = phi_fit.T @ g[:fit] - sigma2 * np.sum(phid[:fit], axis=0)
+    a, cond, ridge = _solve_normal_system(M, c, int(K))
+    return phi, phid, M, c, a, cond, ridge
+
+
 def solve_expansion(
     spectrum: np.ndarray,
     shape: MatrixShape,
@@ -249,33 +286,16 @@ def solve_expansion(
     rest are forced to zero by the caller); the pairwise interaction sums
     inside the right-hand side still run over the whole spectrum.
     """
-    s = _checked_spectrum(spectrum, shape, gap_factor)
-    L = s.shape[0]
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ContractError(f"K must be an integer >= 1, got {K!r}")
-    if not np.isfinite(T) or T <= 0.0:
-        raise ContractError(f"T must be a finite positive number, got {T!r}")
-    fit = L if fit_count is None else int(fit_count)
-    if fit < 1 or fit > L:
-        raise ContractError(f"fit_count must lie in [1, {L}], got {fit_count}")
-    sigma2 = float(sigma) * float(sigma)
-    rowsums = _inv_gap_rowsums(s)
-    g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
-    phi = dog_basis(s, int(K), float(T))
-    phid = dog_basis_deriv(s, int(K), float(T))
-    phi_fit = phi[:fit]
-    M = phi_fit.T @ phi_fit
-    M = 0.5 * (M + M.T)
-    c = phi_fit.T @ g[:fit] - sigma2 * np.sum(phid[:fit], axis=0)
-    a, cond, ridge = _solve_normal_system(M, c, int(K))
-    return M, c, a, cond, ridge
+    s, _, rowsums = _spectral_pieces(spectrum, shape, gap_factor)
+    return _fit_expansion(s, rowsums, shape, sigma, K, T, fit_count)[2:]
 
 
 def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) -> SvletSolve:
     """Risk-optimal expansion coefficients for width T = C * sigma.
 
     The returned rule applies the solved expansion (with the non-negativity
-    clamp); the attached report evaluates SURE for it.
+    clamp); the attached report is its SURE, scored on the solve's own basis
+    and coefficients.
     """
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise ContractError(f"K must be an integer >= 1, got {K!r}")
@@ -286,9 +306,10 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
         raise ContractError("factors do not match the problem's shape")
     T = C * problem.sigma
-    M, c, a, cond, ridge = solve_expansion(factors.S, shape, problem.sigma, int(K), T)
+    s, _, rowsums = _spectral_pieces(factors.S, shape, GAP_TOL_FACTOR)
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, int(K), T, None)
     rule = Svlet(SvletBasis(K=int(K), T=T, a=a, C=C))
-    report = sure(problem, factors, rule)
+    report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(
         M=M,
         c=c,
@@ -346,17 +367,17 @@ def tune_grid(
     Default grids (y1 the top singular value, L the spectrum length):
       svst: 100 thresholds equally spaced in (0, 0.5*y1]
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
-      svlt: p1 fixed at 100, integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
+      svlt: p1 fixed at SVLT_P1 (100), integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
     Ties are broken toward the lexicographically smallest parameter tuple;
     the winning report is returned with the full (params, sure) trace.
     """
     name = _family_name(family)
     grid = grid or GridSpec()
-    s = _checked_spectrum(factors.S, factors.shape, gap_factor)
+    shape = factors.shape
+    s, idx, rowsums = _spectral_pieces(factors.S, shape, gap_factor)
     y1 = float(s[0])
     L = s.shape[0]
-    rowsums = _inv_gap_rowsums(s)
 
     if name == "svst":
         thresholds = grid.thresholds
@@ -376,7 +397,7 @@ def tune_grid(
             for g in np.sort(np.asarray(gammas, dtype=float))
         ]
     else:
-        p1 = 100.0 if grid.p1 is None else float(grid.p1)
+        p1 = SVLT_P1 if grid.p1 is None else float(grid.p1)
         p2_values = grid.p2_values
         if p2_values is None:
             p2_values = np.arange(1, L + 1, dtype=float)
@@ -390,13 +411,14 @@ def tune_grid(
         ]
     if not candidates:
         raise ContractError("tuning grid is empty")
+    _check_matching(problem, factors)
 
     trace = []
     best_report = None
     # Candidates are generated in lexicographic parameter order, so keeping
     # only strict improvements breaks ties toward the smallest tuple.
     for params, rule in candidates:
-        report = sure(problem, factors, rule, gap_factor=gap_factor, _rowsums=rowsums)
+        report = _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, problem.sigma)
         trace.append((params, report.sure))
         if best_report is None or report.sure < best_report.sure:
             best_report = report

@@ -20,8 +20,10 @@ from scipy.special import expit
 from svshrink import (
     Atn,
     ContractError,
+    DenoiseProblem,
     GAMMA_MAX,
     Identity,
+    MatrixShape,
     RmtOptimal,
     Svht,
     Svlet,
@@ -31,12 +33,13 @@ from svshrink import (
     Zero,
     apply,
     derivative,
+    divergence,
     dog_basis,
     dog_basis_deriv,
     reconstruct,
+    sure,
     svd,
 )
-from svshrink.shrinkage import risk_derivatives, risk_values
 
 
 def finite_difference(rule, y, i=1, h_scale=1e-6):
@@ -283,26 +286,37 @@ class TestDogBasis:
 
 
 class TestRiskViews:
-    """risk_values/risk_derivatives expose the unclamped expansion."""
+    """SURE scores each rule's formula: the unclamped expansion for Svlet,
+    exactly what apply returns for every other rule."""
 
     def test_risk_values_unclamped_for_expansion(self):
         rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
         s = np.array([3.0, 0.5])
+        problem = DenoiseProblem(np.diag(s), 1.0)
         raw = dog_basis(s, 2, 1.0) @ rule.basis.a
-        np.testing.assert_allclose(risk_values(rule, s), raw)
+        residual = sure(problem, svd(problem.Y), rule).residual
+        np.testing.assert_allclose(residual, np.sum((s - raw) ** 2), rtol=1e-12)
         applied = apply(rule, s)
         assert applied[1] == 0.0 and raw[1] < 0.0
 
     def test_risk_derivatives_unclamped_for_expansion(self):
         rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
         s = np.array([3.0, 0.5])
+        raw = dog_basis(s, 2, 1.0) @ rule.basis.a
         raw_d = dog_basis_deriv(s, 2, 1.0) @ rule.basis.a
-        np.testing.assert_allclose(risk_derivatives(rule, s), raw_d)
+        # Square 2x2: sum eta' + 2 (y_1 eta_1 - y_2 eta_2) / (y_1^2 - y_2^2).
+        expected = raw_d.sum() + 2.0 * (s[0] * raw[0] - s[1] * raw[1]) / (s[0] ** 2 - s[1] ** 2)
+        np.testing.assert_allclose(divergence(s, rule, MatrixShape(2, 2)), expected, rtol=1e-12)
+        assert derivative(rule, s[1]) == 0.0 and raw_d[1] != 0.0
 
     def test_risk_views_match_apply_for_other_rules(self):
         s = np.array([4.0, 2.0, 1.0])
+        problem = DenoiseProblem(np.diag(s), 1.0)
+        factors = svd(problem.Y)
         for rule in (Identity(), Svst(1.5), Atn(tau=1.0, gamma=2.0), RmtOptimal(1.0)):
-            np.testing.assert_allclose(risk_values(rule, s), apply(rule, s))
+            residual = sure(problem, factors, rule).residual
+            expected = np.sum((factors.S - apply(rule, factors.S)) ** 2)
+            np.testing.assert_allclose(residual, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestConstructionValidation:

@@ -27,10 +27,15 @@ from svshrink import (
     SolverFailureError,
     Svlet,
     SvletBasis,
+    Svlt,
     Svst,
     Zero,
+    apply,
+    derivative,
     deterministic_jitter,
     divergence,
+    dog_basis,
+    dog_basis_deriv,
     solve_expansion,
     solve_svlet,
     sure,
@@ -38,15 +43,24 @@ from svshrink import (
     svlet_clamp_gap,
     tune_grid,
 )
-from svshrink.shrinkage import risk_derivatives, risk_values
 from svshrink.sure import CONDITION_LIMIT, SOLVE_RESIDUAL_RTOL
+
+
+def scored_formula(rule, s):
+    """Values and derivatives SURE scores, built from public pieces: the
+    unclamped expansion dog_basis(s, K, T) @ a for Svlet, apply and
+    derivative for every other rule."""
+    if isinstance(rule, Svlet):
+        b = rule.basis
+        return dog_basis(s, b.K, b.T) @ b.a, dog_basis_deriv(s, b.K, b.T) @ b.a
+    ders = np.array([derivative(rule, y, i + 1) for i, y in enumerate(s)])
+    return apply(rule, s), ders
 
 
 def brute_force_divergence(spectrum, rule, shape):
     """Direct double-loop transcription of the divergence formula."""
     s = np.asarray(spectrum, dtype=float)
-    vals = risk_values(rule, s)
-    ders = risk_derivatives(rule, s)
+    vals, ders = scored_formula(rule, s)
     total = float(np.sum(ders)) + abs(shape.n - shape.m) * float(np.sum(vals / s))
     for i in range(len(s)):
         for j in range(len(s)):
@@ -91,12 +105,17 @@ class TestDivergence:
 
     def test_matches_brute_force_random_rules(self):
         rng = np.random.default_rng(32)
+        # The last expansion is negative below y = sqrt(2 ln 20) and positive
+        # above it, so SURE must score it unclamped on part of each spectrum.
+        negative_part = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
         rules = [
             Identity(),
             Svst(0.8),
             Atn(tau=0.6, gamma=3.0),
             Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.7, -0.2]))),
+            negative_part,
         ]
+        mixed_signs = 0
         for _ in range(10):
             n = int(rng.integers(3, 15))
             m = int(rng.integers(3, 15))
@@ -108,6 +127,9 @@ class TestDivergence:
                     brute_force_divergence(factors.S, rule, shape),
                     rtol=1e-10,
                 )
+            raw, _ = scored_formula(negative_part, factors.S)
+            mixed_signs += bool(np.any(raw < 0.0) and np.any(raw > 0.0))
+        assert mixed_signs > 0
 
     def test_rejects_zero_singular_value(self):
         with pytest.raises(DegenerateSpectrumError, match="#3"):
@@ -220,7 +242,7 @@ class TestSolveSvlet:
         factors = svd(Y)
         for K in (1, 2, 3):
             solved = solve_svlet(problem, factors, K=K, C=1e13)
-            fitted = risk_values(solved.rule, factors.S)
+            fitted = dog_basis(factors.S, K, solved.rule.basis.T) @ solved.a
             np.testing.assert_allclose(fitted, factors.S, rtol=1e-6)
 
     def test_normal_matrix_symmetric_psd(self):
@@ -310,6 +332,22 @@ class TestSolveSvlet:
         np.testing.assert_allclose(M_top, phi[:3].T @ phi[:3], rtol=1e-12)
         assert not np.allclose(M_full, M_top)
 
+    def test_report_equals_sure_of_rule(self):
+        """The solve scores its own basis and coefficients; that report must
+        equal sure() of the returned rule, field by field and bitwise."""
+        rng = np.random.default_rng(60)
+        for n, m in ((12, 12), (9, 20), (20, 9)):
+            problem, factors = random_problem(rng, n, m, sigma=0.7)
+            for K in (1, 2, 3):
+                for C in (3.0, 10.0):
+                    solved = solve_svlet(problem, factors, K=K, C=C)
+                    again = sure(problem, factors, solved.rule)
+                    assert solved.report.rule is again.rule is solved.rule
+                    assert solved.report.sure == again.sure
+                    assert solved.report.residual == again.residual
+                    assert solved.report.divergence == again.divergence
+                    assert solved.report.trace == again.trace == ()
+
     def test_validates_parameters(self):
         rng = np.random.default_rng(47)
         problem, factors = random_problem(rng, 5, 5)
@@ -376,12 +414,18 @@ class TestTuneGrid:
         np.testing.assert_allclose(atn.rule.tau, svst.rule.lam, rtol=1e-12)
 
     def test_reported_sure_matches_reevaluation(self):
+        """The winner and every trace entry equal sure() of that candidate,
+        bitwise, on a tall and a wide shape."""
         rng = np.random.default_rng(55)
-        problem, factors = random_problem(rng, 11, 7, sigma=0.6)
-        for family in ("svst", "atn", "svlt"):
-            report = tune_grid(problem, factors, family)
-            again = sure(problem, factors, report.rule)
-            assert report.sure == again.sure
+        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
+        for n, m in ((11, 7), (7, 11)):
+            problem, factors = random_problem(rng, n, m, sigma=0.6)
+            for family, build in families.items():
+                report = tune_grid(problem, factors, family)
+                again = sure(problem, factors, report.rule)
+                assert report.sure == again.sure
+                for params, value in report.trace:
+                    assert value == sure(problem, factors, build(*params)).sure
 
     def test_lexicographic_tie_break(self):
         """Thresholds beyond y_1 all zero the spectrum and share one SURE
