@@ -31,7 +31,7 @@ from .rmt import (
 )
 from .rmt import asymptotic_denoise as _asymptotic_denoise
 from .shrinkage import RmtOptimal, apply, dog_basis
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct, svd
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct, svd, truncated_spectrum
 from .sure import solve_expansion, solve_svlet, sure, tune_grid
 
 DEFAULT_C = 10.0
@@ -229,9 +229,7 @@ def _make_asymptotic_runner(variant: str):
 
 
 def _run_eym_oracle(problem: DenoiseProblem, factors: SvdFactors, spec: MethodSpec, true_rank: int):
-    kept = factors.S.copy()
-    kept[int(true_rank):] = 0.0
-    return reconstruct(factors, kept)
+    return reconstruct(factors, truncated_spectrum(factors.S, int(true_rank)))
 
 
 METHOD_RUNNERS = {

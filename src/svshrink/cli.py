@@ -35,7 +35,14 @@ from .bench import (
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, verify_laws
 from .shrinkage import Atn, Svht, Svlt, Svst, apply
-from .spectral import DenoiseProblem, eym_truncate, read_matrix, reconstruct, svd, write_matrix
+from .spectral import (
+    DenoiseProblem,
+    read_matrix,
+    reconstruct,
+    svd,
+    truncated_spectrum,
+    write_matrix,
+)
 from .sure import GAP_TOL_FACTOR, SVLT_P1, GridSpec, solve_svlet, sure, tune_grid
 
 _DEFAULT_METHODS = (
@@ -212,7 +219,9 @@ def _fixed_or_tuned(args, problem, factors):
 
 
 def cmd_denoise(args) -> int:
+    started = perf_counter()
     Y = read_matrix(args.input)
+    read_seconds = perf_counter() - started
     problem = DenoiseProblem(Y=Y, sigma=args.sigma)
     started = perf_counter()
     factors = svd(Y)
@@ -238,15 +247,23 @@ def cmd_denoise(args) -> int:
         if args.rank is None:
             raise ContractError("--rank is required for the eym method")
         params = {"rank": args.rank}
-        Xhat = eym_truncate(Y, args.rank)
+        Xhat = reconstruct(factors, truncated_spectrum(factors.S, args.rank))
     seconds = perf_counter() - started
     output = args.output
     if output is None:
         output = str(Path(args.input).with_suffix(".denoised.csv"))
+    started = perf_counter()
     write_matrix(output, Xhat)
+    stages = {"read": read_seconds, "fit": seconds, "write": perf_counter() - started}
     print(
         json.dumps(
-            {"method": args.method, "params": params, "sure": sure_value, "seconds": seconds}
+            {
+                "method": args.method,
+                "params": params,
+                "sure": sure_value,
+                "seconds": seconds,
+                "stages": stages,
+            }
         )
     )
     return 0

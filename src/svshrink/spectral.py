@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,18 +135,22 @@ def reconstruct(factors: SvdFactors, s_new: np.ndarray) -> np.ndarray:
     return (factors.U * s_new) @ factors.V.T
 
 
-def eym_truncate(Y: np.ndarray, r: int) -> np.ndarray:
-    """Best rank-r approximation in Frobenius norm (hard truncation)."""
-    Y = np.asarray(Y, dtype=float)
-    factors = svd(Y)
-    L = factors.S.shape[0]
+def truncated_spectrum(S: np.ndarray, r: int) -> np.ndarray:
+    """A copy of the spectrum S with every value after the leading r zeroed."""
+    L = S.shape[0]
     if not isinstance(r, (int, np.integer)):
         raise ContractError(f"rank must be an integer, got {r!r}")
     if r < 0 or r > L:
         raise ContractError(f"rank must lie in [0, {L}], got {r}")
-    s_new = factors.S.copy()
+    s_new = S.copy()
     s_new[r:] = 0.0
-    return reconstruct(factors, s_new)
+    return s_new
+
+
+def eym_truncate(Y: np.ndarray, r: int) -> np.ndarray:
+    """Best rank-r approximation in Frobenius norm (hard truncation)."""
+    factors = svd(Y)
+    return reconstruct(factors, truncated_spectrum(factors.S, r))
 
 
 def validate_factors(
@@ -183,9 +188,10 @@ def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise ContractError(f"expected a non-empty 2-D array, got shape {getattr(M, 'shape', None)}")
-    fmt = f".{IO_SIGNIFICANT_DIGITS}g"
-    lines = [",".join(format(v, fmt) for v in row) for row in M]
-    text = "\n".join(lines) + "\n"
+    # One %-format per row: "%.17g" % v gives the bytes of format(v, ".17g").
+    # Formatting row by row keeps the Python floats of one row alive at a time.
+    row_fmt = ",".join([f"%.{IO_SIGNIFICANT_DIGITS}g"] * M.shape[1])
+    text = "\n".join([row_fmt % tuple(row.tolist()) for row in M]) + "\n"
     if hasattr(path, "write"):
         path.write(text)
     else:
@@ -199,8 +205,10 @@ def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None
 def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
     """Parse a CSV matrix written by write_matrix (or any plain float CSV).
 
-    Raises MatrixParseError naming the offending 1-based line for ragged
-    rows or unparseable tokens, for an empty file, and for an unreadable path.
+    Parses with numpy's C reader and falls back to a line-by-line float()
+    parse when that fails.  Raises MatrixParseError naming the offending
+    1-based line for ragged rows or unparseable tokens, for an empty file,
+    and for an unreadable path.
     """
     if hasattr(path, "read"):
         text = path.read()
@@ -212,9 +220,31 @@ def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
         except OSError as exc:
             raise MatrixParseError(f"cannot read matrix file {os.fspath(path)}: {exc}") from exc
         name = os.fspath(path)
+    lines = text.splitlines()
+    # numpy's C reader accepts a subset of what float() does and gives the
+    # same doubles.  It reads the lines str.splitlines made, as the line
+    # parser does, so a form feed numpy would strip cannot join two lines;
+    # text with U+001F, which numpy strips as whitespace and float() rejects,
+    # goes to the line parser.
+    if "\x1f" not in text:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                M = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+            if M.size:
+                return M
+        except (ValueError, Warning):
+            pass
+    return _parse_lines(lines, name)
+
+
+def _parse_lines(lines: list[str], name: str) -> np.ndarray:
+    """Line-by-line float() parse of a CSV: the reader for what numpy rejects
+    (blank-looking lines, underscores in numbers) and the only source of
+    MatrixParseError messages."""
     rows: list[list[float]] = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
         tokens = line.split(",")

@@ -201,7 +201,8 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     """
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
-    s = factors.S
+    _check_matching(problem, factors)
+    s = _checked_spectrum(factors.S, factors.shape, GAP_TOL_FACTOR)
     raw = rule._vals(s, np.arange(1, s.shape[0] + 1, dtype=float))
     clamped = apply(rule, s)
     r_raw = float(np.sum((s - raw) ** 2))
@@ -297,17 +298,15 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     clamp); the attached report is its SURE, scored on the solve's own basis
     and coefficients.
     """
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ContractError(f"K must be an integer >= 1, got {K!r}")
     C = float(C)
     if not np.isfinite(C) or C <= 0.0:
         raise ContractError(f"C must be a finite positive number, got {C!r}")
+    _check_matching(problem, factors)
     shape = factors.shape
-    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
-        raise ContractError("factors do not match the problem's shape")
     T = C * problem.sigma
     s, _, rowsums = _spectral_pieces(factors.S, shape, GAP_TOL_FACTOR)
-    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, int(K), T, None)
+    # _fit_expansion validates K.
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, None)
     rule = Svlet(SvletBasis(K=int(K), T=T, a=a, C=C))
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(

@@ -129,6 +129,10 @@ class TestDenoise:
         assert payload["method"] == "svlet"
         assert payload["params"] == {"C": 10.0, "K": 2}
         assert payload["seconds"] >= 0.0
+        stages = payload["stages"]
+        assert list(stages) == ["read", "fit", "write"]
+        assert stages["fit"] == payload["seconds"]
+        assert stages["read"] >= 0.0 and stages["write"] >= 0.0
 
         problem = DenoiseProblem(Y=Y, sigma=0.5)
         factors = svd(Y)
@@ -178,6 +182,17 @@ class TestDenoise:
         assert payload["sure"] is None
         np.testing.assert_array_equal(read_matrix(out_path), np.zeros((8, 6)))
 
+        Y = read_matrix(path)
+        code, _, _ = run_cli(
+            [
+                "denoise", path, "--sigma", "0.5", "--method", "eym",
+                "--rank", "2", "--output", out_path,
+            ],
+            capsys,
+        )
+        assert code == 0
+        np.testing.assert_array_equal(read_matrix(out_path), eym_truncate(Y, 2))
+
     def test_eym_requires_rank(self, tmp_path, capsys):
         path = str(tmp_path / "obs.csv")
         make_input(path)
@@ -185,6 +200,11 @@ class TestDenoise:
         assert code == 2
         assert err.startswith("error:")
         assert "--rank is required" in err
+        code, out, err = run_cli(
+            ["denoise", path, "--sigma", "0.5", "--method", "eym", "--rank", "7"], capsys
+        )
+        assert code == 2
+        assert "rank must lie in [0, 6], got 7" in err
 
     def test_svht_default_threshold(self, tmp_path, capsys):
         path = str(tmp_path / "obs.csv")

@@ -14,6 +14,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from svshrink import (
     ContractError,
@@ -28,6 +30,67 @@ from svshrink import (
     validate_factors,
     write_matrix,
 )
+from svshrink.spectral import _parse_lines
+
+# A fixed example sequence and no example database, so every run on every
+# machine tests the same inputs.
+IO_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def reference_csv(M):
+    """The per-value 17-digit CSV that write_matrix must reproduce."""
+    return "\n".join(",".join(format(v, ".17g") for v in row) for row in M) + "\n"
+
+
+def parse_outcome(parse, text):
+    """Shape and bytes of the parsed array, or the MatrixParseError text."""
+    try:
+        M = parse(text)
+    except MatrixParseError as exc:
+        return ("error", str(exc))
+    return ("array", M.shape, M.tobytes())
+
+
+def read_text(text):
+    return read_matrix(io.StringIO(text))
+
+
+def line_parse(text):
+    """The float()-per-token line parser alone, the reference for read_matrix."""
+    return _parse_lines(text.splitlines(), "<stream>")
+
+
+matrices = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(width=64),
+)
+
+# Text near the CSV grammar: digits and float spellings, separators, every
+# line break str.splitlines knows, whitespace numpy and float() strip, and
+# characters only one of the two parsers accepts.
+csv_like_text = st.lists(
+    st.sampled_from(
+        list("0123456789.,-+eE_ #\t\n\r\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000") + ["inf", "nan"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@st.composite
+def formatted_matrices(draw):
+    """Well-formed CSV text from a float matrix, with varied number spellings,
+    padding and line endings."""
+    M = draw(matrices)
+    spell = draw(st.sampled_from([repr, lambda v: "%.17g" % v, lambda v: "%.3e" % v, str]))
+    pad = st.sampled_from(["", " ", "\t", "\xa0"])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [
+        ",".join(draw(pad) + spell(float(v)) + draw(pad) for v in row) for row in M
+    ]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 class TestMatrixShape:
@@ -307,3 +370,69 @@ class TestMatrixIO:
     def test_write_rejects_empty(self):
         with pytest.raises(ContractError):
             write_matrix(io.StringIO(), np.zeros((0, 3)))
+
+    @IO_SETTINGS
+    @given(matrices)
+    def test_write_matches_per_value_format(self, M):
+        buf = io.StringIO()
+        write_matrix(buf, M)
+        assert buf.getvalue() == reference_csv(M)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[-0.0, 0.0], [5e-324, -5e-324]]),
+            np.array([[1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]]),
+            np.arange(7.0).reshape(1, 7) / 3.0,
+            np.arange(7.0).reshape(7, 1) / 3.0,
+            np.array([[np.inf, -np.inf, np.nan]]),
+        ],
+        ids=["signed-zeros-subnormal", "extremes-1xm", "1x7", "7x1", "non-finite"],
+    )
+    def test_write_special_values_and_shapes(self, M):
+        buf = io.StringIO()
+        write_matrix(buf, M)
+        assert buf.getvalue() == reference_csv(M)
+        buf.seek(0)
+        back = read_matrix(buf)
+        assert back.shape == M.shape
+        finite = np.isfinite(M)
+        assert back[finite].tobytes() == M[finite].tobytes()
+        assert np.array_equal(np.isnan(back), np.isnan(M))
+
+    @IO_SETTINGS
+    @given(formatted_matrices())
+    def test_read_matches_line_parser_on_csv(self, text):
+        assert parse_outcome(read_text, text) == parse_outcome(line_parse, text)
+
+    @IO_SETTINGS
+    @given(csv_like_text)
+    def test_read_matches_line_parser_on_any_text(self, text):
+        """Equal arrays where the line parser accepts, and its own error
+        message where it does not."""
+        assert parse_outcome(read_text, text) == parse_outcome(line_parse, text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1_0,2\n", [[10.0, 2.0]]),
+            ("1,2\x0c3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("1,2\r3,4", [[1.0, 2.0], [3.0, 4.0]]),
+            ("#1,2\n", "<stream>: line 1, column 1: cannot parse '#1' as a float"),
+            ("1,2,\n", "<stream>: line 1, column 3: cannot parse '' as a float"),
+            ("1\x0c,2\n", "<stream>: line 2, column 1: cannot parse '' as a float"),
+            ("1,2\x1f\n", "<stream>: line 1, column 2: cannot parse '2' as a float"),
+            ("", "<stream>: empty matrix"),
+            (" \n\t\n", "<stream>: empty matrix"),
+        ],
+    )
+    def test_inputs_numpy_rejects_or_splits_differently(self, text, expected):
+        """Whitespace-only lines, underscores, form feeds, comments and empty
+        fields give the line parser's array or its error message."""
+        if isinstance(expected, str):
+            with pytest.raises(MatrixParseError) as excinfo:
+                read_text(text)
+            assert str(excinfo.value) == expected
+        else:
+            assert read_text(text).tobytes() == np.array(expected).tobytes()

@@ -12,6 +12,8 @@ a_1 = 1 - n*m*sigma^2 / sum(y_i^2), and exhaustive trace inspection for
 grid tuning (the tuner must return the argmin of its own trace).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from svshrink import (
     Identity,
     MatrixShape,
     SolverFailureError,
+    SvdFactors,
     Svlet,
     SvletBasis,
     Svlt,
@@ -198,11 +201,31 @@ class TestSureReports:
             self.assert_report_identity(sure(problem, factors, rule), problem)
 
     def test_rejects_mismatched_factors(self):
+        """sure, solve_svlet, tune_grid and svlet_clamp_gap name both shapes."""
         rng = np.random.default_rng(36)
         problem, _ = random_problem(rng, 5, 5)
         other = svd(rng.standard_normal((6, 5)))
-        with pytest.raises(ContractError):
+        message = re.escape("factors shape (6, 5) does not match problem shape (5, 5)")
+        with pytest.raises(ContractError, match=message):
             sure(problem, other, Identity())
+        with pytest.raises(ContractError, match=message):
+            solve_svlet(problem, other, K=2, C=10.0)
+        with pytest.raises(ContractError, match=message):
+            tune_grid(problem, other, "svst")
+        rule = Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1])))
+        with pytest.raises(ContractError, match=message):
+            svlet_clamp_gap(problem, other, rule)
+
+    def test_clamp_gap_checks_factors(self):
+        """A 5x5 problem with 9x7 factors, or an unusable spectrum, raises."""
+        rng = np.random.default_rng(48)
+        problem, factors = random_problem(rng, 5, 5)
+        rule = Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1])))
+        with pytest.raises(ContractError):
+            svlet_clamp_gap(problem, svd(rng.standard_normal((9, 7))), rule)
+        zeroed = SvdFactors(U=factors.U, S=np.zeros(5), V=factors.V)
+        with pytest.raises(DegenerateSpectrumError):
+            svlet_clamp_gap(problem, zeroed, rule)
 
     def test_svlet_residual_uses_unclamped_form(self):
         """The risk engine scores the raw expansion, not the clamped apply."""
@@ -351,8 +374,9 @@ class TestSolveSvlet:
     def test_validates_parameters(self):
         rng = np.random.default_rng(47)
         problem, factors = random_problem(rng, 5, 5)
-        with pytest.raises(ContractError):
-            solve_svlet(problem, factors, K=0, C=10.0)
+        for K in (0, 2.5, "2"):
+            with pytest.raises(ContractError, match="K must be an integer >= 1"):
+                solve_svlet(problem, factors, K=K, C=10.0)
         with pytest.raises(ContractError):
             solve_svlet(problem, factors, K=2, C=0.0)
 
