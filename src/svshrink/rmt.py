@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .shrinkage import RmtOptimal, Svht, Svst, apply
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, reconstruct
 
 OPTIMAL_SHRINK = "opt-shrink"
 SVHT_4SQRT3 = "svht-4sqrt3"
@@ -210,9 +210,8 @@ def asymptotic_denoise(
     rule (the optimal bulk shrinker, a hard threshold at 4/sqrt(3), or a
     soft threshold at the bulk edge 1 + sqrt(beta)), and rescaled.
     """
+    _check_matching(problem, factors)
     shape = factors.shape
-    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
-        raise ContractError("factors do not match the problem's shape")
     ratio = AspectRatio.of(shape)
     if variant == OPTIMAL_SHRINK:
         rule = RmtOptimal(beta=ratio.beta)

@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError
+
+# scipy.special.expit, bound on the first logistic-rule evaluation: importing
+# scipy.special takes about 0.3 s and 25 MB, and no other rule needs it.
+_expit = None
 
 # Hard cap on the ATN exponent; beyond this the rule is indistinguishable
 # from a hard threshold at double precision anyway.
@@ -46,6 +49,14 @@ def dog_basis_deriv(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     k = np.arange(K, dtype=float)
     ysq = np.outer(y * y, k)
     return (1.0 - ysq / (T * T)) * np.exp(-ysq / (2.0 * T * T))
+
+
+def _load_expit():
+    global _expit
+    from scipy.special import expit
+
+    _expit = expit
+    return expit
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -167,7 +178,7 @@ class Svlt:
 
     def _weights(self, idx: np.ndarray) -> np.ndarray:
         # expit(-z) = 1/(1+e^z), stable for p1*(i-p2) of either sign.
-        return expit(-self.p1 * (idx - self.p2))
+        return (_expit or _load_expit())(-self.p1 * (idx - self.p2))
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.maximum(y * self._weights(idx) - self.p3, 0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -87,6 +88,16 @@ class DenoiseProblem:
     @property
     def shape(self) -> MatrixShape:
         return MatrixShape.of(self.Y)
+
+
+def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> None:
+    """Reject factors whose (n, m) differ from the problem's, naming both."""
+    shape = factors.shape
+    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
+        raise ContractError(
+            f"factors shape ({shape.n}, {shape.m}) does not match problem shape "
+            f"({problem.shape.n}, {problem.shape.m})"
+        )
 
 
 def svd(Y: np.ndarray) -> SvdFactors:
@@ -207,19 +218,21 @@ def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
 
     Parses with numpy's C reader and falls back to a line-by-line float()
     parse when that fails.  Raises MatrixParseError naming the offending
-    1-based line for ragged rows or unparseable tokens, for an empty file,
-    and for an unreadable path.
+    1-based line for ragged rows, unparseable tokens or a non-ASCII byte,
+    for an empty file, and for an unreadable path.
     """
     if hasattr(path, "read"):
         text = path.read()
         name = getattr(path, "name", "<stream>")
     else:
+        name = os.fspath(path)
         try:
             with open(path, "r", encoding="ascii") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise MatrixParseError(f"cannot read matrix file {os.fspath(path)}: {exc}") from exc
-        name = os.fspath(path)
+            raise MatrixParseError(f"cannot read matrix file {name}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise MatrixParseError(_non_ascii_message(path, name)) from None
     lines = text.splitlines()
     # numpy's C reader accepts a subset of what float() does and gives the
     # same doubles.  It reads the lines str.splitlines made, as the line
@@ -236,6 +249,16 @@ def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
         except (ValueError, Warning):
             pass
     return _parse_lines(lines, name)
+
+
+def _non_ascii_message(path: str | os.PathLike, name: str) -> str:
+    """Name the 1-based line of a file's first non-ASCII byte, counting lines
+    as the parser's str.splitlines does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = re.search(rb"[\x80-\xff]", data).start()
+    lineno = len((data[:pos].decode("ascii") + "x").splitlines())
+    return f"{name}: line {lineno}: byte 0x{data[pos]:02x} is not ASCII"
 
 
 def _parse_lines(lines: list[str], name: str) -> np.ndarray:

@@ -38,7 +38,7 @@ from .shrinkage import (
     dog_basis,
     dog_basis_deriv,
 )
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching
 
 # Pairwise squared-value gaps below GAP_TOL_FACTOR * y_1^2 count as ties.
 GAP_TOL_FACTOR = 1e-10
@@ -162,15 +162,6 @@ def divergence(
     _check_rule(rule)
     # sigma only scales the SURE value, which is discarded here.
     return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, 1.0).divergence
-
-
-def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> None:
-    shape = factors.shape
-    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
-        raise ContractError(
-            f"factors shape ({shape.n}, {shape.m}) does not match problem shape "
-            f"({problem.shape.n}, {problem.shape.m})"
-        )
 
 
 def sure(

@@ -282,6 +282,15 @@ class TestDenoise:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_ascii_input_exits_2(self, tmp_path, capsys):
+        """A UTF-8 byte in the CSV is a parse error (exit 2), not a crash."""
+        path = tmp_path / "accent.csv"
+        path.write_bytes("1,2\n3,\u00e9\n".encode("utf-8"))
+        code, out, err = run_cli(["denoise", str(path), "--sigma", "0.5", "--method", "svlet"], capsys)
+        assert code == 2
+        assert err == f"error: {path}: line 2: byte 0xc3 is not ASCII\n"
+        assert out == ""
+
 
 class TestTune:
     def test_svlet_k1_closed_form(self, tmp_path, capsys):

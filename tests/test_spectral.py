@@ -11,6 +11,7 @@ Known values:
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,23 @@ class TestMatrixIO:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(MatrixParseError, match="line 2, column 2"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "data, lineno, byte",
+        [
+            ("1,2\n3,4\r\n\n5,\u00e96\n".encode("utf-8"), 4, "0xc3"),
+            (b"1,2\r3,4\x0c5,6\xff\n", 3, "0xff"),
+            (b"\xe9", 1, "0xe9"),
+        ],
+    )
+    def test_non_ascii_byte_names_line(self, tmp_path, data, lineno, byte):
+        """Lines are counted as the parser splits them: CR LF, a lone CR and
+        a form feed each end one."""
+        path = tmp_path / "accent.csv"
+        path.write_bytes(data)
+        message = re.escape(f"{path}: line {lineno}: byte {byte} is not ASCII")
+        with pytest.raises(MatrixParseError, match=message):
             read_matrix(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from svshrink import (
+    ASYMPTOTIC_VARIANTS,
     Atn,
     ContractError,
     DegenerateSpectrumError,
@@ -34,6 +35,7 @@ from svshrink import (
     Svst,
     Zero,
     apply,
+    asymptotic_denoise,
     derivative,
     deterministic_jitter,
     divergence,
@@ -201,7 +203,8 @@ class TestSureReports:
             self.assert_report_identity(sure(problem, factors, rule), problem)
 
     def test_rejects_mismatched_factors(self):
-        """sure, solve_svlet, tune_grid and svlet_clamp_gap name both shapes."""
+        """sure, solve_svlet, tune_grid, svlet_clamp_gap and every
+        asymptotic_denoise variant name both shapes."""
         rng = np.random.default_rng(36)
         problem, _ = random_problem(rng, 5, 5)
         other = svd(rng.standard_normal((6, 5)))
@@ -215,6 +218,9 @@ class TestSureReports:
         rule = Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1])))
         with pytest.raises(ContractError, match=message):
             svlet_clamp_gap(problem, other, rule)
+        for variant in ASYMPTOTIC_VARIANTS:
+            with pytest.raises(ContractError, match=message):
+                asymptotic_denoise(problem, other, variant)
 
     def test_clamp_gap_checks_factors(self):
         """A 5x5 problem with 9x7 factors, or an unusable spectrum, raises."""
