@@ -43,7 +43,7 @@ from .spectral import (
     truncated_spectrum,
     write_matrix,
 )
-from .sure import GAP_TOL_FACTOR, SVLT_P1, GridSpec, solve_svlet, sure, tune_grid
+from .sure import SVLT_P1, GridSpec, solve_svlet, sure, tune_grid
 
 _DEFAULT_METHODS = (
     "svlet(C=10,K=2)",
@@ -74,15 +74,12 @@ class CliConfig:
     k_values: tuple = PAPER_K_VALUES
     out: str = None
     output_dir: str = "."
-    gap_factor: float = GAP_TOL_FACTOR
 
     def __post_init__(self) -> None:
         if self.run not in ("sweep", "sensitivity", "timing"):
             raise ContractError(
                 f"run must be one of sweep, sensitivity, timing; got {self.run!r}"
             )
-        if not np.isfinite(self.gap_factor) or self.gap_factor < 0.0:
-            raise ContractError(f"gap_factor must be >= 0, got {self.gap_factor!r}")
 
     def grid(self, seed: int) -> ExperimentGrid:
         # Bare "svlet" method entries pick up the configured C and K.
@@ -145,7 +142,6 @@ _CONFIG_PARSERS = {
     "k_values": lambda v: _parse_int_list(v, "k_values"),
     "out": lambda v: v.strip(),
     "output_dir": lambda v: v.strip(),
-    "gap_factor": _parse_scalar(float, "gap_factor"),
 }
 
 
@@ -228,7 +224,7 @@ def cmd_denoise(args) -> int:
     sure_value = None
     if args.method == "svlet":
         solved = solve_svlet(problem, factors, K=args.K, C=args.C)
-        params = {"C": solved.rule.basis.C, "K": solved.rule.basis.K}
+        params = {"C": solved.rule.C, "K": solved.rule.K}
         sure_value = solved.report.sure
         Xhat = reconstruct(factors, apply(solved.rule, factors.S))
     elif args.method in ("svst", "atn", "svlt"):

@@ -70,6 +70,15 @@ def _finite_scalar(x, name: str) -> float:
     return x
 
 
+def _expansion_order(K) -> int:
+    """The expansion order K as an int; booleans are not orders."""
+    _require(
+        isinstance(K, (int, np.integer)) and not isinstance(K, bool) and K >= 1,
+        f"K must be an integer >= 1, got {K!r}",
+    )
+    return int(K)
+
+
 @dataclass(frozen=True)
 class Identity:
     """Keep every singular value: eta(y) = y."""
@@ -189,12 +198,15 @@ class Svlt:
 
 
 @dataclass(frozen=True, eq=False)
-class SvletBasis:
-    """A solved expansion over the derivative-of-Gaussian family.
+class Svlet:
+    """Linear expansion of derivative-of-Gaussian atoms with a solved
+    coefficient vector: eta(y) = dog_basis(y, K, T) @ a.
 
-    T is the Gaussian width; by convention T = C * sigma when the basis is
-    fitted to a problem with noise level sigma, and C is kept for reporting
-    when known.  The coefficients a may be negative.
+    T is the Gaussian width; by convention T = C * sigma when the expansion
+    is fitted to a problem with noise level sigma, and C is kept for
+    reporting when known.  The coefficients a may be negative.  The formula
+    is the unclamped expansion, which the risk engine scores; applying it
+    clamps negative outputs to zero.
     """
 
     K: int
@@ -203,8 +215,7 @@ class SvletBasis:
     C: float | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.K, (int, np.integer)) and self.K >= 1, f"K must be an integer >= 1, got {self.K!r}")
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "K", _expansion_order(self.K))
         object.__setattr__(self, "T", _finite_scalar(self.T, "T"))
         _require(self.T > 0.0, f"T must be > 0, got {self.T}")
         a = np.asarray(self.a, dtype=float)
@@ -216,23 +227,11 @@ class SvletBasis:
             _require(C > 0.0, f"C must be > 0, got {C}")
             object.__setattr__(self, "C", C)
 
-
-@dataclass(frozen=True, eq=False)
-class Svlet:
-    """Linear expansion of derivative-of-Gaussian atoms with a solved
-    coefficient vector.  The formula is the unclamped expansion, which the
-    risk engine scores; applying it clamps negative outputs to zero."""
-
-    basis: SvletBasis
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.basis, SvletBasis), f"basis must be an SvletBasis, got {type(self.basis).__name__}")
-
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return dog_basis(y, self.basis.K, self.basis.T) @ self.basis.a
+        return dog_basis(y, self.K, self.T) @ self.a
 
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return dog_basis_deriv(y, self.basis.K, self.basis.T) @ self.basis.a
+        return dog_basis_deriv(y, self.K, self.T) @ self.a
 
 
 @dataclass(frozen=True)

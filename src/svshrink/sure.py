@@ -30,10 +30,10 @@ from .shrinkage import (
     Atn,
     ShrinkageRule,
     Svlet,
-    SvletBasis,
     Svlt,
     Svst,
     _check_rule,
+    _expansion_order,
     apply,
     dog_basis,
     dog_basis_deriv,
@@ -77,7 +77,7 @@ class SvletSolve:
     report: SureReport
 
 
-def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, gap_factor: float) -> np.ndarray:
+def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape) -> np.ndarray:
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1:
         raise ContractError(f"spectrum must be 1-D, got shape {s.shape}")
@@ -96,7 +96,7 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, gap_factor: floa
     if s.shape[0] > 1:
         sq = s * s
         gaps = sq[:-1] - sq[1:]
-        tol = gap_factor * sq[0]
+        tol = GAP_TOL_FACTOR * sq[0]
         k = int(np.argmin(gaps))
         if gaps[k] <= tol:
             raise DegenerateSpectrumError(
@@ -107,24 +107,10 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, gap_factor: floa
     return s
 
 
-def deterministic_jitter(spectrum: np.ndarray) -> np.ndarray:
-    """Opt-in tie breaker for synthetic spectra.
-
-    Subtracts 1e-9 * y_1 * (rank index) from each entry, which separates
-    exact ties while preserving the descending order.  Real data should not
-    need this; it exists so that hand-built degenerate examples can still be
-    pushed through the divergence formula deliberately.
-    """
-    s = np.asarray(spectrum, dtype=float)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ContractError(f"spectrum must be a non-empty 1-D array, got shape {s.shape}")
-    return s - (1e-9 * s[0]) * np.arange(s.shape[0], dtype=float)
-
-
-def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, gap_factor: float) -> tuple:
+def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
     """Check a spectrum once and compute what every rule's risk shares:
     (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2))."""
-    s = _checked_spectrum(spectrum, shape, gap_factor)
+    s = _checked_spectrum(spectrum, shape)
     sq = s * s
     diff = sq[:, None] - sq[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -146,31 +132,19 @@ def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> S
     return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
 
 
-def divergence(
-    spectrum: np.ndarray,
-    rule: ShrinkageRule,
-    shape: MatrixShape,
-    *,
-    gap_factor: float = GAP_TOL_FACTOR,
-) -> float:
+def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
     """Closed-form divergence of the induced spectral estimator.
 
     Scores the rule's formula, which for a solved expansion is the
     unclamped linear form, matching how the SURE objective is defined.
     """
-    s, idx, rowsums = _spectral_pieces(spectrum, shape, gap_factor)
+    s, idx, rowsums = _spectral_pieces(spectrum, shape)
     _check_rule(rule)
     # sigma only scales the SURE value, which is discarded here.
     return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, 1.0).divergence
 
 
-def sure(
-    problem: DenoiseProblem,
-    factors: SvdFactors,
-    rule: ShrinkageRule,
-    *,
-    gap_factor: float = GAP_TOL_FACTOR,
-) -> SureReport:
+def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:
     """Unbiased estimate of ||Xhat - X||_F^2 for the spectral rule.
 
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
@@ -178,7 +152,7 @@ def sure(
     """
     _check_matching(problem, factors)
     shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape, gap_factor)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape)
     _check_rule(rule)
     return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, problem.sigma)
 
@@ -193,7 +167,7 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
     _check_matching(problem, factors)
-    s = _checked_spectrum(factors.S, factors.shape, GAP_TOL_FACTOR)
+    s = _checked_spectrum(factors.S, factors.shape)
     raw = rule._vals(s, np.arange(1, s.shape[0] + 1, dtype=float))
     clamped = apply(rule, s)
     r_raw = float(np.sum((s - raw) ** 2))
@@ -208,26 +182,20 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
 def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     sv = np.linalg.svd(M, compute_uv=False)
     cond = float("inf") if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
-    ridge = 0.0
-    system = M
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        ridge = RIDGE_FACTOR * float(np.trace(M)) / K
-        system = M + ridge * np.eye(K)
-    try:
-        a = np.linalg.solve(system, c)
-    except np.linalg.LinAlgError:
-        if ridge == 0.0:
-            ridge = RIDGE_FACTOR * float(np.trace(M)) / K
-            try:
-                a = np.linalg.solve(M + ridge * np.eye(K), c)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailureError(
-                    f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
-                ) from exc
-        else:
-            raise SolverFailureError(
-                f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
-            ) from None
+    # An ill-conditioned system gets the ridge at once; a singular one that
+    # looked well-conditioned gets it as a retry.
+    ridged = RIDGE_FACTOR * float(np.trace(M)) / K
+    ridges = (ridged,) if not np.isfinite(cond) or cond > CONDITION_LIMIT else (0.0, ridged)
+    for ridge in ridges:
+        try:
+            a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
+            break
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+    else:
+        raise SolverFailureError(
+            f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
+        ) from failure
     resid = float(np.linalg.norm(M @ a - c))
     bound = SOLVE_RESIDUAL_RTOL * float(np.linalg.norm(c))
     if resid > bound:
@@ -238,48 +206,26 @@ def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarr
     return a, cond, ridge
 
 
-def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: float, fit_count) -> tuple:
-    """solve_expansion on a checked spectrum; also returns the basis and its
-    derivatives, (phi, phid, M, c, a, condition_estimate, ridge_used)."""
-    L = s.shape[0]
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ContractError(f"K must be an integer >= 1, got {K!r}")
+def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: float, rows: int) -> tuple:
+    """Assemble and solve the K-by-K normal system for the expansion on a
+    checked spectrum, returning (phi, phid, M, c, a, condition_estimate,
+    ridge_used) with phi, phid the basis and its derivatives.  Only the
+    leading `rows` singular values enter the quadratic fit; the pairwise
+    gap sums inside the right-hand side still run over the whole spectrum.
+    """
+    K = _expansion_order(K)
     if not np.isfinite(T) or T <= 0.0:
         raise ContractError(f"T must be a finite positive number, got {T!r}")
-    fit = L if fit_count is None else int(fit_count)
-    if fit < 1 or fit > L:
-        raise ContractError(f"fit_count must lie in [1, {L}], got {fit_count}")
     sigma2 = float(sigma) * float(sigma)
     g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
-    phi = dog_basis(s, int(K), float(T))
-    phid = dog_basis_deriv(s, int(K), float(T))
-    phi_fit = phi[:fit]
+    phi = dog_basis(s, K, float(T))
+    phid = dog_basis_deriv(s, K, float(T))
+    phi_fit = phi[:rows]
     M = phi_fit.T @ phi_fit
     M = 0.5 * (M + M.T)
-    c = phi_fit.T @ g[:fit] - sigma2 * np.sum(phid[:fit], axis=0)
-    a, cond, ridge = _solve_normal_system(M, c, int(K))
+    c = phi_fit.T @ g[:rows] - sigma2 * np.sum(phid[:rows], axis=0)
+    a, cond, ridge = _solve_normal_system(M, c, K)
     return phi, phid, M, c, a, cond, ridge
-
-
-def solve_expansion(
-    spectrum: np.ndarray,
-    shape: MatrixShape,
-    sigma: float,
-    K: int,
-    T: float,
-    *,
-    fit_count: int | None = None,
-    gap_factor: float = GAP_TOL_FACTOR,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Assemble and solve the K-by-K normal system for the expansion.
-
-    Returns (M, c, a, condition_estimate, ridge_used).  With fit_count set,
-    only the leading fit_count singular values enter the quadratic fit (the
-    rest are forced to zero by the caller); the pairwise interaction sums
-    inside the right-hand side still run over the whole spectrum.
-    """
-    s, _, rowsums = _spectral_pieces(spectrum, shape, gap_factor)
-    return _fit_expansion(s, rowsums, shape, sigma, K, T, fit_count)[2:]
 
 
 def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) -> SvletSolve:
@@ -295,10 +241,10 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     _check_matching(problem, factors)
     shape = factors.shape
     T = C * problem.sigma
-    s, _, rowsums = _spectral_pieces(factors.S, shape, GAP_TOL_FACTOR)
+    s, _, rowsums = _spectral_pieces(factors.S, shape)
     # _fit_expansion validates K.
-    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, None)
-    rule = Svlet(SvletBasis(K=int(K), T=T, a=a, C=C))
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, s.shape[0])
+    rule = Svlet(K=K, T=T, a=a, C=C)
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(
         M=M,
@@ -319,10 +265,6 @@ class GridSpec:
     thresholds: tuple | None = None
     gammas: tuple | None = None
     p1: float | None = None
-    p2_values: tuple | None = None
-    p3_values: tuple | None = None
-    n_thresholds: int = 100
-    n_p3: int = 50
 
 
 _FAMILIES = {"svst": Svst, "atn": Atn, "svlt": Svlt}
@@ -344,14 +286,7 @@ def _upper_half_grid(y1: float, count: int) -> np.ndarray:
     return 0.5 * y1 * np.arange(1, count + 1, dtype=float) / count
 
 
-def tune_grid(
-    problem: DenoiseProblem,
-    factors: SvdFactors,
-    family,
-    grid: GridSpec | None = None,
-    *,
-    gap_factor: float = GAP_TOL_FACTOR,
-) -> SureReport:
+def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSpec | None = None) -> SureReport:
     """Exhaustive SURE minimization over a parameter grid.
 
     Default grids (y1 the top singular value, L the spectrum length):
@@ -364,44 +299,33 @@ def tune_grid(
     """
     name = _family_name(family)
     grid = grid or GridSpec()
+    _check_matching(problem, factors)
     shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape, gap_factor)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape)
     y1 = float(s[0])
-    L = s.shape[0]
 
-    if name == "svst":
-        thresholds = grid.thresholds
-        if thresholds is None:
-            thresholds = _upper_half_grid(y1, grid.n_thresholds)
-        candidates = [((float(lam),), Svst(lam=float(lam))) for lam in np.sort(np.asarray(thresholds, dtype=float))]
-    elif name == "atn":
-        thresholds = grid.thresholds
-        if thresholds is None:
-            thresholds = _upper_half_grid(y1, grid.n_thresholds)
-        gammas = grid.gammas
-        if gammas is None:
-            gammas = np.arange(1, 21, dtype=float)
-        candidates = [
-            ((float(tau), float(g)), Atn(tau=float(tau), gamma=float(g)))
-            for tau in np.sort(np.asarray(thresholds, dtype=float))
-            for g in np.sort(np.asarray(gammas, dtype=float))
-        ]
-    else:
+    if name == "svlt":
         p1 = SVLT_P1 if grid.p1 is None else float(grid.p1)
-        p2_values = grid.p2_values
-        if p2_values is None:
-            p2_values = np.arange(1, L + 1, dtype=float)
-        p3_values = grid.p3_values
-        if p3_values is None:
-            p3_values = _upper_half_grid(y1, grid.n_p3)
         candidates = [
             ((p1, float(p2), float(p3)), Svlt(p1=p1, p2=float(p2), p3=float(p3)))
-            for p2 in np.sort(np.asarray(p2_values, dtype=float))
-            for p3 in np.sort(np.asarray(p3_values, dtype=float))
+            for p2 in np.arange(1, s.shape[0] + 1, dtype=float)
+            for p3 in _upper_half_grid(y1, 50)
         ]
+    else:
+        thresholds = _upper_half_grid(y1, 100) if grid.thresholds is None else grid.thresholds
+        thresholds = np.sort(np.asarray(thresholds, dtype=float))
+        if name == "svst":
+            candidates = [((float(lam),), Svst(lam=float(lam))) for lam in thresholds]
+        else:
+            gammas = np.arange(1, 21, dtype=float) if grid.gammas is None else grid.gammas
+            gammas = np.sort(np.asarray(gammas, dtype=float))
+            candidates = [
+                ((float(tau), float(g)), Atn(tau=float(tau), gamma=float(g)))
+                for tau in thresholds
+                for g in gammas
+            ]
     if not candidates:
         raise ContractError("tuning grid is empty")
-    _check_matching(problem, factors)
 
     trace = []
     best_report = None

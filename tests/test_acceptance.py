@@ -39,7 +39,6 @@ from svshrink import (
     RmtOptimal,
     Svht,
     Svlet,
-    SvletBasis,
     Svlt,
     Svst,
     Zero,
@@ -147,7 +146,7 @@ class TestAcceptance:
             (rank_signal(rng, 20, 20, 3, 1.0), 1.0, Svst(lam=2.0)),
             (rank_signal(rng, 20, 20, 1, 2.0), 0.5, Atn(tau=3.0, gamma=4.0)),
             (rank_signal(rng, 20, 20, 5, 1.0), 0.7, Svlt(p1=0.5, p2=3.0, p3=0.4)),
-            (rank_signal(rng, 20, 20, 2, 1.0), 0.3, Svlet(SvletBasis(K=2, T=3.0, a=(0.9, -0.2)))),
+            (rank_signal(rng, 20, 20, 2, 1.0), 0.3, Svlet(K=2, T=3.0, a=(0.9, -0.2))),
         )
         checks = sure_unbiasedness(configs, draws=500, seed=SEED)
         elapsed = time.perf_counter() - started
@@ -191,7 +190,7 @@ class TestAcceptance:
                     for sign in (1.0, -1.0):
                         a = np.array(solved.a, dtype=float)
                         a[k] += sign * scale * (1.0 + abs(a[k]))
-                        rule = Svlet(SvletBasis(K=K, T=solved.rule.basis.T, a=a))
+                        rule = Svlet(K=K, T=solved.rule.T, a=a)
                         value = sure(problem, factors, rule).sure
                         worst_drop = max(worst_drop, base - value - tol)
                         perturbations += 1

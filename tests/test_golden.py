@@ -1,0 +1,129 @@
+"""Byte-identity pins for seeded CLI outputs.
+
+Each case runs one CLI command in-process on a seeded input and compares the
+SHA-256 of what it produced with a digest recorded before a refactor of the
+engine: the written matrix CSV plus the printed JSON for `denoise` (its
+`seconds` and `stages` timings left out), the printed trace or coefficients
+for `tune`, and the sweep CSV for `bench` (its `# timestamp=` line left out).
+A digest changes only when some output byte changes, so a refactor that
+claims "same behaviour" must leave every case green.
+
+svht (default `mu`) and opt-shrink are pinned on a square input only: their
+calibration of non-square matrices is due to change on purpose.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from svshrink import cli, write_matrix
+
+SIGMA = "0.5"
+
+SWEEP_CONFIG = """\
+run = sweep
+n = 12
+m = 10
+ranks = 1,3
+snrs = 1.0 4.0
+methods = svlet(C=10,K=2) svst-sure atn-sure svlt-sure eym-oracle
+trials = 2
+"""
+
+EXPECTED = {
+    "denoise-svlet-30x20": "911b2a01acf3d1f83afeb7ede9f24a0a9083775b97c648ba8ccfe8b9d562d803",
+    "denoise-svlet-20x30": "bf709803ab06a5d7f33249879e45c1ba972233e149f748dfae98e7d237dc845b",
+    "denoise-svst-30x20": "b02e3c34e2a54eaba3e60e8f82657d2af8c47fb40db3c5f9b3e3ab1346d82509",
+    "denoise-svst-20x30": "486f624dbdd9b24c2093200a392ddf18f1878197e6757add00882cde5fdfc361",
+    "denoise-atn-30x20": "302f5e691154b72e932b3ad60164ff792639908506618229e3e1bd3e09ebeb59",
+    "denoise-atn-20x30": "b8044cecdf42c49ce19a1d8584615970dff36c0163f1701fef2d3369438bba8d",
+    "denoise-svlt-30x20": "f5a9cb6fc855643c654e426a3cd67294251e382965b9688ca292bf1de1d183cb",
+    "denoise-svlt-20x30": "e4e94cf2de7d8ddd5dc6e98ff2820180f50a09e727c73bdee3b5a870d19ad2d1",
+    "denoise-eym-30x20": "d7fd2e993d22e474a61184e766f1a24ab13b6b55474c37480a9386294c3e00ae",
+    "denoise-eym-20x30": "bd13696accb81545ba6676d29fbef126278ea52729c46f965fa8ad3c0df16baa",
+    "denoise-svht-25x25": "d22f3a37d8dae6802ca8f96bc63c16a290df86a97dec900f351b8bf92d032fdc",
+    "denoise-opt-shrink-25x25": "3c20d95e37933db5bf59160ffe3466d19a15ec573756cc5c8cab059f7e10f89f",
+    "tune-svlet-30x20": "ecea036c72ed9eaf168e9a9470c3bc628f2394641e79d6d605734d3448c396b4",
+    "tune-svst-30x20": "df452ed5ab5aa5935b7bd5597b543e84c5327eb1969a32c303b9b427c104db1b",
+    "tune-atn-30x20": "8af33c34f9d462057d4bb2d8209e37c80eb8fe3faff2518138d1cbbd3c7a180c",
+    "tune-svlt-30x20": "7ae59c2bba387d4a6d19a550501871e1b411d995986d63011b4d4537b7d0081b",
+    "tune-svlet-20x30": "2a3b6145cc1f1d696ea363652fc57c1290fead9aef7664b213e96b536448e2bf",
+    "tune-svst-20x30": "6556d68d8cd7de6339b8e2e5c2ced579e0f6fbe533420e2614e84bccffb776bd",
+    "tune-atn-20x30": "78324aefe27a9e627b3376ce5d11410b1bd4662d7e969a1cc82fb9340c289c07",
+    "tune-svlt-20x30": "9084d60be7afad6bb67c878b02dd7772bb3c785282c9ef69f951c260d50b61d1",
+    "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
+}
+
+
+def _input(path, n, m, seed=20261018):
+    rng = np.random.default_rng([seed, n, m])
+    X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, m))
+    write_matrix(path, X + 0.5 * rng.standard_normal((n, m)))
+    return str(path)
+
+
+def _run(argv, capsys) -> str:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+def _digest(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+DENOISE_CASES = [
+    (method, n, m, extra)
+    for method, extra in (
+        ("svlet", []),
+        ("svst", []),
+        ("atn", []),
+        ("svlt", []),
+        ("eym", ["--rank", "3"]),
+    )
+    for n, m in ((30, 20), (20, 30))
+] + [("svht", 25, 25, []), ("opt-shrink", 25, 25, [])]
+
+
+def _denoise_digest(tmp_path, capsys, method, n, m, extra) -> str:
+    path = _input(tmp_path / "obs.csv", n, m)
+    out_path = tmp_path / "xhat.csv"
+    out = _run(["denoise", path, "--sigma", SIGMA, "--method", method, "--output", str(out_path)] + extra, capsys)
+    payload = json.loads(out)
+    del payload["seconds"], payload["stages"]
+    return _digest(out_path.read_bytes(), json.dumps(payload).encode())
+
+
+def _tune_digest(tmp_path, capsys, family, n, m) -> str:
+    path = _input(tmp_path / "obs.csv", n, m)
+    return _digest(_run(["tune", path, "--sigma", SIGMA, "--family", family], capsys).encode())
+
+
+def _sweep_digest(tmp_path, capsys) -> str:
+    config = tmp_path / "bench.cfg"
+    config.write_text(SWEEP_CONFIG)
+    _run(["bench", "--config", str(config), "--seed", "7", "--output-dir", str(tmp_path)], capsys)
+    lines = (tmp_path / "sweep.csv").read_bytes().split(b"\n")
+    return _digest(b"\n".join(line for line in lines if not line.startswith(b"# timestamp=")))
+
+
+@pytest.mark.parametrize(("method", "n", "m", "extra"), DENOISE_CASES, ids=[f"{c[0]}-{c[1]}x{c[2]}" for c in DENOISE_CASES])
+def test_denoise_bytes(tmp_path, capsys, method, n, m, extra):
+    assert _denoise_digest(tmp_path, capsys, method, n, m, extra) == EXPECTED[f"denoise-{method}-{n}x{m}"]
+
+
+@pytest.mark.parametrize("family", ["svlet", "svst", "atn", "svlt"])
+@pytest.mark.parametrize(("n", "m"), [(30, 20), (20, 30)], ids=["30x20", "20x30"])
+def test_tune_bytes(tmp_path, capsys, family, n, m):
+    assert _tune_digest(tmp_path, capsys, family, n, m) == EXPECTED[f"tune-{family}-{n}x{m}"]
+
+
+def test_sweep_bytes(tmp_path, capsys):
+    assert _sweep_digest(tmp_path, capsys) == EXPECTED["bench-sweep"]

@@ -27,7 +27,6 @@ from svshrink import (
     RmtOptimal,
     Svht,
     Svlet,
-    SvletBasis,
     Svlt,
     Svst,
     Zero,
@@ -80,7 +79,7 @@ class TestApplyKnownValues:
         np.testing.assert_allclose(apply(RmtOptimal(1.0), np.array([2.5])), [1.5])
 
     def test_svlet_identity_atom(self):
-        rule = Svlet(SvletBasis(K=1, T=1.0, a=np.array([0.5])))
+        rule = Svlet(K=1, T=1.0, a=np.array([0.5]))
         np.testing.assert_allclose(apply(rule, np.array([4.0, 2.0])), [2.0, 1.0])
 
     def test_atn_formula(self):
@@ -172,7 +171,7 @@ class TestOrderAndContinuityProperties:
 
     def test_svlet_output_may_ascend(self):
         """The expansion rule is not forced to preserve descending order."""
-        rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.0, 1.0])))
+        rule = Svlet(K=2, T=1.0, a=np.array([0.0, 1.0]))
         out = apply(rule, np.array([3.0, 1.0]))
         assert out[1] > out[0]
 
@@ -180,7 +179,7 @@ class TestOrderAndContinuityProperties:
         rng = np.random.default_rng(26)
         rules = self.rules_preserving_order() + [
             Svlt(p1=3.0, p2=2.0, p3=0.5),
-            Svlet(SvletBasis(K=2, T=2.0, a=np.array([0.7, -1.5]))),
+            Svlet(K=2, T=2.0, a=np.array([0.7, -1.5])),
         ]
         for _ in range(30):
             s = np.sort(rng.uniform(0.0, 6.0, size=8))[::-1]
@@ -203,15 +202,15 @@ class TestDerivatives:
         np.testing.assert_allclose(derivative(Atn(tau=2.0, gamma=5.0), 2.0), 5.0)
 
     def test_svlet_k1_constant_derivative(self):
-        rule = Svlet(SvletBasis(K=1, T=3.0, a=np.array([0.25])))
+        rule = Svlet(K=1, T=3.0, a=np.array([0.25]))
         for y in (0.5, 1.0, 7.0):
             np.testing.assert_allclose(derivative(rule, y), 0.25)
 
     def test_svlet_clamped_region_derivative_is_zero(self):
         """Where the raw expansion is negative the applied rule is flat 0."""
-        rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
+        rule = Svlet(K=2, T=1.0, a=np.array([0.1, -2.0]))
         y = 0.5  # raw = 0.5*(0.1 - 2*exp(-0.125)) < 0
-        raw = dog_basis(np.array([y]), 2, 1.0) @ rule.basis.a
+        raw = dog_basis(np.array([y]), 2, 1.0) @ rule.a
         assert raw[0] < 0.0
         assert derivative(rule, y) == 0.0
         assert apply(rule, np.array([y]))[0] == 0.0
@@ -229,8 +228,8 @@ class TestDerivatives:
             (Atn(tau=1.4, gamma=6.0), (1.4,)),
             (RmtOptimal(1.0), (2.0,)),
             (RmtOptimal(0.5), (1.0 + np.sqrt(0.5),)),
-            (Svlet(SvletBasis(K=2, T=1.5, a=np.array([0.8, 0.3]))), ()),
-            (Svlet(SvletBasis(K=3, T=2.0, a=np.array([0.9, -0.4, 0.1]))), None),
+            (Svlet(K=2, T=1.5, a=np.array([0.8, 0.3])), ()),
+            (Svlet(K=3, T=2.0, a=np.array([0.9, -0.4, 0.1])), None),
         ]
         for rule, kinks in cases:
             checked = 0
@@ -239,7 +238,7 @@ class TestDerivatives:
                 if kinks is None:
                     # expansion with sign changes: stay 1e-3 clear of the
                     # clamp boundary, located where the raw form crosses 0
-                    raw = lambda t: float((dog_basis(np.array([t]), rule.basis.K, rule.basis.T) @ rule.basis.a)[0])
+                    raw = lambda t: float((dog_basis(np.array([t]), rule.K, rule.T) @ rule.a)[0])
                     if raw(y - 1e-3) * raw(y + 1e-3) <= 0.0:
                         continue
                 elif any(abs(y - t) < 1e-3 for t in kinks):
@@ -290,20 +289,20 @@ class TestRiskViews:
     exactly what apply returns for every other rule."""
 
     def test_risk_values_unclamped_for_expansion(self):
-        rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
+        rule = Svlet(K=2, T=1.0, a=np.array([0.1, -2.0]))
         s = np.array([3.0, 0.5])
         problem = DenoiseProblem(np.diag(s), 1.0)
-        raw = dog_basis(s, 2, 1.0) @ rule.basis.a
+        raw = dog_basis(s, 2, 1.0) @ rule.a
         residual = sure(problem, svd(problem.Y), rule).residual
         np.testing.assert_allclose(residual, np.sum((s - raw) ** 2), rtol=1e-12)
         applied = apply(rule, s)
         assert applied[1] == 0.0 and raw[1] < 0.0
 
     def test_risk_derivatives_unclamped_for_expansion(self):
-        rule = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
+        rule = Svlet(K=2, T=1.0, a=np.array([0.1, -2.0]))
         s = np.array([3.0, 0.5])
-        raw = dog_basis(s, 2, 1.0) @ rule.basis.a
-        raw_d = dog_basis_deriv(s, 2, 1.0) @ rule.basis.a
+        raw = dog_basis(s, 2, 1.0) @ rule.a
+        raw_d = dog_basis_deriv(s, 2, 1.0) @ rule.a
         # Square 2x2: sum eta' + 2 (y_1 eta_1 - y_2 eta_2) / (y_1^2 - y_2^2).
         expected = raw_d.sum() + 2.0 * (s[0] * raw[0] - s[1] * raw[1]) / (s[0] ** 2 - s[1] ** 2)
         np.testing.assert_allclose(divergence(s, rule, MatrixShape(2, 2)), expected, rtol=1e-12)
@@ -350,15 +349,17 @@ class TestConstructionValidation:
         with pytest.raises(ContractError):
             Svlt(p1=1.0, p2=1.0, p3=-0.1)
 
-    def test_svlet_basis_validation(self):
+    def test_svlet_validation(self):
         with pytest.raises(ContractError):
-            SvletBasis(K=0, T=1.0, a=np.array([]))
+            Svlet(K=0, T=1.0, a=np.array([]))
+        with pytest.raises(ContractError, match="K must be an integer >= 1, got True"):
+            Svlet(K=True, T=1.0, a=np.array([1.0]))
         with pytest.raises(ContractError):
-            SvletBasis(K=1, T=0.0, a=np.array([1.0]))
+            Svlet(K=1, T=0.0, a=np.array([1.0]))
         with pytest.raises(ContractError):
-            SvletBasis(K=2, T=1.0, a=np.array([1.0]))  # length mismatch
+            Svlet(K=2, T=1.0, a=np.array([1.0]))  # length mismatch
         with pytest.raises(ContractError):
-            SvletBasis(K=1, T=1.0, a=np.array([np.nan]))
+            Svlet(K=1, T=1.0, a=np.array([np.nan]))
 
     def test_rmt_optimal_beta_range(self):
         with pytest.raises(ContractError):
@@ -370,8 +371,8 @@ class TestConstructionValidation:
 
     def test_negative_coefficients_allowed(self):
         """Solved expansion coefficients are unconstrained in sign."""
-        basis = SvletBasis(K=2, T=1.0, a=np.array([1.0, -3.0]))
-        assert basis.a[1] == -3.0
+        rule = Svlet(K=2, T=1.0, a=np.array([1.0, -3.0]))
+        assert rule.a[1] == -3.0
 
 
 class TestApplyValidation:

@@ -30,18 +30,15 @@ from svshrink import (
     SolverFailureError,
     SvdFactors,
     Svlet,
-    SvletBasis,
     Svlt,
     Svst,
     Zero,
     apply,
     asymptotic_denoise,
     derivative,
-    deterministic_jitter,
     divergence,
     dog_basis,
     dog_basis_deriv,
-    solve_expansion,
     solve_svlet,
     sure,
     svd,
@@ -56,8 +53,7 @@ def scored_formula(rule, s):
     unclamped expansion dog_basis(s, K, T) @ a for Svlet, apply and
     derivative for every other rule."""
     if isinstance(rule, Svlet):
-        b = rule.basis
-        return dog_basis(s, b.K, b.T) @ b.a, dog_basis_deriv(s, b.K, b.T) @ b.a
+        return dog_basis(s, rule.K, rule.T) @ rule.a, dog_basis_deriv(s, rule.K, rule.T) @ rule.a
     ders = np.array([derivative(rule, y, i + 1) for i, y in enumerate(s)])
     return apply(rule, s), ders
 
@@ -112,12 +108,12 @@ class TestDivergence:
         rng = np.random.default_rng(32)
         # The last expansion is negative below y = sqrt(2 ln 20) and positive
         # above it, so SURE must score it unclamped on part of each spectrum.
-        negative_part = Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.1, -2.0])))
+        negative_part = Svlet(K=2, T=1.0, a=np.array([0.1, -2.0]))
         rules = [
             Identity(),
             Svst(0.8),
             Atn(tau=0.6, gamma=3.0),
-            Svlet(SvletBasis(K=2, T=1.0, a=np.array([0.7, -0.2]))),
+            Svlet(K=2, T=1.0, a=np.array([0.7, -0.2])),
             negative_part,
         ]
         mixed_signs = 0
@@ -147,21 +143,6 @@ class TestDivergence:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ContractError):
             divergence(np.array([2.0, 1.0]), Identity(), MatrixShape(3, 3))
-
-    def test_gap_factor_override(self):
-        """A looser gap_factor admits a nearly-tied pair the default rejects."""
-        s = np.array([2.0, 1.0 + 1e-7, 1.0])
-        shape = MatrixShape(3, 3)
-        divergence(s, Identity(), shape, gap_factor=1e-12)
-        with pytest.raises(DegenerateSpectrumError):
-            divergence(s, Identity(), shape, gap_factor=1e-3)
-
-    def test_deterministic_jitter_separates_ties(self):
-        s = np.array([2.0, 1.0, 1.0])
-        jittered = deterministic_jitter(s)
-        assert np.all(np.diff(jittered) < 0.0)
-        np.testing.assert_allclose(jittered, s, rtol=1e-8)
-        divergence(jittered, Identity(), MatrixShape(3, 3))
 
 
 class TestSureReports:
@@ -197,7 +178,7 @@ class TestSureReports:
             Zero(),
             Svst(0.5),
             Atn(tau=0.4, gamma=2.0),
-            Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1]))),
+            Svlet(K=2, T=4.0, a=np.array([0.9, -0.1])),
         ]
         for rule in rules:
             self.assert_report_identity(sure(problem, factors, rule), problem)
@@ -215,7 +196,18 @@ class TestSureReports:
             solve_svlet(problem, other, K=2, C=10.0)
         with pytest.raises(ContractError, match=message):
             tune_grid(problem, other, "svst")
-        rule = Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1])))
+        # Shapes are checked before the spectrum: zero-spectrum 9x7 factors
+        # are a mismatch, not a degenerate spectrum, for every entry point.
+        zeros = svd(np.zeros((9, 7)))
+        message97 = re.escape("factors shape (9, 7) does not match problem shape (5, 5)")
+        for call in (
+            lambda: sure(problem, zeros, Identity()),
+            lambda: solve_svlet(problem, zeros, K=2, C=10.0),
+            lambda: tune_grid(problem, zeros, "svst"),
+        ):
+            with pytest.raises(ContractError, match=message97):
+                call()
+        rule = Svlet(K=2, T=4.0, a=np.array([0.9, -0.1]))
         with pytest.raises(ContractError, match=message):
             svlet_clamp_gap(problem, other, rule)
         for variant in ASYMPTOTIC_VARIANTS:
@@ -226,7 +218,7 @@ class TestSureReports:
         """A 5x5 problem with 9x7 factors, or an unusable spectrum, raises."""
         rng = np.random.default_rng(48)
         problem, factors = random_problem(rng, 5, 5)
-        rule = Svlet(SvletBasis(K=2, T=4.0, a=np.array([0.9, -0.1])))
+        rule = Svlet(K=2, T=4.0, a=np.array([0.9, -0.1]))
         with pytest.raises(ContractError):
             svlet_clamp_gap(problem, svd(rng.standard_normal((9, 7))), rule)
         zeroed = SvdFactors(U=factors.U, S=np.zeros(5), V=factors.V)
@@ -237,7 +229,7 @@ class TestSureReports:
         """The risk engine scores the raw expansion, not the clamped apply."""
         rng = np.random.default_rng(37)
         problem, factors = random_problem(rng, 6, 6, sigma=1.0)
-        rule = Svlet(SvletBasis(K=2, T=0.5, a=np.array([0.05, -3.0])))
+        rule = Svlet(K=2, T=0.5, a=np.array([0.05, -3.0]))
         report = sure(problem, factors, rule)
         gap = svlet_clamp_gap(problem, factors, rule)
         np.testing.assert_allclose(report.residual, gap["residual_unclamped"], rtol=1e-12)
@@ -271,7 +263,7 @@ class TestSolveSvlet:
         factors = svd(Y)
         for K in (1, 2, 3):
             solved = solve_svlet(problem, factors, K=K, C=1e13)
-            fitted = dog_basis(factors.S, K, solved.rule.basis.T) @ solved.a
+            fitted = dog_basis(factors.S, K, solved.rule.T) @ solved.a
             np.testing.assert_allclose(fitted, factors.S, rtol=1e-6)
 
     def test_normal_matrix_symmetric_psd(self):
@@ -298,7 +290,7 @@ class TestSolveSvlet:
         best = solved.report.sure
 
         def sure_at(a):
-            rule = Svlet(SvletBasis(K=2, T=solved.rule.basis.T, a=np.asarray(a)))
+            rule = Svlet(K=2, T=solved.rule.T, a=np.asarray(a))
             return sure(problem, factors, rule).sure
 
         for da1 in np.linspace(-0.3, 0.3, 7):
@@ -327,7 +319,7 @@ class TestSolveSvlet:
                 for eps in (1e-4, -1e-4):
                     a = solved.a.copy()
                     a[k] += eps * (1.0 + abs(a[k]))
-                    rule = Svlet(SvletBasis(K=K, T=solved.rule.basis.T, a=a))
+                    rule = Svlet(K=K, T=solved.rule.T, a=a)
                     perturbed = sure(problem, factors, rule).sure
                     assert perturbed >= base - 1e-8 * abs(base)
 
@@ -347,16 +339,19 @@ class TestSolveSvlet:
         c = np.array([0.0, 1.0])
         with pytest.raises(SolverFailureError, match="smaller K"):
             _solve_normal_system(M, c, 2)
+        with pytest.raises(SolverFailureError, match="singular even with ridge 0.000e"):
+            _solve_normal_system(np.zeros((2, 2)), c, 2)
 
     def test_fit_count_restricts_rows(self):
-        """With fit_count = t only the top-t values enter the Gram matrix."""
+        """With row count t only the top-t values enter the Gram matrix."""
+        from svshrink.sure import _fit_expansion, _spectral_pieces
+
         rng = np.random.default_rng(46)
         problem, factors = random_problem(rng, 12, 12, sigma=0.5)
         shape = factors.shape
-        M_full, _, _, _, _ = solve_expansion(factors.S, shape, 0.5, 2, 5.0)
-        M_top, _, _, _, _ = solve_expansion(factors.S, shape, 0.5, 2, 5.0, fit_count=3)
-        from svshrink import dog_basis
-
+        s, _, rowsums = _spectral_pieces(factors.S, shape)
+        M_full = _fit_expansion(s, rowsums, shape, 0.5, 2, 5.0, 12)[2]
+        M_top = _fit_expansion(s, rowsums, shape, 0.5, 2, 5.0, 3)[2]
         phi = dog_basis(factors.S, 2, 5.0)
         np.testing.assert_allclose(M_top, phi[:3].T @ phi[:3], rtol=1e-12)
         assert not np.allclose(M_full, M_top)
@@ -380,7 +375,7 @@ class TestSolveSvlet:
     def test_validates_parameters(self):
         rng = np.random.default_rng(47)
         problem, factors = random_problem(rng, 5, 5)
-        for K in (0, 2.5, "2"):
+        for K in (0, 2.5, "2", True):
             with pytest.raises(ContractError, match="K must be an integer >= 1"):
                 solve_svlet(problem, factors, K=K, C=10.0)
         with pytest.raises(ContractError):
