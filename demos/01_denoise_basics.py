@@ -15,6 +15,7 @@ from svshrink import (
     Svht,
     apply,
     asymptotic_denoise,
+    calibration_scale,
     eym_truncate,
     reconstruct,
     solve_svlet,
@@ -52,7 +53,7 @@ def main():
     Xhat = reconstruct(factors, apply(report.rule, factors.S))
     rows.append((f"svst(lam={report.rule.lam:.2f})", Xhat, report.sure))
 
-    mu = SVHT_COEFF * np.sqrt(N) * SIGMA
+    mu = SVHT_COEFF * calibration_scale(problem.shape, SIGMA)
     Xhat = reconstruct(factors, apply(Svht(mu=mu), factors.S))
     rows.append((f"svht(mu={mu:.2f})", Xhat, sure(problem, factors, Svht(mu=mu)).sure))
 

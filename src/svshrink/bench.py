@@ -27,6 +27,7 @@ from .rmt import (
     SVHT_4SQRT3,
     SVST_BULK,
     AspectRatio,
+    calibration_scale,
     estimate_rank,
 )
 from .rmt import asymptotic_denoise as _asymptotic_denoise
@@ -523,7 +524,7 @@ def verify_asymptotic_optimality(
         m = int(round(n / ratio.beta))
         shape = MatrixShape(n, m)
         sigma = 1.0 / np.sqrt(m)
-        scale = np.sqrt(m) * sigma
+        scale = calibration_scale(shape, sigma)
         devs = []
         detected = []
         skipped = 0

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from ._version import __version__
 from .bench import (
     DEFAULT_C,
@@ -33,7 +31,7 @@ from .bench import (
     timing_report,
 )
 from .errors import ContractError, NumericalError
-from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, verify_laws
+from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, calibration_scale, verify_laws
 from .shrinkage import Atn, Svht, Svlt, Svst, apply
 from .spectral import (
     DenoiseProblem,
@@ -233,7 +231,7 @@ def cmd_denoise(args) -> int:
     elif args.method == "svht":
         mu = args.mu
         if mu is None:
-            mu = SVHT_COEFF * float(np.sqrt(problem.shape.n)) * problem.sigma
+            mu = SVHT_COEFF * calibration_scale(problem.shape, problem.sigma)
         params = {"mu": mu}
         Xhat = reconstruct(factors, apply(Svht(mu=mu), factors.S))
     elif args.method == "opt-shrink":
@@ -319,7 +317,8 @@ def cmd_bench(args) -> int:
     written = []
     summary = {}
     if args.preset == "paper":
-        grids = paper_preset(args.seed, trials=args.trials)
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        grids = paper_preset(args.seed, trials=trials)
         for name in ("asymptotic", "sure"):
             table = run_sweep(grids[name], threads=args.threads)
             path = outdir / f"{name}.csv"
@@ -340,6 +339,8 @@ def cmd_bench(args) -> int:
     else:
         if args.config is None:
             raise ContractError("bench needs --config FILE or --preset paper")
+        if args.trials is not None:
+            raise ContractError("--trials applies to --preset only; set the config's `trials` key")
         config = load_config(args.config)
         if args.output_dir == "." and config.output_dir != ".":
             outdir = Path(config.output_dir)
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--p1", type=float, help="svlt steepness (default 100)")
     den.add_argument("--p2", type=float, help="svlt center index (omit to grid-search)")
     den.add_argument("--p3", type=float, help="svlt offset (omit to grid-search)")
-    den.add_argument("--mu", type=float, help="svht threshold (default 4/sqrt(3)*sqrt(n)*sigma)")
+    den.add_argument("--mu", type=float, help="svht threshold (default 4/sqrt(3)*sqrt(max(n,m))*sigma)")
     den.add_argument("--rank", type=int, help="eym truncation rank")
     den.add_argument("--output", help="output CSV path (default INPUT.denoised.csv)")
     den.set_defaults(func=cmd_denoise)
@@ -436,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--preset", choices=["paper"], help="run the documented 50x50 regime")
     ben.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
     ben.add_argument("--threads", type=int, default=1, help="worker threads over grid cells")
-    ben.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="realizations per cell")
+    ben.add_argument(
+        "--trials", type=int, help=f"realizations per cell of --preset (default {DEFAULT_TRIALS})"
+    )
     ben.add_argument("--output-dir", default=".", help="directory for CSV outputs")
     ben.add_argument(
         "--include-timing",

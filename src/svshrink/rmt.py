@@ -1,6 +1,6 @@
 """Large-matrix spectral laws for white noise and spiked signals.
 
-Conventions.  With noise entries of standard deviation 1/sqrt(max(n, m))
+Calibration.  With noise entries of standard deviation 1/sqrt(max(n, m))
 (equivalently: singular values divided by sqrt(max(n, m)) * sigma) and
 aspect ratio beta = min(n, m)/max(n, m) in (0, 1], the noise singular values
 fill [1 - sqrt(beta), 1 + sqrt(beta)] with the quarter-circle-type density,
@@ -26,6 +26,7 @@ SVST_BULK = "svst-bulk"
 ASYMPTOTIC_VARIANTS = (OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK)
 
 SVHT_COEFF = 4.0 / np.sqrt(3.0)
+CDF_PANELS = 20000  # trapezoid panels of the integrated quarter-circle CDF
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,37 @@ def quarter_circle_pdf(w, beta) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def quarter_circle_cdf(w, beta, *, panels: int = 20000) -> np.ndarray:
-    """Numerically integrated CDF of quarter_circle_pdf."""
+def quarter_circle_cdf(w, beta) -> np.ndarray:
+    """Numerically integrated CDF of quarter_circle_pdf (trapezoid rule on
+    CDF_PANELS panels)."""
     ratio = _as_ratio(beta)
-    grid = np.linspace(ratio.edge_low, ratio.edge_high, panels + 1)
+    grid = np.linspace(ratio.edge_low, ratio.edge_high, CDF_PANELS + 1)
     dens = quarter_circle_pdf(grid, ratio)
-    step = (ratio.edge_high - ratio.edge_low) / panels
+    step = (ratio.edge_high - ratio.edge_low) / CDF_PANELS
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * step)])
     cum = np.minimum(cum / cum[-1], 1.0)  # normalize away the quadrature residue
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
     out = np.interp(np.atleast_1d(w), grid, cum, left=0.0, right=1.0)
     return float(out[0]) if scalar else out
+
+
+def _spike_law(x, ratio: AspectRatio, below: float, law) -> np.ndarray:
+    """`law` at the strengths above the detection threshold, `below` at the
+    others; a scalar x gives a float."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
+        raise ContractError("signal strength x must be finite and > 0")
+    out = np.full_like(x, below)
+    above = x > ratio.transition
+    out[above] = law(x[above])
+    return float(out[0]) if scalar else out
+
+
+def _overlap(x2: np.ndarray, beta: float, shift: float) -> np.ndarray:
+    return np.sqrt((x2 * x2 - beta) / (x2 * (x2 + shift)))
 
 
 def spike_location(x, beta) -> np.ndarray:
@@ -119,16 +139,9 @@ def spike_location(x, beta) -> np.ndarray:
     sticks to the bulk edge.
     """
     ratio = _as_ratio(beta)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ContractError("signal strength x must be finite and > 0")
-    out = np.full_like(x, ratio.edge_high)
-    above = x > ratio.transition
-    xa = x[above]
-    out[above] = np.sqrt((xa + 1.0 / xa) * (xa + ratio.beta / xa))
-    return float(out[0]) if scalar else out
+    return _spike_law(
+        x, ratio, ratio.edge_high, lambda xa: np.sqrt((xa + 1.0 / xa) * (xa + ratio.beta / xa))
+    )
 
 
 def overlap_u(x, beta) -> np.ndarray:
@@ -136,51 +149,25 @@ def overlap_u(x, beta) -> np.ndarray:
     below the detection threshold, sqrt((x^4 - beta)/(x^2 (x^2 + beta)))
     above it."""
     ratio = _as_ratio(beta)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ContractError("signal strength x must be finite and > 0")
-    out = np.zeros_like(x)
-    above = x > ratio.transition
-    xa = x[above]
-    x2 = xa * xa
-    out[above] = np.sqrt((x2 * x2 - ratio.beta) / (x2 * (x2 + ratio.beta)))
-    return float(out[0]) if scalar else out
+    return _spike_law(x, ratio, 0.0, lambda xa: _overlap(xa * xa, ratio.beta, ratio.beta))
 
 
 def overlap_v(x, beta) -> np.ndarray:
     """Asymptotic |<true, observed>| for right singular vectors."""
     ratio = _as_ratio(beta)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ContractError("signal strength x must be finite and > 0")
-    out = np.zeros_like(x)
-    above = x > ratio.transition
-    xa = x[above]
-    x2 = xa * xa
-    out[above] = np.sqrt((x2 * x2 - ratio.beta) / (x2 * (x2 + 1.0)))
-    return float(out[0]) if scalar else out
+    return _spike_law(x, ratio, 0.0, lambda xa: _overlap(xa * xa, ratio.beta, 1.0))
 
 
-def calibration_scale(shape: MatrixShape, sigma: float, convention: str = "rows") -> float:
-    """Scale that maps observed singular values onto the calibrated laws.
-
-    "rows" divides by sqrt(n) * sigma (the rescaling the asymptotic
-    shrinkers are stated with); "max-dim" divides by sqrt(max(n, m)) * sigma
-    (the convention under which the bulk laws above hold for non-square
-    matrices).  The two agree when n >= m, and exactly when n == m.
+def calibration_scale(shape: MatrixShape, sigma: float) -> float:
+    """Scale that maps observed singular values onto the calibrated laws:
+    sqrt(max(n, m)) * sigma, under which the bulk laws above hold for every
+    shape and a matrix and its transpose calibrate alike (Gavish & Donoho
+    2014).  Every calibrated rule and rank count divides by this one value.
     """
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ContractError(f"sigma must be a finite positive number, got {sigma!r}")
-    if convention == "rows":
-        return float(np.sqrt(shape.n) * sigma)
-    if convention == "max-dim":
-        return float(np.sqrt(max(shape.n, shape.m)) * sigma)
-    raise ContractError(f"convention must be 'rows' or 'max-dim', got {convention!r}")
+    return float(np.sqrt(max(shape.n, shape.m)) * sigma)
 
 
 def estimate_rank(spectrum: np.ndarray, shape: MatrixShape, sigma: float) -> RankEstimate:
@@ -191,19 +178,12 @@ def estimate_rank(spectrum: np.ndarray, shape: MatrixShape, sigma: float) -> Ran
     if not np.all(np.isfinite(s)) or np.any(s < 0.0):
         raise ContractError("spectrum must be finite and non-negative")
     ratio = AspectRatio.of(shape)
-    scale = calibration_scale(shape, sigma, "max-dim")
-    calibrated = s / scale
+    calibrated = s / calibration_scale(shape, sigma)
     r_star = int(np.sum(calibrated > ratio.edge_high))
     return RankEstimate(r_star=r_star, threshold=ratio.edge_high, beta=ratio.beta)
 
 
-def asymptotic_denoise(
-    problem: DenoiseProblem,
-    factors: SvdFactors,
-    variant: str,
-    *,
-    convention: str = "rows",
-) -> np.ndarray:
+def asymptotic_denoise(problem: DenoiseProblem, factors: SvdFactors, variant: str) -> np.ndarray:
     """Apply one of the calibrated asymptotic rules and map back.
 
     The spectrum is divided by calibration_scale, shrunk with the requested
@@ -221,7 +201,7 @@ def asymptotic_denoise(
         rule = Svst(lam=ratio.edge_high)
     else:
         raise ContractError(f"variant must be one of {ASYMPTOTIC_VARIANTS}, got {variant!r}")
-    scale = calibration_scale(shape, problem.sigma, convention)
+    scale = calibration_scale(shape, problem.sigma)
     shrunk = apply(rule, factors.S / scale)
     return reconstruct(factors, scale * shrunk)
 

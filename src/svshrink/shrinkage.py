@@ -238,8 +238,8 @@ class Svlet:
 class RmtOptimal:
     """Asymptotically optimal bulk shrinker on the calibrated scale.
 
-    Expects singular values divided by sqrt(n) * sigma, where the noise
-    bulk ends at 1 + sqrt(beta):
+    Expects singular values divided by sqrt(max(n, m)) * sigma (see
+    rmt.calibration_scale), where the noise bulk ends at 1 + sqrt(beta):
         eta(y) = sqrt((y^2 - beta - 1)^2 - 4 beta) / y   for y above the edge,
         eta(y) = 0                                        otherwise.
     """

@@ -164,13 +164,7 @@ def eym_truncate(Y: np.ndarray, r: int) -> np.ndarray:
     return reconstruct(factors, truncated_spectrum(factors.S, r))
 
 
-def validate_factors(
-    factors: SvdFactors,
-    Y: np.ndarray | None = None,
-    *,
-    orthonormality_tol: float = ORTHONORMALITY_TOL,
-    reconstruction_tol: float = RECONSTRUCTION_TOL,
-) -> None:
+def validate_factors(factors: SvdFactors, Y: np.ndarray | None = None) -> None:
     """Check orthonormality (and reconstruction, if Y is given) of factors."""
     U, S, V = factors.U, factors.S, factors.V
     L = S.shape[0]
@@ -178,7 +172,7 @@ def validate_factors(
         raise ContractError("singular values must be non-negative and descending")
     gram_u = np.linalg.norm(U.T @ U - np.eye(L))
     gram_v = np.linalg.norm(V.T @ V - np.eye(L))
-    if gram_u > orthonormality_tol or gram_v > orthonormality_tol:
+    if gram_u > ORTHONORMALITY_TOL or gram_v > ORTHONORMALITY_TOL:
         raise FactorizationError(
             f"factor columns are not orthonormal: |U'U-I|={gram_u:.3e}, |V'V-I|={gram_v:.3e}"
         )
@@ -186,8 +180,8 @@ def validate_factors(
         Y = np.asarray(Y, dtype=float)
         scale = max(np.linalg.norm(Y), 1.0)
         err = np.linalg.norm(reconstruct(factors, S) - Y) / scale
-        if err > reconstruction_tol:
-            raise FactorizationError(f"reconstruction error {err:.3e} exceeds {reconstruction_tol:.1e}")
+        if err > RECONSTRUCTION_TOL:
+            raise FactorizationError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
 
 
 def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None:

@@ -7,7 +7,7 @@ contract violation (argparse errors included), 3 numerical failure, and 1 from
 ``rmt-check`` when at least one law check fails.
 
 Known values:
-- denoise --method svht defaults mu to (4/sqrt(3)) * sqrt(n) * sigma.
+- denoise --method svht defaults mu to (4/sqrt(3)) * sqrt(max(n, m)) * sigma.
 - eym truncation at rank 0 writes an all-zero matrix of the input shape.
 - tune --family svlet with K=1 prints the closed-form coefficient
   a1 = 1 - n*m*sigma^2 / sum(y_i^2).
@@ -242,6 +242,28 @@ class TestDenoise:
         np.testing.assert_allclose(payload["params"]["beta"], 6.0 / 8.0, rtol=1e-15)
         assert payload["sure"] is None
 
+    @pytest.mark.parametrize("method", ["svht", "opt-shrink"])
+    def test_wide_input_denoised_as_transposed_tall(self, tmp_path, capsys, method):
+        """Both calibrate by sqrt(max(n, m)) * sigma, so the 6x8 estimate is
+        the transposed 8x6 one and svht prints the same default mu."""
+        Y = make_input(str(tmp_path / "tall.csv"), seed=7)
+        write_matrix(str(tmp_path / "wide.csv"), Y.T)
+        payloads = {}
+        for name in ("tall", "wide"):
+            code, out, _ = run_cli(
+                [
+                    "denoise", str(tmp_path / f"{name}.csv"), "--sigma", "0.5",
+                    "--method", method, "--output", str(tmp_path / f"{name}.out.csv"),
+                ],
+                capsys,
+            )
+            assert code == 0
+            payloads[name] = json.loads(out)["params"]
+        assert payloads["wide"] == payloads["tall"]
+        tall = read_matrix(str(tmp_path / "tall.out.csv"))
+        wide = read_matrix(str(tmp_path / "wide.out.csv"))
+        assert np.linalg.norm(wide.T - tall) <= 1e-10 * np.linalg.norm(tall)
+
     def test_svlt_defaults_steepness(self, tmp_path, capsys):
         path = str(tmp_path / "obs.csv")
         make_input(path)
@@ -403,6 +425,36 @@ class TestBenchCommand:
         serial = csv_without_timestamp(tmp_path / "serial" / "sweep.csv")
         pooled = csv_without_timestamp(tmp_path / "pooled" / "sweep.csv")
         assert serial == pooled
+
+    def test_trials_flag_rejected_with_config(self, tmp_path, capsys):
+        """A config run takes its realizations from the file's `trials` key;
+        a --trials flag next to it would be silently ignored, so it fails."""
+        config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(
+            [
+                "bench", "--config", config, "--seed", "11", "--trials", "3",
+                "--output-dir", str(outdir),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "`trials` key" in err
+        assert not (outdir / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv, expected", [([], 10), (["--trials", "3"], 3)])
+    def test_preset_trials_default_and_override(self, monkeypatch, capsys, argv, expected):
+        seen = []
+
+        def stop_after_preset(seed, *, trials):
+            seen.append(trials)
+            raise ContractError("preset captured")
+
+        monkeypatch.setattr(cli, "paper_preset", stop_after_preset)
+        code, _, err = run_cli(["bench", "--preset", "paper", "--seed", "11"] + argv, capsys)
+        assert code == 2 and "preset captured" in err
+        assert seen == [expected]
 
     def test_requires_config_or_preset(self, tmp_path, capsys):
         code, out, err = run_cli(["bench", "--seed", "11"], capsys)

@@ -183,23 +183,13 @@ class TestSpikeLaws:
 
 
 class TestCalibration:
-    """Scale conventions for mapping data onto the laws."""
-
-    def test_conventions_agree_for_square(self):
-        shape = MatrixShape(50, 50)
-        assert calibration_scale(shape, 0.5, "rows") == calibration_scale(shape, 0.5, "max-dim")
-
-    def test_conventions_differ_for_wide(self):
-        shape = MatrixShape(50, 200)
-        np.testing.assert_allclose(calibration_scale(shape, 1.0, "rows"), np.sqrt(50))
-        np.testing.assert_allclose(calibration_scale(shape, 1.0, "max-dim"), np.sqrt(200))
+    """The scale that maps data onto the laws (its value is pinned by
+    test_equivariance.py)."""
 
     def test_rejects_bad_inputs(self):
         shape = MatrixShape(10, 10)
         with pytest.raises(ContractError):
             calibration_scale(shape, 0.0)
-        with pytest.raises(ContractError):
-            calibration_scale(shape, 1.0, "columns")
 
 
 class TestEstimateRank:
@@ -278,7 +268,7 @@ class TestAsymptoticDenoise:
 
     def test_hard_variant_unrolls_to_scaled_threshold(self):
         """The 4/sqrt(3) variant equals a plain hard threshold at
-        mu = 4/sqrt(3) * sqrt(n) * sigma applied at native scale."""
+        mu = 4/sqrt(3) * sqrt(max(n, m)) * sigma applied at native scale."""
         rng = np.random.default_rng(65)
         Y = rng.standard_normal((40, 40)) + 3.0 * np.outer(np.ones(40), np.ones(40)) / 40
         sigma = 0.2
@@ -299,14 +289,23 @@ class TestAsymptoticDenoise:
         kept = np.maximum(factors.S / scale - 2.0, 0.0) * scale
         np.testing.assert_allclose(out, reconstruct(factors, kept), atol=1e-12)
 
-    def test_max_dim_convention_changes_wide_result(self):
+    def test_soft_variant_wide_calibrates_by_larger_dimension(self):
+        """At 20x80 (beta = 1/4) the soft threshold sits at the bulk edge
+        1.5 on the sqrt(80) * sigma scale.  Only the calibrated strength-3
+        spike (at about 3.2) clears it; on a sqrt(20) * sigma scale the noise
+        values would reach about 2.9 and survive too."""
         rng = np.random.default_rng(67)
-        Y = rng.standard_normal((20, 80))
+        u = rng.standard_normal(20)
+        v = rng.standard_normal(80)
+        X = 3.0 * np.sqrt(80) * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        Y = X + rng.standard_normal((20, 80))
         problem = DenoiseProblem(Y, 1.0)
         factors = svd(Y)
-        rows = asymptotic_denoise(problem, factors, SVST_BULK, convention="rows")
-        maxd = asymptotic_denoise(problem, factors, SVST_BULK, convention="max-dim")
-        assert not np.allclose(rows, maxd)
+        out = asymptotic_denoise(problem, factors, SVST_BULK)
+        scale = np.sqrt(80)
+        kept = np.maximum(factors.S / scale - 1.5, 0.0) * scale
+        np.testing.assert_allclose(out, reconstruct(factors, kept), atol=1e-12)
+        assert np.count_nonzero(kept) == 1
 
     def test_unknown_variant_rejected(self):
         rng = np.random.default_rng(68)
