@@ -183,8 +183,19 @@ class TestSpikeLaws:
 
 
 class TestCalibration:
-    """The scale that maps data onto the laws (its value is pinned by
-    test_equivariance.py)."""
+    """The scale that maps data onto the laws: sqrt(max(n, m)) * sigma."""
+
+    def test_conventions_agree_for_square(self):
+        """For a square matrix the larger dimension is the row count, so
+        the scale is sqrt(n) * sigma."""
+        shape = MatrixShape(50, 50)
+        assert calibration_scale(shape, 0.5) == float(np.sqrt(50) * 0.5)
+
+    def test_conventions_differ_for_wide(self):
+        """A wide matrix calibrates by its column count, not its row count."""
+        shape = MatrixShape(50, 200)
+        np.testing.assert_allclose(calibration_scale(shape, 1.0), np.sqrt(200))
+        assert not np.isclose(calibration_scale(shape, 1.0), np.sqrt(50))
 
     def test_rejects_bad_inputs(self):
         shape = MatrixShape(10, 10)
