@@ -576,7 +576,9 @@ def timing_report(grid: ExperimentGrid):
 
     Unlike run_sweep, each timed run performs its own factorization, so the
     numbers reflect what a caller of a single method would pay.  One
-    untimed warm-up run per method absorbs lazy setup work.
+    untimed warm-up run per method absorbs lazy setup work, and one untimed
+    SVD per trial takes the cold-cache cost that would otherwise fall on
+    whichever method is timed first after the previous trial's work.
     """
     samples = {spec.label: [] for spec in grid.methods}
     _warm_up(grid)
@@ -587,6 +589,7 @@ def timing_report(grid: ExperimentGrid):
                     np.random.SeedSequence([grid.seed, r_idx, s_idx, trial])
                 )
                 _, problem = generate_problem(grid.n, grid.m, r, snr, rng)
+                svd(problem.Y)
                 for spec in grid.methods:
                     started = perf_counter()
                     factors = svd(problem.Y)

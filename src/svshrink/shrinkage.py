@@ -6,7 +6,9 @@ vectors untouched.  Rules are frozen dataclasses validated at construction.
 Each rule's `_vals`/`_ders` pair is the one formula (and its analytic
 d(eta)/dy at fixed index) that the risk engine scores; `apply` evaluates it
 on a whole spectrum and `derivative` at one point, both with the
-non-negativity clamp.
+non-negativity clamp.  The grid-tuned families (Svst, Atn, Svlt) read that
+pair from one static `_formula` whose parameters broadcast, so the risk
+engine can score a column of candidate parameters as a batch of rows.
 
 Derivative convention at a threshold point: the one-sided value from the
 right (the branch the rule enters as y grows).
@@ -14,6 +16,7 @@ right (the branch the rule enters as y grows).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -30,6 +33,14 @@ _expit = None
 GAMMA_MAX = 64.0
 
 
+def _dog_atoms(y: np.ndarray, K: int, T: float) -> tuple:
+    """dog_basis and dog_basis_deriv of a float spectrum, sharing one
+    exponential."""
+    ysq = (y * y)[:, None] * np.arange(K, dtype=float)
+    decay = np.exp(-ysq / (2.0 * T * T))
+    return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay
+
+
 def dog_basis(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     """Derivative-of-Gaussian expansion functions, L-by-K.
 
@@ -38,17 +49,12 @@ def dog_basis(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     larger y is, so the span can keep strong components while pulling the
     noise bulk toward zero.
     """
-    y = np.asarray(spectrum, dtype=float)
-    k = np.arange(K, dtype=float)
-    return y[:, None] * np.exp(-np.outer(y * y, k) / (2.0 * T * T))
+    return _dog_atoms(np.asarray(spectrum, dtype=float), K, T)[0]
 
 
 def dog_basis_deriv(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     """Elementwise y-derivatives of dog_basis, L-by-K."""
-    y = np.asarray(spectrum, dtype=float)
-    k = np.arange(K, dtype=float)
-    ysq = np.outer(y * y, k)
-    return (1.0 - ysq / (T * T)) * np.exp(-ysq / (2.0 * T * T))
+    return _dog_atoms(np.asarray(spectrum, dtype=float), K, T)[1]
 
 
 def _load_expit():
@@ -59,14 +65,21 @@ def _load_expit():
     return expit
 
 
-def _require(cond: bool, msg: str) -> None:
+def _logistic_weights(idx: np.ndarray, p1: float, p2: float) -> np.ndarray:
+    # expit(-z) = 1/(1+e^z), stable for p1*(i-p2) of either sign.
+    return (_expit or _load_expit())(-p1 * (idx - p2))
+
+
+def _require(cond: bool, msg: str, *args) -> None:
+    # The message is formatted only on failure: validation runs on every
+    # rule built, and most rules are valid.
     if not cond:
-        raise ContractError(msg)
+        raise ContractError(msg.format(*args))
 
 
 def _finite_scalar(x, name: str) -> float:
     x = float(x)
-    _require(np.isfinite(x), f"{name} must be finite, got {x!r}")
+    _require(math.isfinite(x), "{} must be finite, got {!r}", name, x)
     return x
 
 
@@ -74,7 +87,8 @@ def _expansion_order(K) -> int:
     """The expansion order K as an int; booleans are not orders."""
     _require(
         isinstance(K, (int, np.integer)) and not isinstance(K, bool) and K >= 1,
-        f"K must be an integer >= 1, got {K!r}",
+        "K must be an integer >= 1, got {!r}",
+        K,
     )
     return int(K)
 
@@ -109,7 +123,7 @@ class Svht:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", _finite_scalar(self.mu, "mu"))
-        _require(self.mu > 0.0, f"mu must be > 0, got {self.mu}")
+        _require(self.mu > 0.0, "mu must be > 0, got {}", self.mu)
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return np.where(y > self.mu, y, 0.0)
@@ -126,13 +140,19 @@ class Svst:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", _finite_scalar(self.lam, "lam"))
-        _require(self.lam >= 0.0, f"lam must be >= 0, got {self.lam}")
+        _require(self.lam >= 0.0, "lam must be >= 0, got {}", self.lam)
+
+    @staticmethod
+    def _formula(y: np.ndarray, lam) -> tuple:
+        """(eta, eta') on y; lam broadcasts, so a column of thresholds
+        scores one row per threshold."""
+        return np.maximum(y - lam, 0.0), np.where(y >= lam, 1.0, 0.0)
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.maximum(y - self.lam, 0.0)
+        return self._formula(y, self.lam)[0]
 
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.where(y >= self.lam, 1.0, 0.0)
+        return self._formula(y, self.lam)[1]
 
 
 @dataclass(frozen=True)
@@ -149,22 +169,26 @@ class Atn:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", _finite_scalar(self.tau, "tau"))
         object.__setattr__(self, "gamma", _finite_scalar(self.gamma, "gamma"))
-        _require(self.tau > 0.0, f"tau must be > 0, got {self.tau}")
-        _require(1.0 <= self.gamma <= GAMMA_MAX, f"gamma must lie in [1, {GAMMA_MAX:g}], got {self.gamma}")
+        _require(self.tau > 0.0, "tau must be > 0, got {}", self.tau)
+        _require(1.0 <= self.gamma <= GAMMA_MAX, "gamma must lie in [1, {:g}], got {}", GAMMA_MAX, self.gamma)
+
+    @staticmethod
+    def _formula(y: np.ndarray, tau, gamma: float) -> tuple:
+        """(eta, eta') on y; tau broadcasts.  gamma stays a scalar, which
+        keeps numpy's fast paths for ** 1.0 and ** 2.0."""
+        # Below tau the ratio may overflow (or be tau/0), and gamma = 1 gives
+        # 0 * inf there; the clamp discards every such entry.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio = (tau / y) ** gamma
+            vals = np.where(y > tau, y * (1.0 - ratio), 0.0)
+            ders = np.where(y >= tau, 1.0 + (gamma - 1.0) * ratio, 0.0)
+        return vals, ders
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        above = y > self.tau  # below tau the clamp gives 0; also avoids 0^-gamma
-        ya = y[above]
-        out[above] = ya * (1.0 - (self.tau / ya) ** self.gamma)
-        return out
+        return self._formula(y, self.tau, self.gamma)[0]
 
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        on = y >= self.tau
-        ya = y[on]
-        out[on] = 1.0 + (self.gamma - 1.0) * (self.tau / ya) ** self.gamma
-        return out
+        return self._formula(y, self.tau, self.gamma)[1]
 
 
 @dataclass(frozen=True)
@@ -181,20 +205,26 @@ class Svlt:
         object.__setattr__(self, "p1", _finite_scalar(self.p1, "p1"))
         object.__setattr__(self, "p2", _finite_scalar(self.p2, "p2"))
         object.__setattr__(self, "p3", _finite_scalar(self.p3, "p3"))
-        _require(self.p1 >= 0.0, f"p1 must be >= 0, got {self.p1}")
-        _require(self.p2 >= 1.0, f"p2 must be >= 1, got {self.p2}")
-        _require(self.p3 >= 0.0, f"p3 must be >= 0, got {self.p3}")
+        _require(self.p1 >= 0.0, "p1 must be >= 0, got {}", self.p1)
+        _require(self.p2 >= 1.0, "p2 must be >= 1, got {}", self.p2)
+        _require(self.p3 >= 0.0, "p3 must be >= 0, got {}", self.p3)
 
     def _weights(self, idx: np.ndarray) -> np.ndarray:
-        # expit(-z) = 1/(1+e^z), stable for p1*(i-p2) of either sign.
-        return (_expit or _load_expit())(-self.p1 * (idx - self.p2))
+        return _logistic_weights(idx, self.p1, self.p2)
+
+    @staticmethod
+    def _formula(y: np.ndarray, idx: np.ndarray, p1: float, p2: float, p3) -> tuple:
+        """(eta, eta') on y; p3 broadcasts, while one (p1, p2) gives one
+        weight vector for all of them."""
+        w = _logistic_weights(idx, p1, p2)
+        tapered = y * w - p3
+        return np.maximum(tapered, 0.0), np.where(tapered >= 0.0, w, 0.0)
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.maximum(y * self._weights(idx) - self.p3, 0.0)
+        return self._formula(y, idx, self.p1, self.p2, self.p3)[0]
 
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        w = self._weights(idx)
-        return np.where(y * w - self.p3 >= 0.0, w, 0.0)
+        return self._formula(y, idx, self.p1, self.p2, self.p3)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,21 +247,21 @@ class Svlet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", _expansion_order(self.K))
         object.__setattr__(self, "T", _finite_scalar(self.T, "T"))
-        _require(self.T > 0.0, f"T must be > 0, got {self.T}")
+        _require(self.T > 0.0, "T must be > 0, got {}", self.T)
         a = np.asarray(self.a, dtype=float)
-        _require(a.ndim == 1 and a.shape[0] == self.K, f"a must be a length-{self.K} vector, got shape {a.shape}")
-        _require(bool(np.all(np.isfinite(a))), "a contains non-finite entries")
+        _require(a.ndim == 1 and a.shape[0] == self.K, "a must be a length-{} vector, got shape {}", self.K, a.shape)
+        _require(bool(np.isfinite(a).all()), "a contains non-finite entries")
         object.__setattr__(self, "a", a)
         if self.C is not None:
             C = _finite_scalar(self.C, "C")
-            _require(C > 0.0, f"C must be > 0, got {C}")
+            _require(C > 0.0, "C must be > 0, got {}", C)
             object.__setattr__(self, "C", C)
 
     def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return dog_basis(y, self.K, self.T) @ self.a
+        return _dog_atoms(y, self.K, self.T)[0] @ self.a
 
     def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return dog_basis_deriv(y, self.K, self.T) @ self.a
+        return _dog_atoms(y, self.K, self.T)[1] @ self.a
 
 
 @dataclass(frozen=True)
@@ -248,7 +278,7 @@ class RmtOptimal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _finite_scalar(self.beta, "beta"))
-        _require(0.0 < self.beta <= 1.0, f"beta must lie in (0, 1], got {self.beta}")
+        _require(0.0 < self.beta <= 1.0, "beta must lie in (0, 1], got {}", self.beta)
 
     @property
     def edge(self) -> float:
@@ -285,11 +315,11 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1 or s.shape[0] < 1:
         raise ContractError(f"spectrum must be a non-empty 1-D array, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ContractError("spectrum contains non-finite entries")
-    if np.any(s < 0.0):
+    if (s < 0.0).any():
         raise ContractError("spectrum contains negative entries")
-    if np.any(np.diff(s) > 0.0):
+    if (s[1:] - s[:-1] > 0.0).any():
         raise ContractError("spectrum must be sorted in descending order")
     return s
 
@@ -311,7 +341,7 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
     out = np.maximum(rule._vals(s, idx), 0.0)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ContractError("rule produced non-finite output")
     return out
 

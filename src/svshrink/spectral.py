@@ -114,7 +114,7 @@ def svd(Y: np.ndarray) -> SvdFactors:
         raise ContractError(f"expected a 2-D array, got ndim={Y.ndim}")
     if Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ContractError(f"matrix must be non-empty, got shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
+    if not np.isfinite(Y).all():
         raise ContractError("matrix contains non-finite entries")
     try:
         U, S, Vh = np.linalg.svd(Y, full_matrices=False)
@@ -128,7 +128,7 @@ def svd(Y: np.ndarray) -> SvdFactors:
     flip = U[lead, cols] < 0.0
     U[:, flip] *= -1.0
     V[:, flip] *= -1.0
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(S)) and np.all(np.isfinite(V))):
+    if not (np.isfinite(U).all() and np.isfinite(S).all() and np.isfinite(V).all()):
         raise FactorizationError("SVD produced non-finite factors")
     return SvdFactors(U=U, S=S, V=V)
 
@@ -139,9 +139,9 @@ def reconstruct(factors: SvdFactors, s_new: np.ndarray) -> np.ndarray:
     L = factors.S.shape[0]
     if s_new.ndim != 1 or s_new.shape[0] != L:
         raise ContractError(f"s_new must be a length-{L} vector, got shape {s_new.shape}")
-    if not np.all(np.isfinite(s_new)):
+    if not np.isfinite(s_new).all():
         raise ContractError("s_new contains non-finite entries")
-    if np.any(s_new < 0.0):
+    if (s_new < 0.0).any():
         raise ContractError("s_new contains negative entries")
     return (factors.U * s_new) @ factors.V.T
 

@@ -21,22 +21,23 @@ parametric rules, lives here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, DegenerateSpectrumError, SolverFailureError
 from .shrinkage import (
+    GAMMA_MAX,
     Atn,
     ShrinkageRule,
     Svlet,
     Svlt,
     Svst,
     _check_rule,
+    _dog_atoms,
     _expansion_order,
     apply,
-    dog_basis,
-    dog_basis_deriv,
 )
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching
 
@@ -48,6 +49,8 @@ RIDGE_FACTOR = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-8
 # svlt steepness p1 when none is given (the default grid holds it fixed).
 SVLT_P1 = 100.0
+# Grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
+BATCH_ROWS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +86,9 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape) -> np.ndarray:
         raise ContractError(f"spectrum must be 1-D, got shape {s.shape}")
     if s.shape[0] != shape.L:
         raise ContractError(f"spectrum length {s.shape[0]} does not match min(n, m) = {shape.L}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ContractError("spectrum contains non-finite entries")
-    if np.any(np.diff(s) > 0.0):
+    if (s[1:] - s[:-1] > 0.0).any():
         raise ContractError("spectrum must be sorted in descending order")
     if s[-1] <= 0.0:
         k = int(np.argmax(s <= 0.0))
@@ -115,21 +118,29 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
     diff = sq[:, None] - sq[None, :]
     np.fill_diagonal(diff, np.inf)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return s, idx, np.sum(1.0 / diff, axis=1)
+    return s, idx, (1.0 / diff).sum(axis=1)
+
+
+def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
+    """(SURE, residual, divergence) arrays, one entry per row of a formula's
+    values and derivatives on a checked spectrum; the one place the
+    estimate is assembled.  Every row is reduced on its own, so a row scores
+    the same bits alone as in a batch."""
+    resid = ((s - vals) ** 2).sum(axis=-1)
+    # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
+    # and its gap term; forming w first would move SURE in the last bits.
+    div = ders.sum(axis=-1)
+    div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
+    # One dot product per row: a matrix-vector product sums in another order.
+    div += 2.0 * np.array([np.dot(row, rowsums) for row in s * vals])
+    sigma2 = sigma * sigma
+    return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
 
 def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> SureReport:
-    """SURE of a rule from its formula's values and derivatives on a
-    checked spectrum; the one place the estimate is assembled."""
-    resid = float(np.sum((s - vals) ** 2))
-    # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
-    # and its gap term; forming w first would move SURE in the last bits.
-    div = float(np.sum(ders))
-    div += abs(shape.n - shape.m) * float(np.sum(vals / s))
-    div += 2.0 * float(np.dot(s * vals, rowsums))
-    sigma2 = sigma * sigma
-    value = -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div
-    return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
+    """SURE report of one rule from its formula's values and derivatives."""
+    value, resid, div = _scores(vals[None], ders[None], s, rowsums, shape, sigma)
+    return SureReport(rule=rule, sure=float(value[0]), residual=float(resid[0]), divergence=float(div[0]))
 
 
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
@@ -184,8 +195,8 @@ def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarr
     cond = float("inf") if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
     # An ill-conditioned system gets the ridge at once; a singular one that
     # looked well-conditioned gets it as a retry.
-    ridged = RIDGE_FACTOR * float(np.trace(M)) / K
-    ridges = (ridged,) if not np.isfinite(cond) or cond > CONDITION_LIMIT else (0.0, ridged)
+    ridged = RIDGE_FACTOR * float(M.trace()) / K
+    ridges = (ridged,) if not math.isfinite(cond) or cond > CONDITION_LIMIT else (0.0, ridged)
     for ridge in ridges:
         try:
             a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
@@ -214,16 +225,15 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     gap sums inside the right-hand side still run over the whole spectrum.
     """
     K = _expansion_order(K)
-    if not np.isfinite(T) or T <= 0.0:
+    if not math.isfinite(T) or T <= 0.0:
         raise ContractError(f"T must be a finite positive number, got {T!r}")
     sigma2 = float(sigma) * float(sigma)
     g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
-    phi = dog_basis(s, K, float(T))
-    phid = dog_basis_deriv(s, K, float(T))
+    phi, phid = _dog_atoms(s, K, float(T))
     phi_fit = phi[:rows]
     M = phi_fit.T @ phi_fit
     M = 0.5 * (M + M.T)
-    c = phi_fit.T @ g[:rows] - sigma2 * np.sum(phid[:rows], axis=0)
+    c = phi_fit.T @ g[:rows] - sigma2 * phid[:rows].sum(axis=0)
     a, cond, ridge = _solve_normal_system(M, c, K)
     return phi, phid, M, c, a, cond, ridge
 
@@ -236,7 +246,7 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     and coefficients.
     """
     C = float(C)
-    if not np.isfinite(C) or C <= 0.0:
+    if not math.isfinite(C) or C <= 0.0:
         raise ContractError(f"C must be a finite positive number, got {C!r}")
     _check_matching(problem, factors)
     shape = factors.shape
@@ -286,6 +296,25 @@ def _upper_half_grid(y1: float, count: int) -> np.ndarray:
     return 0.5 * y1 * np.arange(1, count + 1, dtype=float) / count
 
 
+def _sorted_axis(values, name: str) -> np.ndarray:
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise ContractError(f"{name} must be a 1-D sequence, got shape {axis.shape}")
+    return np.sort(axis)
+
+
+def _first_invalid(bad_outer: np.ndarray, bad_inner: np.ndarray):
+    """Indices of the first candidate of outer x inner, in that order, with
+    a bad parameter on either axis; None when every parameter is valid."""
+    if bad_outer[0]:
+        return 0, 0
+    if bad_inner.any():
+        return 0, int(np.argmax(bad_inner))
+    if bad_outer.any():
+        return int(np.argmax(bad_outer)), 0
+    return None
+
+
 def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSpec | None = None) -> SureReport:
     """Exhaustive SURE minimization over a parameter grid.
 
@@ -294,46 +323,63 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
       svlt: p1 fixed at SVLT_P1 (100), integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
-    Ties are broken toward the lexicographically smallest parameter tuple;
-    the winning report is returned with the full (params, sure) trace.
+    Candidates are scored in batches, one row of formula values per
+    candidate, with the same bits as sure() of each candidate's rule; only
+    the winner is built as a rule.  Ties are broken toward the
+    lexicographically smallest parameter tuple; the winning report is
+    returned with the full (params, sure) trace.
     """
     name = _family_name(family)
     grid = grid or GridSpec()
     _check_matching(problem, factors)
     shape = factors.shape
     s, idx, rowsums = _spectral_pieces(factors.S, shape)
-    y1 = float(s[0])
+
+    def score(formula, column: np.ndarray) -> np.ndarray:
+        # SURE of formula(p) for each p in column, at most BATCH_ROWS rows at a time.
+        return np.concatenate([
+            _scores(*formula(column[start:start + BATCH_ROWS, None]), s, rowsums, shape, problem.sigma)[0]
+            for start in range(0, column.shape[0], BATCH_ROWS)
+        ])
 
     if name == "svlt":
         p1 = SVLT_P1 if grid.p1 is None else float(grid.p1)
-        candidates = [
-            ((p1, float(p2), float(p3)), Svlt(p1=p1, p2=float(p2), p3=float(p3)))
-            for p2 in np.arange(1, s.shape[0] + 1, dtype=float)
-            for p3 in _upper_half_grid(y1, 50)
-        ]
+        p2s = idx.tolist()
+        p3 = _upper_half_grid(float(s[0]), 50)
+        # Every p2 and p3 is valid, so building the first candidate checks p1.
+        Svlt(p1=p1, p2=p2s[0], p3=float(p3[0]))
+        sures = np.concatenate([score(lambda c: Svlt._formula(s, idx, p1, p2, c), p3) for p2 in p2s])
+        params = [(p1, p2, offset) for p2 in p2s for offset in p3.tolist()]
     else:
-        thresholds = _upper_half_grid(y1, 100) if grid.thresholds is None else grid.thresholds
-        thresholds = np.sort(np.asarray(thresholds, dtype=float))
+        thresholds = _upper_half_grid(float(s[0]), 100) if grid.thresholds is None else grid.thresholds
+        thresholds = _sorted_axis(thresholds, "thresholds")
         if name == "svst":
-            candidates = [((float(lam),), Svst(lam=float(lam))) for lam in thresholds]
+            if not thresholds.size:
+                raise ContractError("tuning grid is empty")
+            bad = ~(np.isfinite(thresholds) & (thresholds >= 0.0))
+            if bad.any():
+                Svst(lam=float(thresholds[np.argmax(bad)]))  # raises the rule's own message
+            sures = score(lambda c: Svst._formula(s, c), thresholds)
+            params = [(lam,) for lam in thresholds.tolist()]
         else:
             gammas = np.arange(1, 21, dtype=float) if grid.gammas is None else grid.gammas
-            gammas = np.sort(np.asarray(gammas, dtype=float))
-            candidates = [
-                ((float(tau), float(g)), Atn(tau=float(tau), gamma=float(g)))
-                for tau in thresholds
-                for g in gammas
-            ]
-    if not candidates:
-        raise ContractError("tuning grid is empty")
+            gammas = _sorted_axis(gammas, "gammas")
+            if not thresholds.size or not gammas.size:
+                raise ContractError("tuning grid is empty")
+            first = _first_invalid(
+                ~(np.isfinite(thresholds) & (thresholds > 0.0)),
+                ~(np.isfinite(gammas) & (gammas >= 1.0) & (gammas <= GAMMA_MAX)),
+            )
+            if first is not None:  # building that candidate raises the rule's own message
+                Atn(tau=float(thresholds[first[0]]), gamma=float(gammas[first[1]]))
+            # One batch of thresholds per gamma.  Each gamma stays a Python
+            # float, as in a rule, so ** takes the same path as sure() does.
+            g_list = gammas.tolist()
+            sures = np.stack([score(lambda c: Atn._formula(s, c, g), thresholds) for g in g_list], axis=1).ravel()
+            params = [(tau, g) for tau in thresholds.tolist() for g in g_list]
 
-    trace = []
-    best_report = None
-    # Candidates are generated in lexicographic parameter order, so keeping
-    # only strict improvements breaks ties toward the smallest tuple.
-    for params, rule in candidates:
-        report = _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, problem.sigma)
-        trace.append((params, report.sure))
-        if best_report is None or report.sure < best_report.sure:
-            best_report = report
-    return replace(best_report, trace=tuple(trace))
+    # Candidates are in lexicographic parameter order and argmin takes the
+    # first minimum, so ties go to the smallest tuple.
+    winner = _FAMILIES[name](*params[int(np.argmin(sures))])
+    report = _report(winner, winner._vals(s, idx), winner._ders(s, idx), s, rowsums, shape, problem.sigma)
+    return replace(report, trace=tuple(zip(params, sures.tolist())))

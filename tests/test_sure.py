@@ -13,6 +13,7 @@ grid tuning (the tuner must return the argmin of its own trace).
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -483,3 +484,93 @@ class TestTuneGrid:
         report = tune_grid(problem, factors, "svst", GridSpec(thresholds=(0.1, 0.5, 1.0)))
         assert len(report.trace) == 3
         assert report.rule.lam in (0.1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9)])
+    def test_trace_equals_sure_bitwise(self, n, m):
+        """Every trace value, on default grids and on GridSpec overrides,
+        equals sure() of that candidate's rule bit for bit, and the winner
+        is the first minimum of the trace."""
+        rng = np.random.default_rng(61 + n + 2 * m)
+        problem, factors = random_problem(rng, n, m, sigma=0.5)
+        y1 = float(factors.S[0])
+        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
+        grids = [
+            ("svst", None),
+            ("atn", None),
+            ("svlt", None),
+            # Zero, in-range, tied and beyond-y1 thresholds, unsorted.
+            ("svst", GridSpec(thresholds=(0.3 * y1, 0.0, 2.0 * y1, 0.3 * y1, 1e-3))),
+            ("atn", GridSpec(thresholds=(0.25 * y1, 1e-3, 3.0 * y1), gammas=(64.0, 1.0, 2.5, 2.0, 7.0))),
+            ("svlt", GridSpec(p1=0.75)),
+        ]
+        for family, grid in grids:
+            report = tune_grid(problem, factors, family, grid)
+            sures = [value for _, value in report.trace]
+            first_min = sures.index(min(sures))
+            assert report.rule == families[family](*report.trace[first_min][0])
+            assert report.sure == sures[first_min]
+            for params, value in report.trace:
+                assert type(value) is float
+                assert value == sure(problem, factors, families[family](*params)).sure
+
+    @pytest.mark.parametrize(
+        "family, grid, message",
+        [
+            ("svst", GridSpec(thresholds=(1.0, -0.5)), "lam must be >= 0, got -0.5"),
+            ("svst", GridSpec(thresholds=(0.5, float("nan"))), "lam must be finite, got nan"),
+            ("svst", GridSpec(thresholds=(float("inf"),)), "lam must be finite, got inf"),
+            ("atn", GridSpec(thresholds=(1.0, 0.0)), "tau must be > 0, got 0.0"),
+            ("atn", GridSpec(thresholds=(-2.0, 1.0)), "tau must be > 0, got -2.0"),
+            ("atn", GridSpec(thresholds=(float("nan"),)), "tau must be finite, got nan"),
+            ("atn", GridSpec(gammas=(2.0, 0.5)), "gamma must lie in [1, 64], got 0.5"),
+            ("atn", GridSpec(gammas=(65.0, 2.0)), "gamma must lie in [1, 64], got 65.0"),
+            ("atn", GridSpec(gammas=(2.0, float("inf"))), "gamma must be finite, got inf"),
+            ("atn", GridSpec(gammas=(float("nan"),)), "gamma must be finite, got nan"),
+            # The first candidate in (tau, gamma) order names its own first
+            # fault: (0.5, 0.5) is reached before the NaN threshold ...
+            (
+                "atn",
+                GridSpec(thresholds=(0.5, float("nan")), gammas=(0.5, 2.0)),
+                "gamma must lie in [1, 64], got 0.5",
+            ),
+            # ... and a bad smallest threshold is reached before a bad gamma.
+            ("atn", GridSpec(thresholds=(0.5, -1.0), gammas=(2.0, 70.0)), "tau must be > 0, got -1.0"),
+            ("atn", GridSpec(thresholds=(0.5, 0.0), gammas=(2.0, 70.0)), "tau must be > 0, got 0.0"),
+            ("atn", GridSpec(thresholds=(0.5, 2.0), gammas=(2.0, 70.0)), "gamma must lie in [1, 64], got 70.0"),
+            ("svlt", GridSpec(p1=-1.0), "p1 must be >= 0, got -1.0"),
+            ("svlt", GridSpec(p1=float("nan")), "p1 must be finite, got nan"),
+        ],
+    )
+    def test_invalid_overrides_name_the_parameter(self, family, grid, message):
+        rng = np.random.default_rng(62)
+        problem, factors = random_problem(rng, 6, 5)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            tune_grid(problem, factors, family, grid)
+
+    def test_grid_axes_must_be_one_dimensional(self):
+        rng = np.random.default_rng(64)
+        problem, factors = random_problem(rng, 6, 5)
+        for family, grid, name in (
+            ("svst", GridSpec(thresholds=((0.1,), (0.2,))), "thresholds"),
+            ("atn", GridSpec(thresholds=0.5), "thresholds"),
+            ("atn", GridSpec(gammas=((1.0, 2.0),)), "gammas"),
+        ):
+            with pytest.raises(ContractError, match=f"{name} must be a 1-D sequence"):
+                tune_grid(problem, factors, family, grid)
+
+    def test_atn_overflow_below_threshold_is_silent(self):
+        """(tau/y)**gamma overflows for the tiny values below tau; those
+        values are clamped to zero, and no RuntimeWarning escapes."""
+        rng = np.random.default_rng(63)
+        U, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        S = np.array([10.0, 5.0, 1.0, 1e-16])
+        factors = SvdFactors(U=U, S=S, V=V)
+        problem = DenoiseProblem((U * S) @ V.T, 0.5)
+        assert 20.0 * np.log10(0.5 * S[0] / S[-1]) > np.log10(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gammas in (None, (1.0, 64.0)):
+                report = tune_grid(problem, factors, "atn", GridSpec(gammas=gammas))
+                assert np.isfinite(report.sure)
+                assert all(np.isfinite(value) for _, value in report.trace)
