@@ -9,9 +9,9 @@ failure; rmt-check additionally exits 1 when a statistical law check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -55,7 +55,7 @@ _DEFAULT_METHODS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CliConfig:
     """Validated bench configuration; field defaults are the documented ones."""
 
@@ -181,35 +181,25 @@ def load_config(path) -> CliConfig:
 
 def _fixed_or_tuned(args, problem, factors):
     """Resolve the svst/atn/svlt rule: explicit parameters win, otherwise
-    the default SURE grid search runs.  Returns (rule, params, sure_value)."""
+    the default SURE grid search runs.  Returns (rule, sure_value)."""
     family = args.method
+    grid = None
     if family == "svst":
-        if args.lam is not None:
-            rule = Svst(lam=args.lam)
-            return rule, {"lam": args.lam}, sure(problem, factors, rule).sure
-        report = tune_grid(problem, factors, "svst")
-        return report.rule, {"lam": report.rule.lam}, report.sure
-    if family == "atn":
+        rule = None if args.lam is None else Svst(lam=args.lam)
+    elif family == "atn":
         given = (args.tau is not None, args.gamma is not None)
-        if all(given):
-            rule = Atn(tau=args.tau, gamma=args.gamma)
-            return rule, {"tau": args.tau, "gamma": args.gamma}, sure(problem, factors, rule).sure
-        if any(given):
+        if any(given) and not all(given):
             raise ContractError("atn needs both --tau and --gamma, or neither (grid search)")
-        report = tune_grid(problem, factors, "atn")
-        rule = report.rule
-        return rule, {"tau": rule.tau, "gamma": rule.gamma}, report.sure
-    given = (args.p2 is not None, args.p3 is not None)
-    if all(given):
+        rule = Atn(tau=args.tau, gamma=args.gamma) if all(given) else None
+    else:
+        given = (args.p2 is not None, args.p3 is not None)
+        if any(given) and not all(given):
+            raise ContractError("svlt needs both --p2 and --p3, or neither (grid search)")
         p1 = SVLT_P1 if args.p1 is None else args.p1
-        rule = Svlt(p1=p1, p2=args.p2, p3=args.p3)
-        return rule, {"p1": p1, "p2": args.p2, "p3": args.p3}, sure(problem, factors, rule).sure
-    if any(given):
-        raise ContractError("svlt needs both --p2 and --p3, or neither (grid search)")
-    grid = GridSpec() if args.p1 is None else GridSpec(p1=args.p1)
-    report = tune_grid(problem, factors, "svlt", grid)
-    rule = report.rule
-    return rule, {"p1": rule.p1, "p2": rule.p2, "p3": rule.p3}, report.sure
+        rule = Svlt(p1=p1, p2=args.p2, p3=args.p3) if all(given) else None
+        grid = GridSpec(p1=args.p1)
+    report = tune_grid(problem, factors, family, grid) if rule is None else sure(problem, factors, rule)
+    return report.rule, report.sure
 
 
 def cmd_denoise(args) -> int:
@@ -226,14 +216,16 @@ def cmd_denoise(args) -> int:
         sure_value = solved.report.sure
         Xhat = reconstruct(factors, apply(solved.rule, factors.S))
     elif args.method in ("svst", "atn", "svlt"):
-        rule, params, sure_value = _fixed_or_tuned(args, problem, factors)
+        rule, sure_value = _fixed_or_tuned(args, problem, factors)
+        params = dataclasses.asdict(rule)
         Xhat = reconstruct(factors, apply(rule, factors.S))
     elif args.method == "svht":
         mu = args.mu
         if mu is None:
             mu = SVHT_COEFF * calibration_scale(problem.shape, problem.sigma)
-        params = {"mu": mu}
-        Xhat = reconstruct(factors, apply(Svht(mu=mu), factors.S))
+        rule = Svht(mu=mu)
+        params = dataclasses.asdict(rule)
+        Xhat = reconstruct(factors, apply(rule, factors.S))
     elif args.method == "opt-shrink":
         params = {"beta": AspectRatio.of(problem.shape).beta}
         Xhat = asymptotic_denoise(problem, factors, OPTIMAL_SHRINK)
@@ -285,7 +277,7 @@ def cmd_tune(args) -> int:
         )
         return 0
     report = tune_grid(problem, factors, args.family)
-    columns = {"svst": ("lam",), "atn": ("tau", "gamma"), "svlt": ("p1", "p2", "p3")}[args.family]
+    columns = tuple(field.name for field in dataclasses.fields(report.rule))
     pairs = " ".join(f"{name}={getattr(report.rule, name)!r}" for name in columns)
     print(f"# best {pairs} sure={report.sure!r}")
     print(",".join(columns + ("sure",)))

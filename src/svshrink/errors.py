@@ -27,7 +27,8 @@ class FactorizationError(NumericalError):
 
 
 class DegenerateSpectrumError(NumericalError):
-    """A spectrum has a zero or (numerically) repeated singular value."""
+    """A spectrum has a zero or (numerically) repeated singular value, or
+    its top value or the noise level is too large to square."""
 
 
 class SolverFailureError(NumericalError):

@@ -3,12 +3,13 @@
 Each rule maps an observed singular value y_i (and, for the logistic rule,
 its 1-based rank index i) to a replacement value, leaving the singular
 vectors untouched.  Rules are frozen dataclasses validated at construction.
-Each rule's `_vals`/`_ders` pair is the one formula (and its analytic
-d(eta)/dy at fixed index) that the risk engine scores; `apply` evaluates it
-on a whole spectrum and `derivative` at one point, both with the
-non-negativity clamp.  The grid-tuned families (Svst, Atn, Svlt) read that
-pair from one static `_formula` whose parameters broadcast, so the risk
-engine can score a column of candidate parameters as a batch of rows.
+Each rule's one `_eval(y, idx)` returns its formula and that formula's
+analytic d(eta)/dy at fixed index, (eta, eta'), which is what the risk
+engine scores; `apply` evaluates it on a whole spectrum and `derivative` at
+one point, both with the non-negativity clamp.  The grid-tuned families
+(Svst, Atn, Svlt) evaluate through one static `_formula` whose parameters
+broadcast, so the risk engine can score a column of candidate parameters as
+a batch of rows.
 
 Derivative convention at a threshold point: the one-sided value from the
 right (the branch the rule enters as y grows).
@@ -97,22 +98,16 @@ def _expansion_order(K) -> int:
 class Identity:
     """Keep every singular value: eta(y) = y."""
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return y.copy()
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.ones_like(y)
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return y.copy(), np.ones_like(y)
 
 
 @dataclass(frozen=True)
 class Zero:
     """Discard every singular value: eta(y) = 0."""
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.zeros_like(y)
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.zeros_like(y)
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return np.zeros_like(y), np.zeros_like(y)
 
 
 @dataclass(frozen=True)
@@ -125,11 +120,8 @@ class Svht:
         object.__setattr__(self, "mu", _finite_scalar(self.mu, "mu"))
         _require(self.mu > 0.0, "mu must be > 0, got {}", self.mu)
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.where(y > self.mu, y, 0.0)
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.where(y >= self.mu, 1.0, 0.0)
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return np.where(y > self.mu, y, 0.0), np.where(y >= self.mu, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +140,8 @@ class Svst:
         scores one row per threshold."""
         return np.maximum(y - lam, 0.0), np.where(y >= lam, 1.0, 0.0)
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, self.lam)[0]
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, self.lam)[1]
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return self._formula(y, self.lam)
 
 
 @dataclass(frozen=True)
@@ -184,11 +173,8 @@ class Atn:
             ders = np.where(y >= tau, 1.0 + (gamma - 1.0) * ratio, 0.0)
         return vals, ders
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, self.tau, self.gamma)[0]
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, self.tau, self.gamma)[1]
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return self._formula(y, self.tau, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -209,9 +195,6 @@ class Svlt:
         _require(self.p2 >= 1.0, "p2 must be >= 1, got {}", self.p2)
         _require(self.p3 >= 0.0, "p3 must be >= 0, got {}", self.p3)
 
-    def _weights(self, idx: np.ndarray) -> np.ndarray:
-        return _logistic_weights(idx, self.p1, self.p2)
-
     @staticmethod
     def _formula(y: np.ndarray, idx: np.ndarray, p1: float, p2: float, p3) -> tuple:
         """(eta, eta') on y; p3 broadcasts, while one (p1, p2) gives one
@@ -220,11 +203,8 @@ class Svlt:
         tapered = y * w - p3
         return np.maximum(tapered, 0.0), np.where(tapered >= 0.0, w, 0.0)
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, idx, self.p1, self.p2, self.p3)[0]
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self._formula(y, idx, self.p1, self.p2, self.p3)[1]
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        return self._formula(y, idx, self.p1, self.p2, self.p3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,11 +237,9 @@ class Svlet:
             _require(C > 0.0, "C must be > 0, got {}", C)
             object.__setattr__(self, "C", C)
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _dog_atoms(y, self.K, self.T)[0] @ self.a
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _dog_atoms(y, self.K, self.T)[1] @ self.a
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        phi, phid = _dog_atoms(y, self.K, self.T)
+        return phi @ self.a, phid @ self.a
 
 
 @dataclass(frozen=True)
@@ -284,31 +262,22 @@ class RmtOptimal:
     def edge(self) -> float:
         return 1.0 + np.sqrt(self.beta)
 
-    def _vals(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
+    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+        vals, ders = np.zeros_like(y), np.zeros_like(y)
         above = y > self.edge
         ya = y[above]
         b = ya * ya - self.beta - 1.0
         # Rounding just above the edge can push the radicand a hair negative.
-        out[above] = np.sqrt(np.maximum(b * b - 4.0 * self.beta, 0.0)) / ya
-        return out
-
-    def _ders(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        rad = np.sqrt(np.maximum(b * b - 4.0 * self.beta, 0.0))
+        vals[above] = rad / ya
         # The right-derivative diverges at the edge itself (square-root
         # onset); the edge point uses the bulk branch, which is 0.
-        out = np.zeros_like(y)
-        above = y > self.edge
-        ya = y[above]
-        b = ya * ya - self.beta - 1.0
-        rad = np.sqrt(np.maximum(b * b - 4.0 * self.beta, 0.0))
         with np.errstate(divide="ignore"):
-            out[above] = 2.0 * b / rad - rad / (ya * ya)
-        return out
+            ders[above] = 2.0 * b / rad - rad / (ya * ya)
+        return vals, ders
 
 
 ShrinkageRule = Union[Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal]
-
-_RULES = (Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal)
 
 
 def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
@@ -325,7 +294,7 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _check_rule(rule) -> None:
-    if not isinstance(rule, _RULES):
+    if not isinstance(rule, ShrinkageRule):
         raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
 
 
@@ -340,7 +309,7 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     _check_rule(rule)
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    out = np.maximum(rule._vals(s, idx), 0.0)
+    out = np.maximum(rule._eval(s, idx)[0], 0.0)
     if not np.isfinite(out).all():
         raise ContractError("rule produced non-finite output")
     return out
@@ -357,8 +326,5 @@ def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
         raise ContractError(f"derivative requires y > 0, got {y!r}")
     if i < 1:
         raise ContractError(f"index must be >= 1, got {i}")
-    ya = np.asarray([y], dtype=float)
-    ia = np.asarray([float(i)])
-    if rule._vals(ya, ia)[0] < 0.0:
-        return 0.0
-    return float(rule._ders(ya, ia)[0])
+    vals, ders = rule._eval(np.asarray([y], dtype=float), np.asarray([float(i)]))
+    return 0.0 if vals[0] < 0.0 else float(ders[0])

@@ -80,7 +80,10 @@ class SvletSolve:
     report: SureReport
 
 
-def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape) -> np.ndarray:
+def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> np.ndarray:
+    """Check a spectrum for the closed-form risk and, when sigma is given,
+    the noise level too: both scales must square without overflow, or every
+    risk formed from them would be inf or NaN."""
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1:
         raise ContractError(f"spectrum must be 1-D, got shape {s.shape}")
@@ -90,6 +93,16 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape) -> np.ndarray:
         raise ContractError("spectrum contains non-finite entries")
     if (s[1:] - s[:-1] > 0.0).any():
         raise ContractError("spectrum must be sorted in descending order")
+    # Products of Python floats overflow to inf without a numpy warning.
+    y1 = float(s[0])
+    if not math.isfinite(y1 * y1):
+        raise DegenerateSpectrumError(
+            f"the top singular value {y1!r} overflows when squared; rescale Y and sigma together"
+        )
+    if sigma is not None and not math.isfinite(shape.n * shape.m * sigma * sigma):
+        raise DegenerateSpectrumError(
+            f"n*m*sigma^2 overflows for sigma = {sigma!r}; rescale Y and sigma together"
+        )
     if s[-1] <= 0.0:
         k = int(np.argmax(s <= 0.0))
         raise DegenerateSpectrumError(
@@ -110,10 +123,11 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape) -> np.ndarray:
     return s
 
 
-def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
-    """Check a spectrum once and compute what every rule's risk shares:
-    (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2))."""
-    s = _checked_spectrum(spectrum, shape)
+def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> tuple:
+    """Check a spectrum (and sigma, when given) once and compute what every
+    rule's risk shares: (y, 1-based rank indices, gap row sums
+    sum_{j != i} 1 / (y_i^2 - y_j^2))."""
+    s = _checked_spectrum(spectrum, shape, sigma)
     sq = s * s
     diff = sq[:, None] - sq[None, :]
     np.fill_diagonal(diff, np.inf)
@@ -152,7 +166,7 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     s, idx, rowsums = _spectral_pieces(spectrum, shape)
     _check_rule(rule)
     # sigma only scales the SURE value, which is discarded here.
-    return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, 1.0).divergence
+    return _report(rule, *rule._eval(s, idx), s, rowsums, shape, 1.0).divergence
 
 
 def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:
@@ -163,9 +177,9 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     """
     _check_matching(problem, factors)
     shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
     _check_rule(rule)
-    return _report(rule, rule._vals(s, idx), rule._ders(s, idx), s, rowsums, shape, problem.sigma)
+    return _report(rule, *rule._eval(s, idx), s, rowsums, shape, problem.sigma)
 
 
 def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -> dict:
@@ -179,7 +193,7 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
         raise ContractError("clamp gap is defined for solved expansion rules only")
     _check_matching(problem, factors)
     s = _checked_spectrum(factors.S, factors.shape)
-    raw = rule._vals(s, np.arange(1, s.shape[0] + 1, dtype=float))
+    raw = rule._eval(s, np.arange(1, s.shape[0] + 1, dtype=float))[0]
     clamped = apply(rule, s)
     r_raw = float(np.sum((s - raw) ** 2))
     r_clamped = float(np.sum((s - clamped) ** 2))
@@ -191,6 +205,8 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
 
 
 def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
+    if not (np.isfinite(M).all() and np.isfinite(c).all()):
+        raise SolverFailureError("normal system has non-finite entries; rescale Y and sigma together")
     sv = np.linalg.svd(M, compute_uv=False)
     cond = float("inf") if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
     # An ill-conditioned system gets the ridge at once; a singular one that
@@ -207,9 +223,12 @@ def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarr
         raise SolverFailureError(
             f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
         ) from failure
-    resid = float(np.linalg.norm(M @ a - c))
+    # A solution that overflowed leaves an inf or NaN residual, which fails
+    # the test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm(M @ a - c))
     bound = SOLVE_RESIDUAL_RTOL * float(np.linalg.norm(c))
-    if resid > bound:
+    if not resid <= bound:
         raise SolverFailureError(
             f"normal-system residual {resid:.3e} exceeds {bound:.3e} "
             f"(condition estimate {cond:.3e}); try a smaller K"
@@ -228,12 +247,15 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     if not math.isfinite(T) or T <= 0.0:
         raise ContractError(f"T must be a finite positive number, got {T!r}")
     sigma2 = float(sigma) * float(sigma)
-    g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
-    phi, phid = _dog_atoms(s, K, float(T))
-    phi_fit = phi[:rows]
-    M = phi_fit.T @ phi_fit
-    M = 0.5 * (M + M.T)
-    c = phi_fit.T @ g[:rows] - sigma2 * phid[:rows].sum(axis=0)
+    # Values near the top of the double range can overflow here; the solve
+    # rejects the non-finite system that results.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
+        phi, phid = _dog_atoms(s, K, float(T))
+        phi_fit = phi[:rows]
+        M = phi_fit.T @ phi_fit
+        M = 0.5 * (M + M.T)
+        c = phi_fit.T @ g[:rows] - sigma2 * phid[:rows].sum(axis=0)
     a, cond, ridge = _solve_normal_system(M, c, K)
     return phi, phid, M, c, a, cond, ridge
 
@@ -251,7 +273,7 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     _check_matching(problem, factors)
     shape = factors.shape
     T = C * problem.sigma
-    s, _, rowsums = _spectral_pieces(factors.S, shape)
+    s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
     # _fit_expansion validates K.
     phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, s.shape[0])
     rule = Svlet(K=K, T=T, a=a, C=C)
@@ -333,7 +355,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
     grid = grid or GridSpec()
     _check_matching(problem, factors)
     shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
 
     def score(formula, column: np.ndarray) -> np.ndarray:
         # SURE of formula(p) for each p in column, at most BATCH_ROWS rows at a time.
@@ -381,5 +403,5 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
     # Candidates are in lexicographic parameter order and argmin takes the
     # first minimum, so ties go to the smallest tuple.
     winner = _FAMILIES[name](*params[int(np.argmin(sures))])
-    report = _report(winner, winner._vals(s, idx), winner._ders(s, idx), s, rowsums, shape, problem.sigma)
+    report = _report(winner, *winner._eval(s, idx), s, rowsums, shape, problem.sigma)
     return replace(report, trace=tuple(zip(params, sures.tolist())))

@@ -295,6 +295,28 @@ class TestDenoise:
         )
         assert code == 2
         assert "atn needs both --tau and --gamma" in err
+        code, out, err = run_cli(
+            ["denoise", path, "--sigma", "0.5", "--method", "svlt", "--p3", "0.1"], capsys
+        )
+        assert code == 2
+        assert "svlt needs both --p2 and --p3" in err
+
+    @pytest.mark.parametrize(
+        "Y, sigma",
+        [
+            # y^2 and sigma^2 overflow
+            (1e200 * np.random.default_rng(72).standard_normal((6, 5)), 1e200),
+            # every y^2 is finite, their sum in the normal matrix is not
+            (np.vstack([np.diag([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154]), np.zeros((1, 5))]), 1.0),
+        ],
+    )
+    def test_overflow_exits_3(self, tmp_path, capsys, Y, sigma):
+        path = str(tmp_path / "huge.csv")
+        write_matrix(path, Y)
+        code, out, err = run_cli(["denoise", path, "--sigma", repr(sigma), "--method", "svlet"], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert out == ""
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, out, err = run_cli(

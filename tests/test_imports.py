@@ -19,7 +19,7 @@ import pytest
 from scipy.special import expit
 
 import svshrink
-from svshrink import Svlt
+from svshrink import shrinkage
 
 PACKAGE_PARENT = str(Path(svshrink.__file__).resolve().parent.parent)
 
@@ -93,6 +93,6 @@ class TestLogisticWeights:
     )
     def test_weights_are_scipy_expit_bitwise(self, p1, p2):
         idx = np.arange(1, 51, dtype=float)
-        got = Svlt(p1=p1, p2=p2, p3=0.0)._weights(idx)
+        got = shrinkage._logistic_weights(idx, p1, p2)
         want = expit(-p1 * (idx - p2))
         assert got.tobytes() == want.tobytes()

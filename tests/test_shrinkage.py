@@ -312,7 +312,16 @@ class TestRiskViews:
         s = np.array([4.0, 2.0, 1.0])
         problem = DenoiseProblem(np.diag(s), 1.0)
         factors = svd(problem.Y)
-        for rule in (Identity(), Svst(1.5), Atn(tau=1.0, gamma=2.0), RmtOptimal(1.0)):
+        rules = (
+            Identity(),
+            Zero(),
+            Svht(1.5),
+            Svst(1.5),
+            Atn(tau=1.0, gamma=2.0),
+            Svlt(p1=1.0, p2=2.0, p3=0.5),
+            RmtOptimal(1.0),
+        )
+        for rule in rules:
             residual = sure(problem, factors, rule).residual
             expected = np.sum((factors.S - apply(rule, factors.S)) ** 2)
             np.testing.assert_allclose(residual, expected, rtol=1e-12, atol=1e-12)
@@ -395,5 +404,14 @@ class TestApplyValidation:
             apply(Identity(), np.array([]))
 
     def test_rejects_unknown_rule(self):
-        with pytest.raises(ContractError):
-            apply(object(), np.array([1.0]))
+        s = np.array([2.0, 1.0])
+        problem = DenoiseProblem(np.diag(s), 1.0)
+        calls = (
+            lambda rule: apply(rule, s),
+            lambda rule: sure(problem, svd(problem.Y), rule),
+            lambda rule: divergence(s, rule, MatrixShape(2, 2)),
+            lambda rule: derivative(rule, 1.0),
+        )
+        for call in calls:
+            with pytest.raises(ContractError, match="unknown shrinkage rule: object"):
+                call(object())

@@ -28,8 +28,10 @@ from svshrink import (
     GridSpec,
     Identity,
     MatrixShape,
+    RmtOptimal,
     SolverFailureError,
     SvdFactors,
+    Svht,
     Svlet,
     Svlt,
     Svst,
@@ -112,10 +114,14 @@ class TestDivergence:
         negative_part = Svlet(K=2, T=1.0, a=np.array([0.1, -2.0]))
         rules = [
             Identity(),
+            Zero(),
+            Svht(1.5),
             Svst(0.8),
             Atn(tau=0.6, gamma=3.0),
+            Svlt(p1=2.0, p2=2.5, p3=0.3),
             Svlet(K=2, T=1.0, a=np.array([0.7, -0.2])),
             negative_part,
+            RmtOptimal(0.5),
         ]
         mixed_signs = 0
         for _ in range(10):
@@ -574,3 +580,64 @@ class TestTuneGrid:
                 report = tune_grid(problem, factors, "atn", GridSpec(gammas=gammas))
                 assert np.isfinite(report.sure)
                 assert all(np.isfinite(value) for _, value in report.trace)
+
+
+def diagonal_problem(values, n, sigma):
+    Y = np.zeros((n, len(values)))
+    Y[np.arange(len(values)), np.arange(len(values))] = values
+    return DenoiseProblem(Y, sigma), svd(Y)
+
+
+class TestOverflow:
+    """Scales whose squares leave the double range raise typed numerical
+    errors instead of returning NaN; the suite turns any numpy
+    RuntimeWarning into an error, so none may be emitted on the way."""
+
+    def test_scaled_input_raises(self):
+        rng = np.random.default_rng(70)
+        Y = 1e200 * rng.standard_normal((6, 5))
+        problem, factors = DenoiseProblem(Y, 1e200), svd(Y)
+        calls = (
+            lambda: sure(problem, factors, Svst(1e200)),
+            lambda: tune_grid(problem, factors, "svst"),
+            lambda: tune_grid(problem, factors, "atn"),
+            lambda: tune_grid(problem, factors, "svlt"),
+            lambda: solve_svlet(problem, factors, K=2, C=10.0),
+            lambda: divergence(factors.S, Identity(), factors.shape),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateSpectrumError, match="overflows when squared"):
+                call()
+
+    def test_huge_sigma_raises(self):
+        rng = np.random.default_rng(71)
+        problem, factors = random_problem(rng, 6, 5, sigma=1e160)
+        for call in (
+            lambda: sure(problem, factors, Svst(1.0)),
+            lambda: tune_grid(problem, factors, "svst"),
+            lambda: solve_svlet(problem, factors, K=2, C=10.0),
+        ):
+            with pytest.raises(DegenerateSpectrumError, match=r"n\*m\*sigma\^2 overflows"):
+                call()
+        # divergence takes no sigma, so only the spectrum half applies.
+        assert np.isfinite(divergence(factors.S, Svst(1.0), factors.shape))
+
+    def test_overflowing_normal_system_raises(self):
+        """Every y^2 is finite, but their sum in the normal matrix is not."""
+        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
+        for K in (1, 2, 3):
+            with pytest.raises(SolverFailureError, match="non-finite entries"):
+                solve_svlet(problem, factors, K=K, C=10.0)
+
+    def test_normal_system_checks(self):
+        from svshrink.sure import _solve_normal_system
+
+        c = np.array([1.0, 1.0])
+        for bad in (np.inf, np.nan):
+            with pytest.raises(SolverFailureError, match="non-finite entries"):
+                _solve_normal_system(np.array([[bad, 0.0], [0.0, 1.0]]), c, 2)
+            with pytest.raises(SolverFailureError, match="non-finite entries"):
+                _solve_normal_system(np.eye(2), np.array([1.0, bad]), 2)
+        # The solution overflows, and 0 * inf makes the residual NaN.
+        with pytest.raises(SolverFailureError, match="residual nan"):
+            _solve_normal_system(np.diag([1e-300, 1e-300]), np.array([1e100, 1.0]), 2)
