@@ -41,7 +41,7 @@ from .spectral import (
     truncated_spectrum,
     write_matrix,
 )
-from .sure import SVLT_P1, GridSpec, solve_svlet, sure, tune_grid
+from .sure import SVLT_P1, solve_svlet, sure, tune_grid
 
 _DEFAULT_METHODS = (
     "svlet(C=10,K=2)",
@@ -183,7 +183,6 @@ def _fixed_or_tuned(args, problem, factors):
     """Resolve the svst/atn/svlt rule: explicit parameters win, otherwise
     the default SURE grid search runs.  Returns (rule, sure_value)."""
     family = args.method
-    grid = None
     if family == "svst":
         rule = None if args.lam is None else Svst(lam=args.lam)
     elif family == "atn":
@@ -195,10 +194,8 @@ def _fixed_or_tuned(args, problem, factors):
         given = (args.p2 is not None, args.p3 is not None)
         if any(given) and not all(given):
             raise ContractError("svlt needs both --p2 and --p3, or neither (grid search)")
-        p1 = SVLT_P1 if args.p1 is None else args.p1
-        rule = Svlt(p1=p1, p2=args.p2, p3=args.p3) if all(given) else None
-        grid = GridSpec(p1=args.p1)
-    report = tune_grid(problem, factors, family, grid) if rule is None else sure(problem, factors, rule)
+        rule = Svlt(p1=args.p1, p2=args.p2, p3=args.p3) if all(given) else None
+    report = tune_grid(problem, factors, family, p1=args.p1) if rule is None else sure(problem, factors, rule)
     return report.rule, report.sure
 
 
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--lam", type=float, help="svst threshold (omit to grid-search)")
     den.add_argument("--tau", type=float, help="atn threshold (omit to grid-search)")
     den.add_argument("--gamma", type=float, help="atn exponent (omit to grid-search)")
-    den.add_argument("--p1", type=float, help="svlt steepness (default 100)")
+    den.add_argument("--p1", type=float, default=SVLT_P1, help="svlt steepness (default %(default)g)")
     den.add_argument("--p2", type=float, help="svlt center index (omit to grid-search)")
     den.add_argument("--p3", type=float, help="svlt offset (omit to grid-search)")
     den.add_argument("--mu", type=float, help="svht threshold (default 4/sqrt(3)*sqrt(max(n,m))*sigma)")

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ContractError, DegenerateSpectrumError, SolverFailureError
 from .shrinkage import (
-    GAMMA_MAX,
     Atn,
     ShrinkageRule,
     Svlet,
@@ -47,7 +46,7 @@ GAP_TOL_FACTOR = 1e-10
 CONDITION_LIMIT = 1e12
 RIDGE_FACTOR = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-8
-# svlt steepness p1 when none is given (the default grid holds it fixed).
+# svlt steepness p1 when none is given (the grid holds it fixed).
 SVLT_P1 = 100.0
 # Grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
 BATCH_ROWS = 100
@@ -135,6 +134,22 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
     return s, idx, (1.0 / diff).sum(axis=1)
 
 
+def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
+    """(shape, y, idx, rowsums) for scoring rules on a problem.  A rule's
+    residual sum of squares reaches L * y_1^2 when it zeroes the spectrum,
+    so that bound must not overflow either."""
+    _check_matching(problem, factors)
+    shape = factors.shape
+    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
+    # Python floats overflow to inf without a numpy warning.
+    y1 = float(s[0])
+    if not math.isfinite(shape.L * y1 * y1):
+        raise DegenerateSpectrumError(
+            f"L*y_1^2 overflows for L = {shape.L} and y_1 = {y1!r}; rescale Y and sigma together"
+        )
+    return shape, s, idx, rowsums
+
+
 def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
     """(SURE, residual, divergence) arrays, one entry per row of a formula's
     values and derivatives on a checked spectrum; the one place the
@@ -175,9 +190,7 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
-    _check_matching(problem, factors)
-    shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
+    shape, s, idx, rowsums = _scored_spectrum(problem, factors)
     _check_rule(rule)
     return _report(rule, *rule._eval(s, idx), s, rowsums, shape, problem.sigma)
 
@@ -289,16 +302,6 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Overrides for tune_grid; any field left None takes the default grid
-    derived from the spectrum (documented in tune_grid)."""
-
-    thresholds: tuple | None = None
-    gammas: tuple | None = None
-    p1: float | None = None
-
-
 _FAMILIES = {"svst": Svst, "atn": Atn, "svlt": Svlt}
 
 
@@ -318,32 +321,13 @@ def _upper_half_grid(y1: float, count: int) -> np.ndarray:
     return 0.5 * y1 * np.arange(1, count + 1, dtype=float) / count
 
 
-def _sorted_axis(values, name: str) -> np.ndarray:
-    axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1:
-        raise ContractError(f"{name} must be a 1-D sequence, got shape {axis.shape}")
-    return np.sort(axis)
+def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float = SVLT_P1) -> SureReport:
+    """Exhaustive SURE minimization over a fixed parameter grid.
 
-
-def _first_invalid(bad_outer: np.ndarray, bad_inner: np.ndarray):
-    """Indices of the first candidate of outer x inner, in that order, with
-    a bad parameter on either axis; None when every parameter is valid."""
-    if bad_outer[0]:
-        return 0, 0
-    if bad_inner.any():
-        return 0, int(np.argmax(bad_inner))
-    if bad_outer.any():
-        return int(np.argmax(bad_outer)), 0
-    return None
-
-
-def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSpec | None = None) -> SureReport:
-    """Exhaustive SURE minimization over a parameter grid.
-
-    Default grids (y1 the top singular value, L the spectrum length):
+    Grids (y1 the top singular value, L the spectrum length):
       svst: 100 thresholds equally spaced in (0, 0.5*y1]
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
-      svlt: p1 fixed at SVLT_P1 (100), integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
+      svlt: steepness p1 held fixed, integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
     Candidates are scored in batches, one row of formula values per
     candidate, with the same bits as sure() of each candidate's rule; only
@@ -352,10 +336,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
     returned with the full (params, sure) trace.
     """
     name = _family_name(family)
-    grid = grid or GridSpec()
-    _check_matching(problem, factors)
-    shape = factors.shape
-    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
+    shape, s, idx, rowsums = _scored_spectrum(problem, factors)
 
     def score(formula, column: np.ndarray) -> np.ndarray:
         # SURE of formula(p) for each p in column, at most BATCH_ROWS rows at a time.
@@ -365,7 +346,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
         ])
 
     if name == "svlt":
-        p1 = SVLT_P1 if grid.p1 is None else float(grid.p1)
+        p1 = float(p1)
         p2s = idx.tolist()
         p3 = _upper_half_grid(float(s[0]), 50)
         # Every p2 and p3 is valid, so building the first candidate checks p1.
@@ -373,32 +354,16 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, grid: GridSp
         sures = np.concatenate([score(lambda c: Svlt._formula(s, idx, p1, p2, c), p3) for p2 in p2s])
         params = [(p1, p2, offset) for p2 in p2s for offset in p3.tolist()]
     else:
-        thresholds = _upper_half_grid(float(s[0]), 100) if grid.thresholds is None else grid.thresholds
-        thresholds = _sorted_axis(thresholds, "thresholds")
+        thresholds = _upper_half_grid(float(s[0]), 100)
         if name == "svst":
-            if not thresholds.size:
-                raise ContractError("tuning grid is empty")
-            bad = ~(np.isfinite(thresholds) & (thresholds >= 0.0))
-            if bad.any():
-                Svst(lam=float(thresholds[np.argmax(bad)]))  # raises the rule's own message
             sures = score(lambda c: Svst._formula(s, c), thresholds)
             params = [(lam,) for lam in thresholds.tolist()]
         else:
-            gammas = np.arange(1, 21, dtype=float) if grid.gammas is None else grid.gammas
-            gammas = _sorted_axis(gammas, "gammas")
-            if not thresholds.size or not gammas.size:
-                raise ContractError("tuning grid is empty")
-            first = _first_invalid(
-                ~(np.isfinite(thresholds) & (thresholds > 0.0)),
-                ~(np.isfinite(gammas) & (gammas >= 1.0) & (gammas <= GAMMA_MAX)),
-            )
-            if first is not None:  # building that candidate raises the rule's own message
-                Atn(tau=float(thresholds[first[0]]), gamma=float(gammas[first[1]]))
-            # One batch of thresholds per gamma.  Each gamma stays a Python
+            # One batch of thresholds per gamma.  Each gamma is a Python
             # float, as in a rule, so ** takes the same path as sure() does.
-            g_list = gammas.tolist()
-            sures = np.stack([score(lambda c: Atn._formula(s, c, g), thresholds) for g in g_list], axis=1).ravel()
-            params = [(tau, g) for tau in thresholds.tolist() for g in g_list]
+            gammas = [float(g) for g in range(1, 21)]
+            sures = np.stack([score(lambda c: Atn._formula(s, c, g), thresholds) for g in gammas], axis=1).ravel()
+            params = [(tau, g) for tau in thresholds.tolist() for g in gammas]
 
     # Candidates are in lexicographic parameter order and argmin takes the
     # first minimum, so ties go to the smallest tuple.

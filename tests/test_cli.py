@@ -318,6 +318,17 @@ class TestDenoise:
         assert err.startswith("numerical failure:")
         assert out == ""
 
+    @pytest.mark.parametrize("method", ["svst", "atn", "svlt"])
+    def test_residual_overflow_exits_3(self, tmp_path, capsys, method):
+        """Every y^2 is finite but L * y_1^2 is not: the grid search stops
+        with a numerical failure instead of scoring inf candidates."""
+        path = str(tmp_path / "huge.csv")
+        write_matrix(path, np.vstack([np.diag([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154]), np.zeros((1, 5))]))
+        code, out, err = run_cli(["denoise", path, "--sigma", "1.0", "--method", method], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:") and "L*y_1^2 overflows" in err
+        assert out == ""
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, out, err = run_cli(
             ["denoise", str(tmp_path / "nope.csv"), "--sigma", "0.5", "--method", "svlet"],

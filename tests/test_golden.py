@@ -53,6 +53,7 @@ EXPECTED = {
     "tune-svst-20x30": "6556d68d8cd7de6339b8e2e5c2ced579e0f6fbe533420e2614e84bccffb776bd",
     "tune-atn-20x30": "78324aefe27a9e627b3376ce5d11410b1bd4662d7e969a1cc82fb9340c289c07",
     "tune-svlt-20x30": "9084d60be7afad6bb67c878b02dd7772bb3c785282c9ef69f951c260d50b61d1",
+    "denoise-svlt-p1-30x20": "02f269d6b31e2e48a7e4d0cde10a5070044e290db266dae8222eca1765eb5699",
     "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
 }
 
@@ -117,6 +118,12 @@ def _sweep_digest(tmp_path, capsys) -> str:
 @pytest.mark.parametrize(("method", "n", "m", "extra"), DENOISE_CASES, ids=[f"{c[0]}-{c[1]}x{c[2]}" for c in DENOISE_CASES])
 def test_denoise_bytes(tmp_path, capsys, method, n, m, extra):
     assert _denoise_digest(tmp_path, capsys, method, n, m, extra) == EXPECTED[f"denoise-{method}-{n}x{m}"]
+
+
+def test_denoise_svlt_p1_bytes(tmp_path, capsys):
+    """--p1 is the one grid setting the CLI passes on to tune_grid."""
+    digest = _denoise_digest(tmp_path, capsys, "svlt", 30, 20, ["--p1", "0.75"])
+    assert digest == EXPECTED["denoise-svlt-p1-30x20"]
 
 
 @pytest.mark.parametrize("family", ["svlet", "svst", "atn", "svlt"])

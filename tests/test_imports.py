@@ -6,8 +6,12 @@ interpreter, since this test process has scipy loaded already.
 
 Ground truth for the logistic weights is scipy.special.expit itself: the rule
 must call it, not a re-derivation, so its weights match bit for bit.
+
+The public names are what `svshrink.__all__` lists: each must resolve, none
+may repeat, and names removed from the API must stay gone.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -96,3 +100,17 @@ class TestLogisticWeights:
         got = shrinkage._logistic_weights(idx, p1, p2)
         want = expit(-p1 * (idx - p2))
         assert got.tobytes() == want.tobytes()
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves_once(self):
+        assert len(svshrink.__all__) == len(set(svshrink.__all__))
+        for name in svshrink.__all__:
+            assert getattr(svshrink, name) is not None, name
+
+    @pytest.mark.parametrize("name", ["GridSpec", "SvletBasis", "solve_expansion", "deterministic_jitter"])
+    def test_removed_names_are_gone(self, name):
+        assert name not in svshrink.__all__
+        # svshrink.sure is the function, so the modules are looked up by name.
+        for module in ("", ".bench", ".cli", ".rmt", ".shrinkage", ".spectral", ".sure"):
+            assert not hasattr(importlib.import_module("svshrink" + module), name), module

@@ -25,7 +25,6 @@ from svshrink import (
     DegenerateSpectrumError,
     DenoiseProblem,
     GAP_TOL_FACTOR,
-    GridSpec,
     Identity,
     MatrixShape,
     RmtOptimal,
@@ -438,12 +437,17 @@ class TestTuneGrid:
         assert report.rule.lam == max(lams)
 
     def test_atn_gamma_grid_of_one_matches_svst(self):
+        """At gamma = 1 the adaptive rule is soft thresholding, so the atn
+        trace's gamma = 1 entries repeat the svst trace."""
         rng = np.random.default_rng(54)
         problem, factors = random_problem(rng, 9, 9, sigma=0.8)
-        atn = tune_grid(problem, factors, "atn", GridSpec(gammas=(1.0,)))
+        atn = tune_grid(problem, factors, "atn")
         svst = tune_grid(problem, factors, "svst")
-        np.testing.assert_allclose(atn.sure, svst.sure, rtol=1e-12)
-        np.testing.assert_allclose(atn.rule.tau, svst.rule.lam, rtol=1e-12)
+        gamma_one = [((tau,), value) for (tau, gamma), value in atn.trace if gamma == 1.0]
+        assert len(gamma_one) == len(svst.trace) == 100
+        for ((tau,), atn_value), ((lam,), svst_value) in zip(gamma_one, svst.trace):
+            np.testing.assert_allclose(tau, lam, rtol=1e-12)
+            np.testing.assert_allclose(atn_value, svst_value, rtol=1e-12)
 
     def test_reported_sure_matches_reevaluation(self):
         """The winner and every trace entry equal sure() of that candidate,
@@ -460,16 +464,16 @@ class TestTuneGrid:
                     assert value == sure(problem, factors, build(*params)).sure
 
     def test_lexicographic_tie_break(self):
-        """Thresholds beyond y_1 all zero the spectrum and share one SURE
-        value exactly; the smallest such threshold must win the tie."""
+        """With p1 = 0 every logistic weight is expit(0) = 0.5 whatever p2
+        is, so each p2 row of the svlt grid repeats the first exactly; the
+        smallest p2 must win the tie."""
         rng = np.random.default_rng(56)
         problem, factors = random_problem(rng, 8, 8)
-        y1 = float(factors.S[0])
-        grid = GridSpec(thresholds=(3.0 * y1, 2.0 * y1, 4.0 * y1))
-        report = tune_grid(problem, factors, "svst", grid)
-        sures = [v for (_, v) in report.trace]
-        assert sures[0] == sures[1] == sures[2]
-        assert report.rule.lam == 2.0 * y1
+        report = tune_grid(problem, factors, "svlt", p1=0.0)
+        rows = np.array([v for (_, v) in report.trace]).reshape(8, 50)
+        assert (rows == rows[0]).all()
+        assert report.rule.p2 == 1.0
+        assert report.rule.p3 == report.trace[int(np.argmin(rows[0]))][0][2]
 
     def test_family_accepts_class_or_string(self):
         rng = np.random.default_rng(57)
@@ -484,33 +488,17 @@ class TestTuneGrid:
         with pytest.raises(ContractError):
             tune_grid(problem, factors, "svht")
 
-    def test_custom_threshold_grid(self):
-        rng = np.random.default_rng(59)
-        problem, factors = random_problem(rng, 6, 6)
-        report = tune_grid(problem, factors, "svst", GridSpec(thresholds=(0.1, 0.5, 1.0)))
-        assert len(report.trace) == 3
-        assert report.rule.lam in (0.1, 0.5, 1.0)
-
     @pytest.mark.parametrize("n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9)])
     def test_trace_equals_sure_bitwise(self, n, m):
-        """Every trace value, on default grids and on GridSpec overrides,
+        """Every trace value, on each grid and with a non-default svlt p1,
         equals sure() of that candidate's rule bit for bit, and the winner
         is the first minimum of the trace."""
         rng = np.random.default_rng(61 + n + 2 * m)
         problem, factors = random_problem(rng, n, m, sigma=0.5)
-        y1 = float(factors.S[0])
         families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
-        grids = [
-            ("svst", None),
-            ("atn", None),
-            ("svlt", None),
-            # Zero, in-range, tied and beyond-y1 thresholds, unsorted.
-            ("svst", GridSpec(thresholds=(0.3 * y1, 0.0, 2.0 * y1, 0.3 * y1, 1e-3))),
-            ("atn", GridSpec(thresholds=(0.25 * y1, 1e-3, 3.0 * y1), gammas=(64.0, 1.0, 2.5, 2.0, 7.0))),
-            ("svlt", GridSpec(p1=0.75)),
-        ]
-        for family, grid in grids:
-            report = tune_grid(problem, factors, family, grid)
+        grids = [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})]
+        for family, options in grids:
+            report = tune_grid(problem, factors, family, **options)
             sures = [value for _, value in report.trace]
             first_min = sures.index(min(sures))
             assert report.rule == families[family](*report.trace[first_min][0])
@@ -520,49 +508,20 @@ class TestTuneGrid:
                 assert value == sure(problem, factors, families[family](*params)).sure
 
     @pytest.mark.parametrize(
-        "family, grid, message",
-        [
-            ("svst", GridSpec(thresholds=(1.0, -0.5)), "lam must be >= 0, got -0.5"),
-            ("svst", GridSpec(thresholds=(0.5, float("nan"))), "lam must be finite, got nan"),
-            ("svst", GridSpec(thresholds=(float("inf"),)), "lam must be finite, got inf"),
-            ("atn", GridSpec(thresholds=(1.0, 0.0)), "tau must be > 0, got 0.0"),
-            ("atn", GridSpec(thresholds=(-2.0, 1.0)), "tau must be > 0, got -2.0"),
-            ("atn", GridSpec(thresholds=(float("nan"),)), "tau must be finite, got nan"),
-            ("atn", GridSpec(gammas=(2.0, 0.5)), "gamma must lie in [1, 64], got 0.5"),
-            ("atn", GridSpec(gammas=(65.0, 2.0)), "gamma must lie in [1, 64], got 65.0"),
-            ("atn", GridSpec(gammas=(2.0, float("inf"))), "gamma must be finite, got inf"),
-            ("atn", GridSpec(gammas=(float("nan"),)), "gamma must be finite, got nan"),
-            # The first candidate in (tau, gamma) order names its own first
-            # fault: (0.5, 0.5) is reached before the NaN threshold ...
-            (
-                "atn",
-                GridSpec(thresholds=(0.5, float("nan")), gammas=(0.5, 2.0)),
-                "gamma must lie in [1, 64], got 0.5",
-            ),
-            # ... and a bad smallest threshold is reached before a bad gamma.
-            ("atn", GridSpec(thresholds=(0.5, -1.0), gammas=(2.0, 70.0)), "tau must be > 0, got -1.0"),
-            ("atn", GridSpec(thresholds=(0.5, 0.0), gammas=(2.0, 70.0)), "tau must be > 0, got 0.0"),
-            ("atn", GridSpec(thresholds=(0.5, 2.0), gammas=(2.0, 70.0)), "gamma must lie in [1, 64], got 70.0"),
-            ("svlt", GridSpec(p1=-1.0), "p1 must be >= 0, got -1.0"),
-            ("svlt", GridSpec(p1=float("nan")), "p1 must be finite, got nan"),
-        ],
+        "p1, message",
+        [(-1.0, "p1 must be >= 0, got -1.0"), (float("nan"), "p1 must be finite, got nan")],
     )
-    def test_invalid_overrides_name_the_parameter(self, family, grid, message):
+    def test_invalid_overrides_name_the_parameter(self, p1, message):
         rng = np.random.default_rng(62)
         problem, factors = random_problem(rng, 6, 5)
         with pytest.raises(ContractError, match=re.escape(message)):
-            tune_grid(problem, factors, family, grid)
+            tune_grid(problem, factors, "svlt", p1=p1)
 
-    def test_grid_axes_must_be_one_dimensional(self):
+    def test_p1_is_keyword_only(self):
         rng = np.random.default_rng(64)
         problem, factors = random_problem(rng, 6, 5)
-        for family, grid, name in (
-            ("svst", GridSpec(thresholds=((0.1,), (0.2,))), "thresholds"),
-            ("atn", GridSpec(thresholds=0.5), "thresholds"),
-            ("atn", GridSpec(gammas=((1.0, 2.0),)), "gammas"),
-        ):
-            with pytest.raises(ContractError, match=f"{name} must be a 1-D sequence"):
-                tune_grid(problem, factors, family, grid)
+        with pytest.raises(TypeError):
+            tune_grid(problem, factors, "svlt", 0.75)
 
     def test_atn_overflow_below_threshold_is_silent(self):
         """(tau/y)**gamma overflows for the tiny values below tau; those
@@ -576,10 +535,13 @@ class TestTuneGrid:
         assert 20.0 * np.log10(0.5 * S[0] / S[-1]) > np.log10(np.finfo(float).max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for gammas in (None, (1.0, 64.0)):
-                report = tune_grid(problem, factors, "atn", GridSpec(gammas=gammas))
-                assert np.isfinite(report.sure)
-                assert all(np.isfinite(value) for _, value in report.trace)
+            report = tune_grid(problem, factors, "atn")
+            assert np.isfinite(report.sure)
+            assert all(np.isfinite(value) for _, value in report.trace)
+            # The steepest gamma the rule accepts, at every grid threshold.
+            for (tau, gamma), _ in report.trace:
+                if gamma == 1.0:
+                    assert np.isfinite(sure(problem, factors, Atn(tau, 64.0)).sure)
 
 
 def diagonal_problem(values, n, sigma):
@@ -628,6 +590,23 @@ class TestOverflow:
         for K in (1, 2, 3):
             with pytest.raises(SolverFailureError, match="non-finite entries"):
                 solve_svlet(problem, factors, K=K, C=10.0)
+
+    def test_residual_bound_overflow_raises(self):
+        """Every y^2 is finite, but L * y_1^2, which bounds the residual
+        sum of squares, is not: scoring a rule raises before any sum
+        overflows, while the expansion solve still fails in its own check."""
+        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
+        for call in (
+            lambda: sure(problem, factors, Zero()),
+            lambda: sure(problem, factors, Identity()),
+            lambda: tune_grid(problem, factors, "svst"),
+            lambda: tune_grid(problem, factors, "atn"),
+            lambda: tune_grid(problem, factors, "svlt"),
+        ):
+            with pytest.raises(DegenerateSpectrumError, match=r"L\*y_1\^2 overflows"):
+                call()
+        with pytest.raises(SolverFailureError, match="non-finite entries"):
+            solve_svlet(problem, factors, K=2, C=10.0)
 
     def test_normal_system_checks(self):
         from svshrink.sure import _solve_normal_system
