@@ -150,18 +150,25 @@ def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
     return shape, s, idx, rowsums
 
 
-def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
-    """(SURE, residual, divergence) arrays, one entry per row of a formula's
-    values and derivatives on a checked spectrum; the one place the
-    estimate is assembled.  Every row is reduced on its own, so a row scores
-    the same bits alone as in a batch."""
-    resid = ((s - vals) ** 2).sum(axis=-1)
+def _divergences(vals, ders, s, rowsums, shape: MatrixShape) -> np.ndarray:
+    """Divergence array, one entry per row of a formula's values and
+    derivatives on a checked spectrum.  Every row is reduced on its own, so
+    a row gives the same bits alone as in a batch."""
     # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
     # and its gap term; forming w first would move SURE in the last bits.
     div = ders.sum(axis=-1)
     div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
     # One dot product per row: a matrix-vector product sums in another order.
     div += 2.0 * np.array([np.dot(row, rowsums) for row in s * vals])
+    return div
+
+
+def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
+    """(SURE, residual, divergence) arrays, one entry per row of a formula's
+    values and derivatives on a checked spectrum; the one place the
+    estimate is assembled."""
+    resid = ((s - vals) ** 2).sum(axis=-1)
+    div = _divergences(vals, ders, s, rowsums, shape)
     sigma2 = sigma * sigma
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
@@ -180,8 +187,10 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     """
     s, idx, rowsums = _spectral_pieces(spectrum, shape)
     _check_rule(rule)
-    # sigma only scales the SURE value, which is discarded here.
-    return _report(rule, *rule._eval(s, idx), s, rowsums, shape, 1.0).divergence
+    # No residual is formed: its squares may overflow where the divergence
+    # does not.
+    vals, ders = rule._eval(s, idx)
+    return float(_divergences(vals[None], ders[None], s, rowsums, shape)[0])
 
 
 def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:

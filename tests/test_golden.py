@@ -5,6 +5,10 @@ SHA-256 of what it produced with a digest recorded before a refactor of the
 engine: the written matrix CSV plus the printed JSON for `denoise` (its
 `seconds` and `stages` timings left out), the printed trace or coefficients
 for `tune`, and the sweep CSV for `bench` (its `# timestamp=` line left out).
+One more case pins `write_matrix` alone on a seeded array whose magnitudes
+span 1e-300..1e300 with both signs and signed zeros, so both `%g` notations,
+the zeros, and the exact ties the fast formatter hands back to `%.17g` are
+covered.
 A digest changes only when some output byte changes, so a refactor that
 claims "same behaviour" must leave every case green.
 
@@ -13,6 +17,7 @@ calibration of non-square matrices is due to change on purpose.
 """
 
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -55,6 +60,7 @@ EXPECTED = {
     "tune-svlt-20x30": "9084d60be7afad6bb67c878b02dd7772bb3c785282c9ef69f951c260d50b61d1",
     "denoise-svlt-p1-30x20": "02f269d6b31e2e48a7e4d0cde10a5070044e290db266dae8222eca1765eb5699",
     "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
+    "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
 }
 
 
@@ -134,3 +140,13 @@ def test_tune_bytes(tmp_path, capsys, family, n, m):
 
 def test_sweep_bytes(tmp_path, capsys):
     assert _sweep_digest(tmp_path, capsys) == EXPECTED["bench-sweep"]
+
+
+def test_write_mixed_magnitudes_bytes():
+    rng = np.random.default_rng(20261018)
+    M = rng.standard_normal((300, 300)) * 10.0 ** rng.uniform(-300, 300, size=(300, 300))
+    zeros = rng.random((300, 300)) < 0.05
+    M[zeros] = np.copysign(0.0, M[zeros])
+    buf = io.StringIO()
+    write_matrix(buf, M)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EXPECTED["write-mixed-300x300"]

@@ -1,8 +1,11 @@
-"""Import cost: scipy loads only when the logistic rule is evaluated.
+"""Import cost: scipy loads only when the logistic rule is evaluated, and
+the CSV formatter's tables are built only when a matrix is written.
 
 Importing scipy.special takes about 0.3 s and 25 MB, and only
-Svlt needs it (for scipy.special.expit).  The subprocess checks run a fresh
-interpreter, since this test process has scipy loaded already.
+Svlt needs it (for scipy.special.expit).  Building the formatter's power and
+digit tables takes a few milliseconds, which a process that never writes a
+matrix should not pay.  The subprocess checks run a fresh interpreter, since
+this test process has scipy loaded and the tables built already.
 
 Ground truth for the logistic weights is scipy.special.expit itself: the rule
 must call it, not a re-derivation, so its weights match bit for bit.
@@ -35,8 +38,11 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 seen = {}
+built = {}
 import svshrink
+from svshrink import spectral
 seen["import"] = scipy_modules()
+built["import"] = spectral._format_tables.cache_info().currsize
 
 from svshrink import DenoiseProblem, Svlt, apply, cli, reconstruct, solve_svlet, svd, write_matrix
 rng = np.random.default_rng(3)
@@ -45,10 +51,12 @@ factors = svd(Y)
 solved = solve_svlet(DenoiseProblem(Y=Y, sigma=0.5), factors, K=2, C=10.0)
 reconstruct(factors, apply(solved.rule, factors.S))
 seen["svlet"] = scipy_modules()
+built["svlet"] = spectral._format_tables.cache_info().currsize
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "obs.csv")
     write_matrix(path, Y)
+    built["write"] = spectral._format_tables.cache_info().currsize
     for method in ("svlet", "opt-shrink", "svst"):
         out = os.path.join(tmp, method + ".csv")
         code = cli.main(["denoise", path, "--sigma", "0.5", "--method", method, "--output", out])
@@ -57,12 +65,12 @@ with tempfile.TemporaryDirectory() as tmp:
 
 apply(Svlt(p1=2.0, p2=3.0, p3=0.1), factors.S)
 seen["svlt"] = scipy_modules()
-print(json.dumps(seen), file=sys.stderr)
+print(json.dumps({"scipy": seen, "tables": built}), file=sys.stderr)
 """
 
 
 @pytest.fixture(scope="module")
-def loaded_after_each_step():
+def after_each_step():
     env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT, OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
@@ -73,11 +81,20 @@ def loaded_after_each_step():
 
 class TestScipyStaysUnloaded:
     @pytest.mark.parametrize("step", ["import", "svlet", "cli svlet", "cli opt-shrink", "cli svst"])
-    def test_no_scipy_before_logistic_rule(self, loaded_after_each_step, step):
-        assert loaded_after_each_step[step] == []
+    def test_no_scipy_before_logistic_rule(self, after_each_step, step):
+        assert after_each_step["scipy"][step] == []
 
-    def test_logistic_rule_loads_scipy_special(self, loaded_after_each_step):
-        assert "scipy.special" in loaded_after_each_step["svlt"]
+    def test_logistic_rule_loads_scipy_special(self, after_each_step):
+        assert "scipy.special" in after_each_step["scipy"]["svlt"]
+
+
+class TestFormatTablesBuiltOnWrite:
+    @pytest.mark.parametrize("step", ["import", "svlet"])
+    def test_not_built_before_a_write(self, after_each_step, step):
+        assert after_each_step["tables"][step] == 0
+
+    def test_built_by_first_write(self, after_each_step):
+        assert after_each_step["tables"]["write"] == 1
 
 
 class TestLogisticWeights:

@@ -31,7 +31,7 @@ from svshrink import (
     validate_factors,
     write_matrix,
 )
-from svshrink.spectral import _parse_lines
+from svshrink.spectral import _FORMAT_BLOCK, _parse_lines
 
 # A fixed example sequence and no example database, so every run on every
 # machine tests the same inputs.
@@ -417,6 +417,63 @@ class TestMatrixIO:
         finite = np.isfinite(M)
         assert back[finite].tobytes() == M[finite].tobytes()
         assert np.array_equal(np.isnan(back), np.isnan(M))
+
+    def test_write_random_bit_patterns(self):
+        """Uniform bit patterns: every exponent, subnormals, inf and NaN."""
+        rng = np.random.default_rng(20261018)
+        M = rng.integers(0, 2**64, size=(800, 256), dtype=np.uint64, endpoint=False).view(np.float64)
+        buf = io.StringIO()
+        write_matrix(buf, M)
+        assert buf.getvalue() == reference_csv(M)
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1234567890123456.75, "1234567890123456.8"),  # a tie, rounded to even
+            (1234567890123457.25, "1234567890123457.2"),
+            (9.9999999999999991e-05, "9.9999999999999991e-05"),  # the notation switch
+            (1e-4, "0.0001"),
+            (np.nextafter(1e17, 0.0), "99999999999999984"),  # decade edge
+            (1e16, "10000000000000000"),
+            (1e22, "1e+22"),
+            (1e23, "9.9999999999999992e+22"),
+            (5e-324, "4.9406564584124654e-324"),
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+            (np.copysign(np.nan, -1.0), "nan"),
+            (-0.0, "-0"),
+            (0.1, "0.10000000000000001"),
+            (-2.5e-5, "-2.5000000000000001e-05"),
+            (123.0, "123"),
+        ],
+    )
+    def test_write_named_values(self, value, text):
+        buf = io.StringIO()
+        write_matrix(buf, np.array([[value, value], [1.0, value]]))
+        assert format(value, ".17g") == text
+        assert buf.getvalue() == f"{text},{text}\n1,{text}\n"
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, _FORMAT_BLOCK + 9), (_FORMAT_BLOCK + 9, 1), (3, _FORMAT_BLOCK // 2 + 7)],
+        ids=["1xm-over-block", "nx1-over-block", "block-edge-mid-row"],
+    )
+    def test_write_across_blocks(self, shape):
+        rng = np.random.default_rng(list(shape))
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 22, size=shape)
+        buf = io.StringIO()
+        write_matrix(buf, M)
+        assert buf.getvalue() == reference_csv(M)
+
+    def test_write_stream_and_path_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-30, 30, size=(40, 30))
+        buf = io.StringIO()
+        write_matrix(buf, M)
+        path = tmp_path / "m.csv"
+        write_matrix(path, M)
+        assert path.read_bytes() == buf.getvalue().encode("ascii")
 
     @IO_SETTINGS
     @given(formatted_matrices())

@@ -608,6 +608,15 @@ class TestOverflow:
         with pytest.raises(SolverFailureError, match="non-finite entries"):
             solve_svlet(problem, factors, K=2, C=10.0)
 
+    def test_divergence_does_not_form_residual(self):
+        """Every y^2 is finite but their sum is not: the divergence, which
+        never squares y, is finite and equals the value the same sums gave
+        when the residual was still formed (and overflowed) beside it."""
+        s = np.array([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154])
+        shape = MatrixShape(6, 5)
+        assert divergence(s, Zero(), shape) == 0.0
+        assert divergence(s, Svst(1e154), shape) == 13.452677757025583
+
     def test_normal_system_checks(self):
         from svshrink.sure import _solve_normal_system
 
