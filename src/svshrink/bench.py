@@ -47,7 +47,6 @@ PAPER_SURE_SNRS = (0.5, 1.0, 1.5, 2.0)
 _SVLET_SPEC = re.compile(r"^svlet(?:\((?P<params>[^()]*)\))?$")
 
 TUNED_FAMILIES = ("svst-sure", "atn-sure", "svlt-sure")
-ASYMPTOTIC_METHODS = (OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK)
 EYM_ORACLE = "eym-oracle"
 
 
@@ -325,11 +324,17 @@ class NmseTable:
         raise ContractError(f"no row for ({method!r}, r={r}, snr={snr})")
 
 
+def _draw(grid: ExperimentGrid, r_idx: int, s_idx: int, trial: int) -> tuple:
+    """(X, problem) of one trial of cell (ranks[r_idx], snrs[s_idx]), from its
+    own SeedSequence([seed, r_idx, s_idx, trial]) stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([grid.seed, r_idx, s_idx, trial]))
+    return generate_problem(grid.n, grid.m, grid.ranks[r_idx], grid.snrs[s_idx], rng)
+
+
 def _warm_up(grid: ExperimentGrid) -> None:
     """Run each method once, untimed, on the grid's first problem, so lazy
     setup work (the logistic rule's scipy import) lands in no timing."""
-    rng = np.random.default_rng(np.random.SeedSequence([grid.seed, 0, 0, 0]))
-    _, problem = generate_problem(grid.n, grid.m, grid.ranks[0], grid.snrs[0], rng)
+    _, problem = _draw(grid, 0, 0, 0)
     for spec in grid.methods:
         try:
             METHOD_RUNNERS[spec.family](problem, svd(problem.Y), spec, grid.ranks[0])
@@ -344,8 +349,7 @@ def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
     times = {spec.label: [] for spec in grid.methods}
     failures = {}
     for trial in range(grid.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([grid.seed, r_idx, s_idx, trial]))
-        X, problem = generate_problem(grid.n, grid.m, r, snr, rng)
+        X, problem = _draw(grid, r_idx, s_idx, trial)
         factors = svd(problem.Y)
         x_energy = float(np.sum(X * X))
         for spec in grid.methods:
@@ -583,12 +587,9 @@ def timing_report(grid: ExperimentGrid):
     samples = {spec.label: [] for spec in grid.methods}
     _warm_up(grid)
     for r_idx, r in enumerate(grid.ranks):
-        for s_idx, snr in enumerate(grid.snrs):
+        for s_idx in range(len(grid.snrs)):
             for trial in range(grid.trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([grid.seed, r_idx, s_idx, trial])
-                )
-                _, problem = generate_problem(grid.n, grid.m, r, snr, rng)
+                _, problem = _draw(grid, r_idx, s_idx, trial)
                 svd(problem.Y)
                 for spec in grid.methods:
                     started = perf_counter()
@@ -607,6 +608,19 @@ def timing_report(grid: ExperimentGrid):
         ratio = None if base is None else medians[label] / base
         rows.append(TimingRow(method=label, median_seconds=medians[label], ratio_vs_svlet=ratio))
     return tuple(rows)
+
+
+def write_timing_csv(path, rows, seed: int) -> None:
+    """Emit timing_report rows: '#' seed and version comments, header, one
+    row per method (ratio_vs_svlet empty when the grid has no svlet)."""
+    with open(path, "w", newline="") as stream:
+        stream.write(f"# seed={seed}\n")
+        stream.write(f"# version={__version__}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["method", "median_time_s", "ratio_vs_svlet"])
+        for row in rows:
+            ratio = "" if row.ratio_vs_svlet is None else repr(float(row.ratio_vs_svlet))
+            writer.writerow([row.method, repr(float(row.median_seconds)), ratio])
 
 
 # ---------------------------------------------------------------------------

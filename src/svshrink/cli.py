@@ -23,12 +23,11 @@ from .bench import (
     PAPER_C_VALUES,
     PAPER_K_VALUES,
     ExperimentGrid,
-    MethodSpec,
     paper_preset,
-    parse_method,
     run_sweep,
     sensitivity_sweep,
     timing_report,
+    write_timing_csv,
 )
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, calibration_scale, verify_laws
@@ -66,12 +65,9 @@ class CliConfig:
     snrs: tuple = (0.5, 1.0, 2.0, 4.0)
     methods: tuple = _DEFAULT_METHODS
     trials: int = DEFAULT_TRIALS
-    C: float = DEFAULT_C
-    K: int = DEFAULT_K
     c_values: tuple = PAPER_C_VALUES
     k_values: tuple = PAPER_K_VALUES
     out: str = None
-    output_dir: str = "."
 
     def __post_init__(self) -> None:
         if self.run not in ("sweep", "sensitivity", "timing"):
@@ -80,16 +76,9 @@ class CliConfig:
             )
 
     def grid(self, seed: int) -> ExperimentGrid:
-        # Bare "svlet" method entries pick up the configured C and K.
-        methods = []
-        for spec in self.methods:
-            if isinstance(spec, str) and spec.strip() == "svlet":
-                methods.append(MethodSpec(family="svlet", C=self.C, K=self.K))
-            else:
-                methods.append(parse_method(spec))
         return ExperimentGrid(
             n=self.n, m=self.m, ranks=self.ranks, snrs=self.snrs,
-            methods=tuple(methods), trials=self.trials, seed=seed,
+            methods=self.methods, trials=self.trials, seed=seed,
         )
 
 
@@ -134,12 +123,9 @@ _CONFIG_PARSERS = {
     "snrs": lambda v: _parse_float_list(v, "snrs"),
     "methods": lambda v: tuple(v.split()),
     "trials": _parse_scalar(int, "trials"),
-    "C": _parse_scalar(float, "C"),
-    "K": _parse_scalar(int, "K"),
     "c_values": lambda v: _parse_float_list(v, "c_values"),
     "k_values": lambda v: _parse_int_list(v, "k_values"),
     "out": lambda v: v.strip(),
-    "output_dir": lambda v: v.strip(),
 }
 
 
@@ -287,77 +273,44 @@ def cmd_tune(args) -> int:
 # bench
 
 
-def _write_timing_csv(path, rows, seed: int) -> None:
-    with open(path, "w", newline="") as stream:
-        stream.write(f"# seed={seed}\n")
-        stream.write(f"# version={__version__}\n")
-        stream.write("method,median_time_s,ratio_vs_svlet\n")
-        for row in rows:
-            label = row.method
-            if "," in label:
-                label = f'"{label}"'
-            ratio = "" if row.ratio_vs_svlet is None else repr(float(row.ratio_vs_svlet))
-            stream.write(f"{label},{repr(float(row.median_seconds))},{ratio}\n")
+def _run_job(args, run: str, grid: ExperimentGrid, path: Path, c_values, k_values) -> dict:
+    """Run one bench job, write its CSV to path and return its summary keys."""
+    if run == "timing":
+        write_timing_csv(path, timing_report(grid), grid.seed)
+        return {}
+    if run == "sweep":
+        run_sweep(grid, threads=args.threads).write_csv(path, include_timing=args.include_timing)
+        return {}
+    report = sensitivity_sweep(grid, c_values, k_values, threads=args.threads)
+    report.table.write_csv(path, include_timing=args.include_timing)
+    return {"best_C": report.best.C, "best_K": report.best.K, "best_nmse": report.best.mean_nmse}
 
 
 def cmd_bench(args) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary = {}
+    if (args.config is None) == (args.preset is None):
+        raise ContractError("bench needs exactly one of --config FILE or --preset paper")
     if args.preset == "paper":
-        trials = DEFAULT_TRIALS if args.trials is None else args.trials
-        grids = paper_preset(args.seed, trials=trials)
-        for name in ("asymptotic", "sure"):
-            table = run_sweep(grids[name], threads=args.threads)
-            path = outdir / f"{name}.csv"
-            table.write_csv(path, include_timing=args.include_timing)
-            written.append(str(path))
-        report = sensitivity_sweep(
-            grids["sensitivity"], PAPER_C_VALUES, PAPER_K_VALUES, threads=args.threads
-        )
-        path = outdir / "sensitivity.csv"
-        report.table.write_csv(path, include_timing=args.include_timing)
-        written.append(str(path))
-        summary.update(
-            {"best_C": report.best.C, "best_K": report.best.K, "best_nmse": report.best.mean_nmse}
-        )
-        path = outdir / "timing.csv"
-        _write_timing_csv(path, timing_report(grids["timing"]), args.seed)
-        written.append(str(path))
+        grids = paper_preset(args.seed, trials=DEFAULT_TRIALS if args.trials is None else args.trials)
+        jobs = [
+            ("sweep", grids["asymptotic"], "asymptotic.csv"),
+            ("sweep", grids["sure"], "sure.csv"),
+            ("sensitivity", grids["sensitivity"], "sensitivity.csv"),
+            ("timing", grids["timing"], "timing.csv"),
+        ]
+        c_values, k_values = PAPER_C_VALUES, PAPER_K_VALUES
     else:
-        if args.config is None:
-            raise ContractError("bench needs --config FILE or --preset paper")
         if args.trials is not None:
             raise ContractError("--trials applies to --preset only; set the config's `trials` key")
         config = load_config(args.config)
-        if args.output_dir == "." and config.output_dir != ".":
-            outdir = Path(config.output_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
-        grid = config.grid(args.seed)
-        if config.run == "sweep":
-            table = run_sweep(grid, threads=args.threads)
-            path = outdir / (config.out or "sweep.csv")
-            table.write_csv(path, include_timing=args.include_timing)
-            written.append(str(path))
-        elif config.run == "sensitivity":
-            report = sensitivity_sweep(
-                grid, config.c_values, config.k_values, threads=args.threads
-            )
-            path = outdir / (config.out or "sensitivity.csv")
-            report.table.write_csv(path, include_timing=args.include_timing)
-            written.append(str(path))
-            summary.update(
-                {
-                    "best_C": report.best.C,
-                    "best_K": report.best.K,
-                    "best_nmse": report.best.mean_nmse,
-                }
-            )
-        else:
-            path = outdir / (config.out or "timing.csv")
-            _write_timing_csv(path, timing_report(grid), args.seed)
-            written.append(str(path))
+        jobs = [(config.run, config.grid(args.seed), config.out or f"{config.run}.csv")]
+        c_values, k_values = config.c_values, config.k_values
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    summary = {}
+    written = []
+    for run, grid, name in jobs:
+        summary.update(_run_job(args, run, grid, outdir / name, c_values, k_values))
+        written.append(str(outdir / name))
     summary["written"] = written
     print(json.dumps(summary))
     return 0

@@ -35,9 +35,6 @@ import numpy as np
 
 from .errors import ContractError, FactorizationError, MatrixParseError
 
-# Default tolerances; the validation helpers accept overrides.
-RECONSTRUCTION_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
 IO_ROUNDTRIP_TOL = 1e-15
 IO_SIGNIFICANT_DIGITS = 17
 
@@ -186,26 +183,6 @@ def eym_truncate(Y: np.ndarray, r: int) -> np.ndarray:
     """Best rank-r approximation in Frobenius norm (hard truncation)."""
     factors = svd(Y)
     return reconstruct(factors, truncated_spectrum(factors.S, r))
-
-
-def validate_factors(factors: SvdFactors, Y: np.ndarray | None = None) -> None:
-    """Check orthonormality (and reconstruction, if Y is given) of factors."""
-    U, S, V = factors.U, factors.S, factors.V
-    L = S.shape[0]
-    if np.any(S < 0.0) or np.any(np.diff(S) > 0.0):
-        raise ContractError("singular values must be non-negative and descending")
-    gram_u = np.linalg.norm(U.T @ U - np.eye(L))
-    gram_v = np.linalg.norm(V.T @ V - np.eye(L))
-    if gram_u > ORTHONORMALITY_TOL or gram_v > ORTHONORMALITY_TOL:
-        raise FactorizationError(
-            f"factor columns are not orthonormal: |U'U-I|={gram_u:.3e}, |V'V-I|={gram_v:.3e}"
-        )
-    if Y is not None:
-        Y = np.asarray(Y, dtype=float)
-        scale = max(np.linalg.norm(Y), 1.0)
-        err = np.linalg.norm(reconstruct(factors, S) - Y) / scale
-        if err > RECONSTRUCTION_TOL:
-            raise FactorizationError(f"reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:.1e}")
 
 
 def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None:

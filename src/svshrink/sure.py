@@ -319,8 +319,6 @@ def _family_name(family) -> str:
         name = family.lower()
         if name in _FAMILIES:
             return name
-    elif family in _FAMILIES.values():
-        return {v: k for k, v in _FAMILIES.items()}[family]
     raise ContractError(f"family must be one of {sorted(_FAMILIES)}, got {family!r}")
 
 

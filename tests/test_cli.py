@@ -492,7 +492,25 @@ class TestBenchCommand:
     def test_requires_config_or_preset(self, tmp_path, capsys):
         code, out, err = run_cli(["bench", "--seed", "11"], capsys)
         assert code == 2
-        assert "bench needs --config FILE or --preset paper" in err
+        assert "bench needs exactly one of --config FILE or --preset paper" in err
+
+    def test_config_and_preset_together_rejected(self, tmp_path, monkeypatch, capsys):
+        """Neither source may win silently: with both, the file would go unread."""
+        seen = []
+        monkeypatch.setattr(cli, "paper_preset", lambda seed, *, trials: seen.append(seed) or {})
+        config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(
+            [
+                "bench", "--preset", "paper", "--config", config, "--seed", "11",
+                "--output-dir", str(outdir),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "bench needs exactly one of --config FILE or --preset paper" in err
+        assert seen == [] and out == ""
+        assert not outdir.exists()
 
     def test_empty_methods_rejected(self, tmp_path, capsys):
         config = write_config(
@@ -522,12 +540,22 @@ class TestBenchCommand:
 
     def test_rank_range_syntax(self, tmp_path):
         config = write_config(
-            tmp_path / "bench.cfg", "run = sweep\nranks = 2..4\nC = 7.5\nK = 3\nmethods = svlet\n"
+            tmp_path / "bench.cfg", "run = sweep\nranks = 2..4\nmethods = svlet(C=7.5,K=3) svlet\n"
         )
         parsed = cli.load_config(config)
         assert parsed.ranks == (2, 3, 4)
         grid = parsed.grid(seed=11)
-        assert [spec.label for spec in grid.methods] == ["svlet(C=7.5,K=3)"]
+        assert [spec.label for spec in grid.methods] == ["svlet(C=7.5,K=3)", "svlet(C=10,K=2)"]
+
+    @pytest.mark.parametrize("line", ["C = 7.5", "K = 3", "output_dir = elsewhere"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, line):
+        """C and K live in the method spec, the output directory in --output-dir."""
+        config = write_config(tmp_path / "bench.cfg", f"{SWEEP_CONFIG}{line}\n")
+        code, out, err = run_cli(
+            ["bench", "--config", config, "--seed", "11", "--output-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert f"unknown key {line.split()[0]!r}" in err
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = write_config(
@@ -584,14 +612,13 @@ class TestBenchCommand:
         assert lines[3].endswith(",1.0")
         assert lines[4].startswith("eym-oracle,")
 
-    def test_config_output_dir_honored_and_overridden(self, tmp_path, capsys):
-        nested = tmp_path / "from-config"
-        config = write_config(
-            tmp_path / "bench.cfg", SWEEP_CONFIG + f"output_dir = {nested}\n"
-        )
+    def test_output_dir_from_flag_only(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
+        monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(["bench", "--config", config, "--seed", "11"], capsys)
         assert code == 0
-        assert json.loads(out)["written"] == [str(nested / "sweep.csv")]
+        assert json.loads(out)["written"] == ["sweep.csv"]
+        assert (tmp_path / "sweep.csv").exists()
 
         forced = tmp_path / "from-flag"
         code, out, _ = run_cli(
@@ -600,6 +627,11 @@ class TestBenchCommand:
         )
         assert code == 0
         assert json.loads(out)["written"] == [str(forced / "sweep.csv")]
+
+        moved = write_config(tmp_path / "moved.cfg", SWEEP_CONFIG + f"output_dir = {forced}\n")
+        code, out, err = run_cli(["bench", "--config", moved, "--seed", "11"], capsys)
+        assert code == 2
+        assert "unknown key 'output_dir'" in err
 
 
 class TestRmtCheck:

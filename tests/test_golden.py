@@ -4,7 +4,8 @@ Each case runs one CLI command in-process on a seeded input and compares the
 SHA-256 of what it produced with a digest recorded before a refactor of the
 engine: the written matrix CSV plus the printed JSON for `denoise` (its
 `seconds` and `stages` timings left out), the printed trace or coefficients
-for `tune`, and the sweep CSV for `bench` (its `# timestamp=` line left out).
+for `tune`, and the sweep CSV for `bench` (its `# timestamp=` line left out)
+or the sensitivity CSV plus the printed JSON summary.
 One more case pins `write_matrix` alone on a seeded array whose magnitudes
 span 1e-300..1e300 with both signs and signed zeros, so both `%g` notations,
 the zeros, and the exact ties the fast formatter hands back to `%.17g` are
@@ -37,6 +38,17 @@ methods = svlet(C=10,K=2) svst-sure atn-sure svlt-sure eym-oracle
 trials = 2
 """
 
+SENSITIVITY_CONFIG = """\
+run = sensitivity
+n = 12
+m = 10
+ranks = 1,3
+snrs = 1.0 4.0
+trials = 2
+c_values = 5 10
+k_values = 1 2
+"""
+
 EXPECTED = {
     "denoise-svlet-30x20": "911b2a01acf3d1f83afeb7ede9f24a0a9083775b97c648ba8ccfe8b9d562d803",
     "denoise-svlet-20x30": "bf709803ab06a5d7f33249879e45c1ba972233e149f748dfae98e7d237dc845b",
@@ -60,6 +72,7 @@ EXPECTED = {
     "tune-svlt-20x30": "9084d60be7afad6bb67c878b02dd7772bb3c785282c9ef69f951c260d50b61d1",
     "denoise-svlt-p1-30x20": "02f269d6b31e2e48a7e4d0cde10a5070044e290db266dae8222eca1765eb5699",
     "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
+    "bench-sensitivity": "a60c27475b5eea1cf54e111b4db7675c2ae67ce9120c17c242c3784708f98c7b",
     "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
 }
 
@@ -113,12 +126,23 @@ def _tune_digest(tmp_path, capsys, family, n, m) -> str:
     return _digest(_run(["tune", path, "--sigma", SIGMA, "--family", family], capsys).encode())
 
 
-def _sweep_digest(tmp_path, capsys) -> str:
+def _bench_output(tmp_path, capsys, config_text, name) -> tuple:
     config = tmp_path / "bench.cfg"
-    config.write_text(SWEEP_CONFIG)
-    _run(["bench", "--config", str(config), "--seed", "7", "--output-dir", str(tmp_path)], capsys)
-    lines = (tmp_path / "sweep.csv").read_bytes().split(b"\n")
-    return _digest(b"\n".join(line for line in lines if not line.startswith(b"# timestamp=")))
+    config.write_text(config_text)
+    out = _run(["bench", "--config", str(config), "--seed", "7", "--output-dir", str(tmp_path)], capsys)
+    lines = (tmp_path / name).read_bytes().split(b"\n")
+    return b"\n".join(line for line in lines if not line.startswith(b"# timestamp=")), out
+
+
+def _sweep_digest(tmp_path, capsys) -> str:
+    return _digest(_bench_output(tmp_path, capsys, SWEEP_CONFIG, "sweep.csv")[0])
+
+
+def _sensitivity_digest(tmp_path, capsys) -> str:
+    table, out = _bench_output(tmp_path, capsys, SENSITIVITY_CONFIG, "sensitivity.csv")
+    payload = json.loads(out)
+    del payload["written"]  # holds the per-run tmp_path
+    return _digest(table, json.dumps(payload).encode())
 
 
 @pytest.mark.parametrize(("method", "n", "m", "extra"), DENOISE_CASES, ids=[f"{c[0]}-{c[1]}x{c[2]}" for c in DENOISE_CASES])
@@ -140,6 +164,10 @@ def test_tune_bytes(tmp_path, capsys, family, n, m):
 
 def test_sweep_bytes(tmp_path, capsys):
     assert _sweep_digest(tmp_path, capsys) == EXPECTED["bench-sweep"]
+
+
+def test_sensitivity_bytes(tmp_path, capsys):
+    assert _sensitivity_digest(tmp_path, capsys) == EXPECTED["bench-sensitivity"]
 
 
 def test_write_mixed_magnitudes_bytes():

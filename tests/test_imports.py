@@ -125,7 +125,13 @@ class TestPublicNames:
         for name in svshrink.__all__:
             assert getattr(svshrink, name) is not None, name
 
-    @pytest.mark.parametrize("name", ["GridSpec", "SvletBasis", "solve_expansion", "deterministic_jitter"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "GridSpec", "SvletBasis", "solve_expansion", "deterministic_jitter",
+            "validate_factors", "ORTHONORMALITY_TOL", "RECONSTRUCTION_TOL",
+        ],
+    )
     def test_removed_names_are_gone(self, name):
         assert name not in svshrink.__all__
         # svshrink.sure is the function, so the modules are looked up by name.

@@ -23,12 +23,10 @@ from svshrink import (
     DenoiseProblem,
     MatrixParseError,
     MatrixShape,
-    RECONSTRUCTION_TOL,
     eym_truncate,
     read_matrix,
     reconstruct,
     svd,
-    validate_factors,
     write_matrix,
 )
 from svshrink.spectral import _FORMAT_BLOCK, _parse_lines
@@ -36,6 +34,20 @@ from svshrink.spectral import _FORMAT_BLOCK, _parse_lines
 # A fixed example sequence and no example database, so every run on every
 # machine tests the same inputs.
 IO_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+TOL = 1e-10  # orthonormality and relative reconstruction bound for svd factors
+
+
+def assert_valid_factors(factors, Y=None):
+    """Descending non-negative S, orthonormal U and V columns, and (given Y)
+    reconstruction of Y, each within TOL."""
+    U, S, V = factors.U, factors.S, factors.V
+    eye = np.eye(S.shape[0])
+    assert np.all(S >= 0.0) and np.all(np.diff(S) <= 0.0)
+    assert np.linalg.norm(U.T @ U - eye) <= TOL
+    assert np.linalg.norm(V.T @ V - eye) <= TOL
+    if Y is not None:
+        assert np.linalg.norm(reconstruct(factors, S) - Y) / max(np.linalg.norm(Y), 1.0) <= TOL
 
 
 def reference_csv(M):
@@ -162,14 +174,14 @@ class TestSvd:
         """Zero 3x2 matrix: both singular values vanish, factors orthonormal."""
         factors = svd(np.zeros((3, 2)))
         np.testing.assert_allclose(factors.S, [0.0, 0.0])
-        validate_factors(factors)
+        assert_valid_factors(factors)
 
     def test_reconstruction_random_square(self):
         rng = np.random.default_rng(42)
         Y = rng.standard_normal((50, 50))
         factors = svd(Y)
         rel = np.linalg.norm(reconstruct(factors, factors.S) - Y) / np.linalg.norm(Y)
-        assert rel < RECONSTRUCTION_TOL
+        assert rel < TOL
 
     def test_descending_spectrum(self):
         rng = np.random.default_rng(7)
@@ -309,13 +321,7 @@ class TestFactorProperties:
         for n, m in np.vstack([corner, sizes]):
             Y = rng.standard_normal((int(n), int(m)))
             factors = svd(Y)
-            validate_factors(factors, Y)
-
-    def test_validate_factors_flags_broken_orthonormality(self):
-        factors = svd(np.random.default_rng(17).standard_normal((5, 5)))
-        broken = type(factors)(U=factors.U * 1.5, S=factors.S, V=factors.V)
-        with pytest.raises(Exception):
-            validate_factors(broken)
+            assert_valid_factors(factors, Y)
 
 
 class TestMatrixIO:

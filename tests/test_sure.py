@@ -475,12 +475,13 @@ class TestTuneGrid:
         assert report.rule.p2 == 1.0
         assert report.rule.p3 == report.trace[int(np.argmin(rows[0]))][0][2]
 
-    def test_family_accepts_class_or_string(self):
+    def test_family_class_rejected(self):
+        """A family is named by its string; a rule class fails like an unknown name."""
         rng = np.random.default_rng(57)
         problem, factors = random_problem(rng, 7, 7)
-        by_name = tune_grid(problem, factors, "svst")
-        by_class = tune_grid(problem, factors, Svst)
-        assert by_name.sure == by_class.sure
+        for family in (Svst, "svht"):
+            with pytest.raises(ContractError, match=r"family must be one of \['atn', 'svlt', 'svst'\]"):
+                tune_grid(problem, factors, family)
 
     def test_unknown_family_rejected(self):
         rng = np.random.default_rng(58)
