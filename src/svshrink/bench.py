@@ -2,10 +2,9 @@
 
 Every function here is a pure function of its arguments: random number
 streams are derived per (seed, cell index, trial index) with SeedSequence,
-so tables come out identical whether cells run serially or on a thread
-pool, and identical across runs and platforms for the same build.  Method
-failures inside a sweep are downgraded to error rows instead of aborting,
-so a long grid survives isolated degenerate cells.
+so tables come out identical across runs and platforms for the same build.
+Method failures inside a sweep are downgraded to error rows instead of
+aborting, so a long grid survives isolated degenerate cells.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import csv
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from time import perf_counter
@@ -90,9 +88,7 @@ def parse_method(spec: str) -> MethodSpec:
     text = spec.strip()
     hit = _SVLET_SPEC.match(text)
     if hit is None:
-        if text in METHOD_RUNNERS:
-            return MethodSpec(family=text)
-        raise ContractError(f"unknown method {text!r}; expected one of {sorted(METHOD_RUNNERS)}")
+        return MethodSpec(family=text)
     params = {"C": DEFAULT_C, "K": DEFAULT_K}
     raw = hit.group("params")
     if raw is not None:
@@ -390,23 +386,19 @@ def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
     return rows
 
 
-def run_sweep(grid: ExperimentGrid, *, threads: int = 1) -> NmseTable:
+def run_sweep(grid: ExperimentGrid) -> NmseTable:
     """Run the full grid and aggregate NMSE per (method, rank, snr) cell.
 
-    Cells execute independently (optionally on `threads` workers); rows are
-    sorted by (method, r, snr) before emission so the result is identical
-    for any thread count.
+    Cells run one after another, each from its own seeded draws; rows are
+    sorted by (method, r, snr) before emission.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ContractError(f"threads must be an integer >= 1, got {threads!r}")
-    cells = [(ri, si) for ri in range(len(grid.ranks)) for si in range(len(grid.snrs))]
     _warm_up(grid)
-    if threads == 1 or len(cells) == 1:
-        chunks = [_cell_rows(grid, ri, si) for ri, si in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            chunks = list(pool.map(lambda cell: _cell_rows(grid, *cell), cells))
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [
+        row
+        for ri in range(len(grid.ranks))
+        for si in range(len(grid.snrs))
+        for row in _cell_rows(grid, ri, si)
+    ]
     rows.sort(key=lambda row: (row.method, row.r, row.snr))
     return NmseTable(
         rows=tuple(rows), seed=grid.seed, n=grid.n, m=grid.m, trials=grid.trials
@@ -439,11 +431,7 @@ class SensitivityReport:
 
 
 def sensitivity_sweep(
-    base_grid: ExperimentGrid,
-    c_values=PAPER_C_VALUES,
-    k_values=PAPER_K_VALUES,
-    *,
-    threads: int = 1,
+    base_grid: ExperimentGrid, c_values=PAPER_C_VALUES, k_values=PAPER_K_VALUES
 ) -> SensitivityReport:
     """Sweep svlet over a (C, K) grid and report the rank-averaged argmin.
 
@@ -458,7 +446,7 @@ def sensitivity_sweep(
     methods = tuple(
         MethodSpec(family="svlet", C=c, K=k) for c in c_values for k in k_values
     )
-    table = run_sweep(replace(base_grid, methods=methods), threads=threads)
+    table = run_sweep(replace(base_grid, methods=methods))
     by_label = {}
     for row in table.rows:
         by_label.setdefault(row.method, []).append(row)

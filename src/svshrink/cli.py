@@ -279,9 +279,9 @@ def _run_job(args, run: str, grid: ExperimentGrid, path: Path, c_values, k_value
         write_timing_csv(path, timing_report(grid), grid.seed)
         return {}
     if run == "sweep":
-        run_sweep(grid, threads=args.threads).write_csv(path, include_timing=args.include_timing)
+        run_sweep(grid).write_csv(path, include_timing=args.include_timing)
         return {}
-    report = sensitivity_sweep(grid, c_values, k_values, threads=args.threads)
+    report = sensitivity_sweep(grid, c_values, k_values)
     report.table.write_csv(path, include_timing=args.include_timing)
     return {"best_C": report.best.C, "best_K": report.best.K, "best_nmse": report.best.mean_nmse}
 
@@ -305,12 +305,15 @@ def cmd_bench(args) -> int:
         jobs = [(config.run, config.grid(args.seed), config.out or f"{config.run}.csv")]
         c_values, k_values = config.c_values, config.k_values
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
     written = []
-    for run, grid, name in jobs:
-        summary.update(_run_job(args, run, grid, outdir / name, c_values, k_values))
-        written.append(str(outdir / name))
+    try:  # the directory and the CSVs are the only file-system writes here
+        outdir.mkdir(parents=True, exist_ok=True)
+        for run, grid, name in jobs:
+            summary.update(_run_job(args, run, grid, outdir / name, c_values, k_values))
+            written.append(str(outdir / name))
+    except OSError as exc:
+        raise ContractError(f"cannot write bench output: {exc}") from exc
     summary["written"] = written
     print(json.dumps(summary))
     return 0
@@ -378,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", help="flat key=value config file")
     ben.add_argument("--preset", choices=["paper"], help="run the documented 50x50 regime")
     ben.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-    ben.add_argument("--threads", type=int, default=1, help="worker threads over grid cells")
     ben.add_argument(
         "--trials", type=int, help=f"realizations per cell of --preset (default {DEFAULT_TRIALS})"
     )

@@ -13,8 +13,8 @@ Known values:
   a1 = 1 - n*m*sigma^2 / sum(y_i^2).
 - tune --family svst prints a `# best` line, a `lam,sure` header, and exactly
   100 data rows; the atn trace has 2000 rows (100 thresholds x 20 exponents).
-- bench sweep CSVs are byte-identical across reruns and thread counts once the
-  `# timestamp=` comment line is dropped.
+- bench sweep CSVs are byte-identical across reruns once the `# timestamp=`
+  comment line is dropped.
 """
 
 import json
@@ -104,6 +104,17 @@ class TestParserContract:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["denoise", path, "--sigma", "0.5", "--method", "bogus"])
         assert excinfo.value.code == 2
+
+    def test_bench_has_no_threads_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["bench", "--config", config, "--seed", "11", "--threads", "2",
+                 "--output-dir", str(tmp_path / "out")]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_tune_family(self, tmp_path, capsys):
         path = str(tmp_path / "obs.csv")
@@ -444,20 +455,28 @@ class TestBenchCommand:
         second = csv_without_timestamp(tmp_path / "b" / "sweep.csv")
         assert first == second
 
-    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
-        for name, threads in (("serial", "1"), ("pooled", "3")):
-            code, _, _ = run_cli(
-                [
-                    "bench", "--config", config, "--seed", "11",
-                    "--threads", threads, "--output-dir", str(tmp_path / name),
-                ],
-                capsys,
-            )
-            assert code == 0
-        serial = csv_without_timestamp(tmp_path / "serial" / "sweep.csv")
-        pooled = csv_without_timestamp(tmp_path / "pooled" / "sweep.csv")
-        assert serial == pooled
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        code, out, err = run_cli(
+            ["bench", "--config", config, "--seed", "11", "--output-dir", str(blocker)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write bench output:")
+        assert str(blocker) in err and out == ""
+
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
+        """`out` may not name a missing subdirectory; the sweep runs, the
+        write fails, and the failure is a contract error, not a traceback."""
+        config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG + "out = sub/x.csv\n")
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["bench", "--config", config, "--seed", "11", "--output-dir", str(outdir)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write bench output:")
+        assert str(outdir / "sub" / "x.csv") in err and out == ""
 
     def test_trials_flag_rejected_with_config(self, tmp_path, capsys):
         """A config run takes its realizations from the file's `trials` key;

@@ -1,5 +1,6 @@
-"""Import cost: scipy loads only when the logistic rule is evaluated, and
-the CSV formatter's tables are built only when a matrix is written.
+"""Import cost: scipy loads only when the logistic rule is evaluated, the
+CSV formatter's tables are built only when a matrix is written, and
+concurrent.futures never loads (the bench sweeps run serially).
 
 Importing scipy.special takes about 0.3 s and 25 MB, and only
 Svlt needs it (for scipy.special.expit).  Building the formatter's power and
@@ -39,10 +40,12 @@ def scipy_modules():
 
 seen = {}
 built = {}
+pool = {}
 import svshrink
 from svshrink import spectral
 seen["import"] = scipy_modules()
 built["import"] = spectral._format_tables.cache_info().currsize
+pool["import"] = "concurrent.futures" in sys.modules
 
 from svshrink import DenoiseProblem, Svlt, apply, cli, reconstruct, solve_svlet, svd, write_matrix
 rng = np.random.default_rng(3)
@@ -62,10 +65,11 @@ with tempfile.TemporaryDirectory() as tmp:
         code = cli.main(["denoise", path, "--sigma", "0.5", "--method", method, "--output", out])
         assert code == 0, (method, code)
         seen["cli " + method] = scipy_modules()
+        pool["cli " + method] = "concurrent.futures" in sys.modules
 
 apply(Svlt(p1=2.0, p2=3.0, p3=0.1), factors.S)
 seen["svlt"] = scipy_modules()
-print(json.dumps({"scipy": seen, "tables": built}), file=sys.stderr)
+print(json.dumps({"scipy": seen, "tables": built, "pool": pool}), file=sys.stderr)
 """
 
 
@@ -86,6 +90,14 @@ class TestScipyStaysUnloaded:
 
     def test_logistic_rule_loads_scipy_special(self, after_each_step):
         assert "scipy.special" in after_each_step["scipy"]["svlt"]
+
+
+class TestNoThreadPool:
+    """The bench sweeps run serially, so no step loads concurrent.futures."""
+
+    @pytest.mark.parametrize("step", ["import", "cli svlet", "cli opt-shrink", "cli svst"])
+    def test_concurrent_futures_not_loaded(self, after_each_step, step):
+        assert after_each_step["pool"][step] is False
 
 
 class TestFormatTablesBuiltOnWrite:
