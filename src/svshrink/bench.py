@@ -328,8 +328,8 @@ def _draw(grid: ExperimentGrid, r_idx: int, s_idx: int, trial: int) -> tuple:
 
 
 def _warm_up(grid: ExperimentGrid) -> None:
-    """Run each method once, untimed, on the grid's first problem, so lazy
-    setup work (the logistic rule's scipy import) lands in no timing."""
+    """Run each method once, untimed, on the grid's first problem, so
+    first-call costs such as cold caches land in no timing."""
     _, problem = _draw(grid, 0, 0, 0)
     for spec in grid.methods:
         try:

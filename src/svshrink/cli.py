@@ -309,6 +309,11 @@ def cmd_bench(args) -> int:
     written = []
     try:  # the directory and the CSVs are the only file-system writes here
         outdir.mkdir(parents=True, exist_ok=True)
+        # A job's CSV is written only after its sweep, so a missing directory
+        # must fail before the first job runs, not after it.
+        for _, _, name in jobs:
+            if not (outdir / name).parent.is_dir():
+                raise ContractError(f"cannot write bench output: no directory for {outdir / name}")
         for run, grid, name in jobs:
             summary.update(_run_job(args, run, grid, outdir / name, c_values, k_values))
             written.append(str(outdir / name))

@@ -25,10 +25,6 @@ import numpy as np
 
 from .errors import ContractError
 
-# scipy.special.expit, bound on the first logistic-rule evaluation: importing
-# scipy.special takes about 0.3 s and 25 MB, and no other rule needs it.
-_expit = None
-
 # Hard cap on the ATN exponent; beyond this the rule is indistinguishable
 # from a hard threshold at double precision anyway.
 GAMMA_MAX = 64.0
@@ -58,17 +54,19 @@ def dog_basis_deriv(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     return _dog_atoms(np.asarray(spectrum, dtype=float), K, T)[1]
 
 
-def _load_expit():
-    global _expit
-    from scipy.special import expit
-
-    _expit = expit
-    return expit
+def _expit(v: float) -> float:
+    # 1/(1+e^-v) through libm's exp, one value at a time, the bits of the
+    # usual expit; numpy's vectorised exp can differ in the last bit.
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
 
 
 def _logistic_weights(idx: np.ndarray, p1: float, p2: float) -> np.ndarray:
-    # expit(-z) = 1/(1+e^z), stable for p1*(i-p2) of either sign.
-    return (_expit or _load_expit())(-p1 * (idx - p2))
+    """Weights 1/(1+e^(p1*(i-p2))) of a 1-D index array, one libm exp each.
+    Python floats overflow to inf silently, and inf gives the exact weight."""
+    return np.array([_expit(-p1 * (i - p2)) for i in idx.tolist()])
 
 
 def _require(cond: bool, msg: str, *args) -> None:
@@ -196,15 +194,14 @@ class Svlt:
         _require(self.p3 >= 0.0, "p3 must be >= 0, got {}", self.p3)
 
     @staticmethod
-    def _formula(y: np.ndarray, idx: np.ndarray, p1: float, p2: float, p3) -> tuple:
-        """(eta, eta') on y; p3 broadcasts, while one (p1, p2) gives one
-        weight vector for all of them."""
-        w = _logistic_weights(idx, p1, p2)
+    def _formula(y: np.ndarray, w: np.ndarray, p3) -> tuple:
+        """(eta, eta') on y with weight row w; p3 broadcasts, so one (p1, p2)
+        scores a column of offsets."""
         tapered = y * w - p3
         return np.maximum(tapered, 0.0), np.where(tapered >= 0.0, w, 0.0)
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
-        return self._formula(y, idx, self.p1, self.p2, self.p3)
+        return self._formula(y, _logistic_weights(idx, self.p1, self.p2), self.p3)
 
 
 @dataclass(frozen=True, eq=False)

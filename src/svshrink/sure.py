@@ -36,6 +36,7 @@ from .shrinkage import (
     _check_rule,
     _dog_atoms,
     _expansion_order,
+    _logistic_weights,
     apply,
 )
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching
@@ -354,12 +355,17 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
 
     if name == "svlt":
         p1 = float(p1)
-        p2s = idx.tolist()
+        L = shape.L
         p3 = _upper_half_grid(float(s[0]), 50)
         # Every p2 and p3 is valid, so building the first candidate checks p1.
-        Svlt(p1=p1, p2=p2s[0], p3=float(p3[0]))
-        sures = np.concatenate([score(lambda c: Svlt._formula(s, idx, p1, p2, c), p3) for p2 in p2s])
-        params = [(p1, p2, offset) for p2 in p2s for offset in p3.tolist()]
+        Svlt(p1=p1, p2=1.0, p3=float(p3[0]))
+        # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
+        # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2].
+        table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
+        sures = np.concatenate([
+            score(lambda c: Svlt._formula(s, table[L - p2:2 * L - p2], c), p3) for p2 in range(1, L + 1)
+        ])
+        params = [(p1, p2, offset) for p2 in idx.tolist() for offset in p3.tolist()]
     else:
         thresholds = _upper_half_grid(float(s[0]), 100)
         if name == "svst":

@@ -265,8 +265,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("harness", [run_sweep, timing_report])
     def test_first_timed_call_follows_untimed_warm_up(self, monkeypatch, harness):
-        """Each method runs once before the first clock read, so lazy setup
-        work (the logistic rule's scipy import) is timed in no cell."""
+        """Each method runs once before the first clock read, so first-call
+        costs such as cold caches are timed in no cell."""
         events = []
 
         def stub(problem, factors, spec, true_rank):

@@ -466,9 +466,14 @@ class TestBenchCommand:
         assert err.startswith("error: cannot write bench output:")
         assert str(blocker) in err and out == ""
 
-    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
-        """`out` may not name a missing subdirectory; the sweep runs, the
-        write fails, and the failure is a contract error, not a traceback."""
+    def test_unwritable_out_path_exits_2(self, tmp_path, monkeypatch, capsys):
+        """`out` may not name a missing subdirectory; the failure is a
+        contract error, not a traceback, and comes before the sweep runs."""
+
+        def no_sweep(grid):
+            raise AssertionError("the sweep ran before its output path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG + "out = sub/x.csv\n")
         outdir = tmp_path / "out"
         code, out, err = run_cli(
