@@ -190,8 +190,7 @@ def asymptotic_denoise(problem: DenoiseProblem, factors: SvdFactors, variant: st
     rule (the optimal bulk shrinker, a hard threshold at 4/sqrt(3), or a
     soft threshold at the bulk edge 1 + sqrt(beta)), and rescaled.
     """
-    _check_matching(problem, factors)
-    shape = factors.shape
+    shape = _check_matching(problem, factors)
     ratio = AspectRatio.of(shape)
     if variant == OPTIMAL_SHRINK:
         rule = RmtOptimal(beta=ratio.beta)

@@ -7,7 +7,7 @@ Each rule's one `_eval(y, idx)` returns its formula and that formula's
 analytic d(eta)/dy at fixed index, (eta, eta'), which is what the risk
 engine scores; `apply` evaluates it on a whole spectrum and `derivative` at
 one point, both with the non-negativity clamp.  The grid-tuned families
-(Svst, Atn, Svlt) evaluate through one static `_formula` whose parameters
+(Svst, Atn, Svlt) evaluate through static formulas whose parameters
 broadcast, so the risk engine can score a column of candidate parameters as
 a batch of rows.
 
@@ -33,8 +33,8 @@ GAMMA_MAX = 64.0
 def _dog_atoms(y: np.ndarray, K: int, T: float) -> tuple:
     """dog_basis and dog_basis_deriv of a float spectrum, sharing one
     exponential."""
-    ysq = (y * y)[:, None] * np.arange(K, dtype=float)
-    decay = np.exp(-ysq / (2.0 * T * T))
+    ysq = np.multiply.outer(y * y, np.arange(K, dtype=float))
+    decay = np.exp(ysq / (-2.0 * T * T))
     return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay
 
 
@@ -160,19 +160,29 @@ class Atn:
         _require(1.0 <= self.gamma <= GAMMA_MAX, "gamma must lie in [1, {:g}], got {}", GAMMA_MAX, self.gamma)
 
     @staticmethod
-    def _formula(y: np.ndarray, tau, gamma: float) -> tuple:
-        """(eta, eta') on y; tau broadcasts.  gamma stays a scalar, which
-        keeps numpy's fast paths for ** 1.0 and ** 2.0."""
+    def _thresholded(y: np.ndarray, tau) -> tuple:
+        """(tau / y, y > tau, y >= tau): the part of the formula that does
+        not depend on gamma, so a grid forms it once for every gamma.  tau
+        broadcasts, so a column of thresholds gives one row per threshold."""
+        # Below tau the quotient may overflow, or be tau/0.
+        with np.errstate(divide="ignore", over="ignore"):
+            return tau / y, y > tau, y >= tau
+
+    @staticmethod
+    def _powered(y: np.ndarray, thresholded: tuple, gamma: float) -> tuple:
+        """(eta, eta') on y from _thresholded's triple.  gamma stays a
+        scalar, which keeps numpy's fast paths for ** 1.0 and ** 2.0."""
+        quotient, above, reached = thresholded
         # Below tau the ratio may overflow (or be tau/0), and gamma = 1 gives
         # 0 * inf there; the clamp discards every such entry.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = (tau / y) ** gamma
-            vals = np.where(y > tau, y * (1.0 - ratio), 0.0)
-            ders = np.where(y >= tau, 1.0 + (gamma - 1.0) * ratio, 0.0)
+            ratio = quotient ** gamma
+            vals = np.where(above, y * (1.0 - ratio), 0.0)
+            ders = np.where(reached, 1.0 + (gamma - 1.0) * ratio, 0.0)
         return vals, ders
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
-        return self._formula(y, self.tau, self.gamma)
+        return self._powered(y, self._thresholded(y, self.tau), self.gamma)
 
 
 @dataclass(frozen=True)
@@ -233,6 +243,16 @@ class Svlet:
             C = _finite_scalar(self.C, "C")
             _require(C > 0.0, "C must be > 0, got {}", C)
             object.__setattr__(self, "C", C)
+
+    @classmethod
+    def _solved(cls, K: int, T: float, a: np.ndarray, C: float) -> "Svlet":
+        """The rule of a solve that has checked K, T and C itself and
+        returns a float vector a of length K: only a's finiteness is left
+        to check."""
+        _require(all(map(math.isfinite, a.tolist())), "a contains non-finite entries")
+        rule = object.__new__(cls)
+        rule.__dict__.update(K=K, T=T, a=a, C=C)
+        return rule
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
         phi, phid = _dog_atoms(y, self.K, self.T)

