@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateSpectrumError, SolverFailureError
 from .shrinkage import (
@@ -353,9 +354,9 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     name = _family_name(family)
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
 
-    def batches(column: np.ndarray) -> list:
-        # column as batches of at most BATCH_ROWS rows, one candidate per row.
-        return [column[start:start + BATCH_ROWS, None] for start in range(0, column.shape[0], BATCH_ROWS)]
+    def batches(count: int) -> list:
+        # Slices of at most BATCH_ROWS candidates, one row of a batch each.
+        return [slice(start, start + BATCH_ROWS) for start in range(0, count, BATCH_ROWS)]
 
     def score(formula: tuple, row_dots: bool = False) -> np.ndarray:
         # SURE of each row of a batch's (eta, eta').
@@ -368,12 +369,15 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         # Every p2 and p3 is valid, so building the first candidate checks p1.
         Svlt(p1=p1, p2=1.0, p3=float(p3[0]))
         # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
-        # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2].
+        # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
+        # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run
+        # in full batches, and each batch gathers only its own weight rows.
         table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
+        weights = sliding_window_view(table, L)[::-1]
+        p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
         sures = np.concatenate([
-            score(Svlt._formula(s, table[L - p2:2 * L - p2], offsets))
-            for p2 in range(1, L + 1)
-            for offsets in batches(p3)
+            score(Svlt._formula(s, weights[p2_row[rows]], p3[p3_col[rows], None]))
+            for rows in batches(p2_row.shape[0])
         ])
         params = list(product([p1], idx.tolist(), p3.tolist()))
     else:
@@ -383,7 +387,9 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             # grid costs about what the closed-form svlet fit does at 50x50,
             # and criterion 10 of the acceptance suite checks that svlet is
             # the cheaper of the two (CHANGES.md has the measurements).
-            sures = np.concatenate([score(Svst._formula(s, tau), row_dots=True) for tau in batches(thresholds)])
+            sures = np.concatenate([
+                score(Svst._formula(s, thresholds[rows, None]), row_dots=True) for rows in batches(100)
+            ])
             params = list(product(thresholds.tolist()))
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
@@ -392,7 +398,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             gammas = [float(g) for g in range(1, 21)]
             sures = np.concatenate([
                 np.stack([score(Atn._powered(s, part, g)) for g in gammas], axis=1)
-                for part in (Atn._thresholded(s, tau) for tau in batches(thresholds))
+                for part in (Atn._thresholded(s, thresholds[rows, None]) for rows in batches(100))
             ]).ravel()
             params = list(product(thresholds.tolist(), gammas))
 
