@@ -33,8 +33,8 @@ GAMMA_MAX = 64.0
 def _dog_atoms(y: np.ndarray, K: int, T: float) -> tuple:
     """dog_basis and dog_basis_deriv of a float spectrum, sharing one
     exponential."""
-    ysq = np.multiply.outer(y * y, np.arange(K, dtype=float))
-    decay = np.exp(ysq / (-2.0 * T * T))
+    ysq = (y * y)[:, None] * np.arange(K, dtype=float)
+    decay = np.exp(-ysq / (2.0 * T * T))
     return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay
 
 

@@ -124,10 +124,10 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
                 f"(squared gap {gaps[k]:.3e} <= {tol:.3e}); the divergence formula "
                 "requires a simple spectrum"
             )
-    diff = np.subtract.outer(sq, sq)
-    diff.ravel()[::s.shape[0] + 1] = np.inf  # the diagonal, through a view
+    diff = sq[:, None] - sq[None, :]
+    np.fill_diagonal(diff, np.inf)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return s, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
+    return s, idx, (1.0 / diff).sum(axis=1)
 
 
 def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
@@ -228,31 +228,27 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
 
 
 def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
-    # K-by-K entries are checked faster as Python floats than by numpy calls.
+    # The K-by-K entries are checked as Python floats, which is faster than
+    # numpy calls on arrays this small.
     if not all(map(math.isfinite, M.ravel().tolist() + c.tolist())):
         raise SolverFailureError("normal system has non-finite entries; rescale Y and sigma together")
     sv = np.linalg.svd(M, compute_uv=False)
     top, low = float(sv[0]), float(sv[-1])
     cond = float("inf") if low <= 0.0 else top / low
     # An ill-conditioned system gets the ridge at once; a singular one that
-    # looked well-conditioned gets it as a retry.  The ridge is formed only
-    # then.
-    if math.isfinite(cond) and cond <= CONDITION_LIMIT:
+    # looked well-conditioned gets it as a retry.
+    ridged = RIDGE_FACTOR * float(M.trace()) / K
+    ridges = (ridged,) if not math.isfinite(cond) or cond > CONDITION_LIMIT else (0.0, ridged)
+    for ridge in ridges:
         try:
-            return _checked_solution(M, c, np.linalg.solve(M, c), cond, 0.0)
-        except np.linalg.LinAlgError:
-            pass
-    ridge = RIDGE_FACTOR * float(M.trace()) / K
-    try:
-        a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
-    except np.linalg.LinAlgError as failure:
+            a = np.linalg.solve(M + ridge * np.eye(K) if ridge else M, c)
+            break
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+    else:
         raise SolverFailureError(
             f"normal system is singular even with ridge {ridge:.3e}; try a smaller K"
         ) from failure
-    return _checked_solution(M, c, a, cond, ridge)
-
-
-def _checked_solution(M: np.ndarray, c: np.ndarray, a: np.ndarray, cond: float, ridge: float) -> tuple:
     # Both norms are sqrt(x . x), as np.linalg.norm forms them.  A solution
     # that overflowed leaves an inf or NaN residual, which fails the test
     # below.
@@ -388,7 +384,8 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             # and criterion 10 of the acceptance suite checks that svlet is
             # the cheaper of the two (CHANGES.md has the measurements).
             sures = np.concatenate([
-                score(Svst._formula(s, thresholds[rows, None]), row_dots=True) for rows in batches(100)
+                score(Svst._formula(s, thresholds[rows, None]), row_dots=True)
+                for rows in batches(thresholds.shape[0])
             ])
             params = list(product(thresholds.tolist()))
         else:
@@ -396,9 +393,9 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             # path as sure() does.  A batch of thresholds forms tau / y and
             # its masks once for all 20 gammas.
             gammas = [float(g) for g in range(1, 21)]
+            parts = [Atn._thresholded(s, thresholds[rows, None]) for rows in batches(thresholds.shape[0])]
             sures = np.concatenate([
-                np.stack([score(Atn._powered(s, part, g)) for g in gammas], axis=1)
-                for part in (Atn._thresholded(s, thresholds[rows, None]) for rows in batches(100))
+                np.stack([score(Atn._powered(s, part, g)) for g in gammas], axis=1) for part in parts
             ]).ravel()
             params = list(product(thresholds.tolist(), gammas))
 
