@@ -567,22 +567,23 @@ def timing_report(grid: ExperimentGrid):
     """Median end-to-end wall time per method (SVD included) over the grid.
 
     Unlike run_sweep, each timed run performs its own factorization, so the
-    numbers reflect what a caller of a single method would pay.  One
-    untimed warm-up run per method absorbs lazy setup work, and one untimed
-    SVD per trial takes the cold-cache cost that would otherwise fall on
-    whichever method is timed first after the previous trial's work.
+    numbers reflect what a caller of a single method would pay.  Each timed
+    run follows an untimed run of the same method on the same problem, so
+    it finds the caches as that method leaves them rather than as the draw
+    or the previous method did; otherwise the first method timed in a trial
+    pays extra and the order of the methods moves their medians.
     """
     samples = {spec.label: [] for spec in grid.methods}
-    _warm_up(grid)
     for r_idx, r in enumerate(grid.ranks):
         for s_idx in range(len(grid.snrs)):
             for trial in range(grid.trials):
                 _, problem = _draw(grid, r_idx, s_idx, trial)
-                svd(problem.Y)
                 for spec in grid.methods:
+                    run = METHOD_RUNNERS[spec.family]
+                    run(problem, svd(problem.Y), spec, r)
                     started = perf_counter()
                     factors = svd(problem.Y)
-                    METHOD_RUNNERS[spec.family](problem, factors, spec, r)
+                    run(problem, factors, spec, r)
                     samples[spec.label].append(perf_counter() - started)
     medians = {label: float(statistics.median(times)) for label, times in samples.items()}
     base = None

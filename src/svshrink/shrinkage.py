@@ -34,7 +34,8 @@ def _dog_atoms(y: np.ndarray, K: int, T: float) -> tuple:
     """dog_basis and dog_basis_deriv of a float spectrum, sharing one
     exponential."""
     ysq = (y * y)[:, None] * np.arange(K, dtype=float)
-    decay = np.exp(-ysq / (2.0 * T * T))
+    # Dividing by -2T^2 gives the bits of negating ysq / 2T^2, in one call.
+    decay = np.exp(ysq / (-2.0 * T * T))
     return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay
 
 
@@ -237,22 +238,14 @@ class Svlet:
         _require(self.T > 0.0, "T must be > 0, got {}", self.T)
         a = np.asarray(self.a, dtype=float)
         _require(a.ndim == 1 and a.shape[0] == self.K, "a must be a length-{} vector, got shape {}", self.K, a.shape)
-        _require(bool(np.isfinite(a).all()), "a contains non-finite entries")
+        # K is small, and Python's isfinite on its entries is cheaper than
+        # numpy calls on so few values.
+        _require(all(map(math.isfinite, a.tolist())), "a contains non-finite entries")
         object.__setattr__(self, "a", a)
         if self.C is not None:
             C = _finite_scalar(self.C, "C")
             _require(C > 0.0, "C must be > 0, got {}", C)
             object.__setattr__(self, "C", C)
-
-    @classmethod
-    def _solved(cls, K: int, T: float, a: np.ndarray, C: float) -> "Svlet":
-        """The rule of a solve that has checked K, T and C itself and
-        returns a float vector a of length K: only a's finiteness is left
-        to check."""
-        _require(all(map(math.isfinite, a.tolist())), "a contains non-finite entries")
-        rule = object.__new__(cls)
-        rule.__dict__.update(K=K, T=T, a=a, C=C)
-        return rule
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
         phi, phid = _dog_atoms(y, self.K, self.T)
@@ -305,7 +298,7 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
         raise ContractError("spectrum contains non-finite entries")
     if (s < 0.0).any():
         raise ContractError("spectrum contains negative entries")
-    if (s[1:] - s[:-1] > 0.0).any():
+    if (s[1:] > s[:-1]).any():
         raise ContractError("spectrum must be sorted in descending order")
     return s
 

@@ -145,32 +145,27 @@ def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
     return shape, s, idx, rowsums
 
 
-def _divergences(vals, ders, s, rowsums, shape: MatrixShape, row_dots: bool = False) -> np.ndarray:
+def _divergences(vals, ders, s, rowsums, shape: MatrixShape) -> np.ndarray:
     """Divergence array, one entry per row of a formula's values and
     derivatives on a checked spectrum (a scalar for a single 1-D row).
     Every row is reduced on its own, so a row gives the same bits alone as
-    in a batch, and row_dots gives the same bits as well."""
+    in a batch."""
     # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
     # and its gap term; forming w first would move SURE in the last bits.
     div = ders.sum(axis=-1)
     div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
-    weighted = s * vals
-    if row_dots:
-        # One np.dot call per row, for the svst grid alone (see tune_grid).
-        div += 2.0 * np.array([np.dot(row, rowsums) for row in weighted])
-    else:
-        # One matmul over the batch whose core is a (1, L) by (L, 1)
-        # product: each row still meets rowsums in a dot product of its own.
-        div += 2.0 * np.matmul(weighted[..., None, :], rowsums[:, None])[..., 0, 0]
+    # One matmul over the batch whose core is a (1, L) by (L, 1) product:
+    # each row still meets rowsums in a dot product of its own.
+    div += 2.0 * np.matmul((s * vals)[..., None, :], rowsums[:, None])[..., 0, 0]
     return div
 
 
-def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float, row_dots: bool = False) -> tuple:
+def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
     """(SURE, residual, divergence) arrays, one entry per row of a formula's
     values and derivatives on a checked spectrum (scalars for a single 1-D
     row); the one place the estimate is assembled."""
     resid = ((s - vals) ** 2).sum(axis=-1)
-    div = _divergences(vals, ders, s, rowsums, shape, row_dots)
+    div = _divergences(vals, ders, s, rowsums, shape)
     sigma2 = sigma * sigma
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
@@ -301,9 +296,9 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     shape = _check_matching(problem, factors)
     T = C * problem.sigma
     s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
-    # _fit_expansion validates K; the basis has K columns.
+    # _fit_expansion validates K.
     phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, shape.L)
-    rule = Svlet._solved(phi.shape[1], T, a, C)
+    rule = Svlet(K=K, T=T, a=a, C=C)
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(
         M=M,
@@ -354,9 +349,9 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         # Slices of at most BATCH_ROWS candidates, one row of a batch each.
         return [slice(start, start + BATCH_ROWS) for start in range(0, count, BATCH_ROWS)]
 
-    def score(formula: tuple, row_dots: bool = False) -> np.ndarray:
+    def score(formula: tuple) -> np.ndarray:
         # SURE of each row of a batch's (eta, eta').
-        return _scores(*formula, s, rowsums, shape, problem.sigma, row_dots)[0]
+        return _scores(*formula, s, rowsums, shape, problem.sigma)[0]
 
     if name == "svlt":
         p1 = float(p1)
@@ -379,13 +374,8 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     else:
         thresholds = _upper_half_grid(float(s[0]), 100)
         if name == "svst":
-            # One np.dot call per row here.  With the batched product this
-            # grid costs about what the closed-form svlet fit does at 50x50,
-            # and criterion 10 of the acceptance suite checks that svlet is
-            # the cheaper of the two (CHANGES.md has the measurements).
             sures = np.concatenate([
-                score(Svst._formula(s, thresholds[rows, None]), row_dots=True)
-                for rows in batches(thresholds.shape[0])
+                score(Svst._formula(s, thresholds[rows, None])) for rows in batches(thresholds.shape[0])
             ])
             params = list(product(thresholds.tolist()))
         else:

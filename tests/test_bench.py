@@ -281,7 +281,11 @@ class TestRunSweep:
         monkeypatch.setattr(bench, "perf_counter", clock)
         harness(small_grid(methods=("svlet(C=10,K=2)",), trials=1))
         assert events[:4] == ["run", "clock", "run", "clock"]
-        assert events.count("run") == 1 + 2 * 2
+        if harness is run_sweep:
+            assert events.count("run") == 1 + 2 * 2
+        else:
+            # Every timed run of the 2 x 2 cells follows an untimed one.
+            assert events == ["run", "clock", "run", "clock"] * (2 * 2)
 
     def test_stderr_zero_for_single_trial(self):
         table = run_sweep(small_grid(trials=1))

@@ -176,7 +176,6 @@ class TestBatchedDivergence:
         reference = row_dot_divergences(vals, ders, s, rowsums, shape)
         assert batched.shape == (rows,)
         assert batched.tobytes() == reference.tobytes()
-        assert _divergences(vals, ders, s, rowsums, shape, row_dots=True).tobytes() == reference.tobytes()
         # A row scored alone, as sure() scores one rule, gives the bits it
         # has in the batch.
         for k in range(rows):
