@@ -36,6 +36,9 @@ from .sure import _fit_expansion, _spectral_pieces, solve_svlet, sure, tune_grid
 DEFAULT_C = 10.0
 DEFAULT_K = 2
 DEFAULT_TRIALS = 10
+# timing_report times each method this many times per trial and keeps the
+# fastest run: other work on the machine only ever adds time.
+TIMED_RUNS = 3
 
 PAPER_C_VALUES = tuple(float(c) for c in range(1, 21))
 PAPER_K_VALUES = (1, 2, 3, 4, 5)
@@ -567,11 +570,12 @@ def timing_report(grid: ExperimentGrid):
     """Median end-to-end wall time per method (SVD included) over the grid.
 
     Unlike run_sweep, each timed run performs its own factorization, so the
-    numbers reflect what a caller of a single method would pay.  Each timed
-    run follows an untimed run of the same method on the same problem, so
-    it finds the caches as that method leaves them rather than as the draw
-    or the previous method did; otherwise the first method timed in a trial
-    pays extra and the order of the methods moves their medians.
+    numbers reflect what a caller of a single method would pay.  Each
+    method runs untimed on a trial's problem right before it is timed on
+    that problem, so it finds the caches as it leaves them rather than as
+    the draw or the previous method did; otherwise the first method timed
+    in a trial pays extra and the order of the methods moves their medians.
+    A trial's time for a method is the fastest of TIMED_RUNS runs.
     """
     samples = {spec.label: [] for spec in grid.methods}
     for r_idx, r in enumerate(grid.ranks):
@@ -581,10 +585,13 @@ def timing_report(grid: ExperimentGrid):
                 for spec in grid.methods:
                     run = METHOD_RUNNERS[spec.family]
                     run(problem, svd(problem.Y), spec, r)
-                    started = perf_counter()
-                    factors = svd(problem.Y)
-                    run(problem, factors, spec, r)
-                    samples[spec.label].append(perf_counter() - started)
+                    times = []
+                    for _ in range(TIMED_RUNS):
+                        started = perf_counter()
+                        factors = svd(problem.Y)
+                        run(problem, factors, spec, r)
+                        times.append(perf_counter() - started)
+                    samples[spec.label].append(min(times))
     medians = {label: float(statistics.median(times)) for label, times in samples.items()}
     base = None
     for spec in grid.methods:

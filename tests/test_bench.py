@@ -284,8 +284,10 @@ class TestRunSweep:
         if harness is run_sweep:
             assert events.count("run") == 1 + 2 * 2
         else:
-            # Every timed run of the 2 x 2 cells follows an untimed one.
-            assert events == ["run", "clock", "run", "clock"] * (2 * 2)
+            # In each of the 2 x 2 cells an untimed run comes before the
+            # timed runs.
+            timed = ["clock", "run", "clock"] * bench.TIMED_RUNS
+            assert events == (["run"] + timed) * (2 * 2)
 
     def test_stderr_zero_for_single_trial(self):
         table = run_sweep(small_grid(trials=1))
