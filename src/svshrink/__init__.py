@@ -25,23 +25,18 @@ from .bench import (
     DEFAULT_TRIALS,
     PAPER_C_VALUES,
     PAPER_K_VALUES,
-    AsymptoticCheck,
     ExperimentGrid,
     MethodSpec,
     NmseRow,
     NmseTable,
     SensitivityReport,
-    SureCheck,
     TimingRow,
     generate_problem,
-    nmse,
     paper_preset,
     parse_method,
     run_sweep,
     sensitivity_sweep,
-    sure_unbiasedness,
     timing_report,
-    verify_asymptotic_optimality,
 )
 from .errors import (
     ContractError,
@@ -123,7 +118,6 @@ __all__ = [
     "SVHT_COEFF",
     "Atn",
     "AspectRatio",
-    "AsymptoticCheck",
     "ContractError",
     "DegenerateSpectrumError",
     "DenoiseProblem",
@@ -142,7 +136,6 @@ __all__ = [
     "SensitivityReport",
     "ShrinkageRule",
     "SolverFailureError",
-    "SureCheck",
     "SureReport",
     "SvdFactors",
     "Svht",
@@ -164,7 +157,6 @@ __all__ = [
     "eym_truncate",
     "generate_problem",
     "ks_distance",
-    "nmse",
     "overlap_u",
     "overlap_v",
     "paper_preset",
@@ -178,12 +170,10 @@ __all__ = [
     "solve_svlet",
     "spike_location",
     "sure",
-    "sure_unbiasedness",
     "svd",
     "svlet_clamp_gap",
     "timing_report",
     "tune_grid",
-    "verify_asymptotic_optimality",
     "verify_laws",
     "write_matrix",
 ]

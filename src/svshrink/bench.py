@@ -1,8 +1,10 @@
 """Reproducible NMSE benchmark harness.
 
-Every function here is a pure function of its arguments: random number
-streams are derived per (seed, cell index, trial index) with SeedSequence,
-so tables come out identical across runs and platforms for the same build.
+Random number streams are derived per (seed, cell index, trial index)
+with SeedSequence, so a table's NMSE values come out identical across runs
+and platforms for the same build.  Only the clock readings differ from run
+to run: timing_report's medians, each row's median_time_s, and the CSV
+timestamp.
 Method failures inside a sweep are downgraded to error rows instead of
 aborting, so a long grid survives isolated degenerate cells.
 """
@@ -20,18 +22,11 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ContractError
-from .rmt import (
-    OPTIMAL_SHRINK,
-    SVHT_4SQRT3,
-    SVST_BULK,
-    AspectRatio,
-    calibration_scale,
-    estimate_rank,
-)
+from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
 from .rmt import asymptotic_denoise as _asymptotic_denoise
-from .shrinkage import RmtOptimal, _expansion_order, apply, dog_basis
+from .shrinkage import _expansion_order, apply
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct, svd, truncated_spectrum
-from .sure import _fit_expansion, _spectral_pieces, solve_svlet, sure, tune_grid
+from .sure import solve_svlet, tune_grid
 
 DEFAULT_C = 10.0
 DEFAULT_K = 2
@@ -182,23 +177,6 @@ def generate_problem(n: int, m: int, r: int, snr: float, rng) -> tuple:
     sigma = float(np.linalg.norm(X) / np.sqrt(snr * shape.n * shape.m))
     Y = X + sigma * rng.standard_normal((shape.n, shape.m))
     return X, DenoiseProblem(Y=Y, sigma=sigma)
-
-
-def nmse(estimates, truths) -> float:
-    """Trial-averaged ||Xhat - X||_F^2 / ||X||_F^2."""
-    if len(estimates) == 0 or len(estimates) != len(truths):
-        raise ContractError("estimates and truths must be equal-length non-empty lists")
-    total = 0.0
-    for Xhat, X in zip(estimates, truths):
-        Xhat = np.asarray(Xhat, dtype=float)
-        X = np.asarray(X, dtype=float)
-        if Xhat.shape != X.shape:
-            raise ContractError(f"shape mismatch: {Xhat.shape} vs {X.shape}")
-        denom = float(np.sum(X * X))
-        if denom == 0.0:
-            raise ContractError("truth matrix is identically zero")
-        total += float(np.sum((Xhat - X) ** 2)) / denom
-    return total / len(estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -469,93 +447,6 @@ def sensitivity_sweep(
 
 
 # ---------------------------------------------------------------------------
-# asymptotic optimality check
-
-
-@dataclass(frozen=True)
-class AsymptoticCheck:
-    """Per matrix size: fitted-expansion vs closed-form shrinker deviation.
-
-    mean_deviation averages, over the seeds where spikes were detected, the
-    worst relative deviation across detected spikes; skipped counts seeds
-    with no detected spike.
-    """
-
-    n: int
-    m: int
-    mean_deviation: float
-    per_seed: tuple
-    detected_ranks: tuple
-    skipped: int
-
-
-def verify_asymptotic_optimality(
-    n_values, r: int, beta: float, seed: int, *, spikes=None, n_seeds: int = 5
-):
-    """Check that the fitted expansion converges to the optimal bulk shrinker.
-
-    For each n: draw a calibrated spiked model (orthonormal factors, noise
-    standard deviation 1/sqrt(m)), estimate the spike count r*, fit the
-    expansion on exactly the top r* singular values (K = r*, T = their
-    mean, cross-sums still over the full spectrum), and measure the
-    relative gap to the closed-form optimal shrinker at those values.
-    """
-    ratio = AspectRatio(beta)
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ContractError(f"r must be an integer >= 1, got {r!r}")
-    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
-        raise ContractError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
-    if spikes is None:
-        spikes = np.linspace(2.0, 4.0, int(r))
-    spikes = np.sort(np.asarray(spikes, dtype=float))[::-1]
-    if spikes.shape != (int(r),) or np.any(~np.isfinite(spikes)) or np.any(spikes <= 0.0):
-        raise ContractError("spikes must be r finite positive strengths")
-    n_values = tuple(int(n) for n in n_values)
-    rule = RmtOptimal(beta=ratio.beta)
-    checks = []
-    for n in n_values:
-        if n < 2 * r:
-            raise ContractError(f"n={n} too small for r={r} spikes")
-        m = int(round(n / ratio.beta))
-        shape = MatrixShape(n, m)
-        sigma = 1.0 / np.sqrt(m)
-        scale = calibration_scale(shape, sigma)
-        devs = []
-        detected = []
-        skipped = 0
-        for s in range(int(n_seeds)):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), n, s]))
-            U0 = np.linalg.qr(rng.standard_normal((n, int(r))))[0]
-            V0 = np.linalg.qr(rng.standard_normal((m, int(r))))[0]
-            Y = (U0 * spikes) @ V0.T + sigma * rng.standard_normal((n, m))
-            spectrum = np.linalg.svd(Y, compute_uv=False)
-            r_star = estimate_rank(spectrum, shape, sigma).r_star
-            detected.append(r_star)
-            if r_star == 0:
-                skipped += 1
-                continue
-            T = float(np.mean(spectrum[:r_star]))
-            s, _, rowsums = _spectral_pieces(spectrum, shape)
-            a = _fit_expansion(s, rowsums, shape, sigma, r_star, T, r_star)[4]
-            fitted = dog_basis(spectrum[:r_star], r_star, T) @ a
-            target = scale * apply(rule, spectrum / scale)[:r_star]
-            compare = min(r_star, int(r))  # extra near-edge detections are fit, not scored
-            gaps = np.abs(fitted[:compare] - target[:compare]) / target[:compare]
-            devs.append(float(np.max(gaps)))
-        if not devs:
-            mean_dev = float("nan")
-        else:
-            mean_dev = float(np.mean(devs))
-        checks.append(
-            AsymptoticCheck(
-                n=n, m=m, mean_deviation=mean_dev, per_seed=tuple(devs),
-                detected_ranks=tuple(detected), skipped=skipped,
-            )
-        )
-    return tuple(checks)
-
-
-# ---------------------------------------------------------------------------
 # timing
 
 
@@ -617,60 +508,6 @@ def write_timing_csv(path, rows, seed: int) -> None:
         for row in rows:
             ratio = "" if row.ratio_vs_svlet is None else repr(float(row.ratio_vs_svlet))
             writer.writerow([row.method, repr(float(row.median_seconds)), ratio])
-
-
-# ---------------------------------------------------------------------------
-# SURE unbiasedness harness
-
-
-@dataclass(frozen=True)
-class SureCheck:
-    rule_label: str
-    mean_sure: float
-    mean_loss: float
-    gap: float
-    combined_stderr: float
-    passed: bool
-
-
-def sure_unbiasedness(configs, draws: int, seed: int):
-    """Monte Carlo check that mean SURE tracks mean squared loss.
-
-    Each config is (X, sigma, rule) with X held fixed; `draws` independent
-    noise realizations are used for both averages (paired).  A config
-    passes when |mean SURE - mean loss| <= 3 combined standard errors.
-    """
-    if not isinstance(draws, (int, np.integer)) or draws < 2:
-        raise ContractError(f"draws must be an integer >= 2, got {draws!r}")
-    configs = list(configs)
-    if not configs:
-        raise ContractError("configs must be non-empty")
-    checks = []
-    for idx, (X, sigma, rule) in enumerate(configs):
-        X = np.asarray(X, dtype=float)
-        sures = np.empty(draws)
-        losses = np.empty(draws)
-        for d in range(int(draws)):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx, d]))
-            problem = DenoiseProblem(Y=X + float(sigma) * rng.standard_normal(X.shape), sigma=float(sigma))
-            factors = svd(problem.Y)
-            report = sure(problem, factors, rule)
-            Xhat = reconstruct(factors, apply(rule, factors.S))
-            sures[d] = report.sure
-            losses[d] = float(np.sum((Xhat - X) ** 2))
-        gap = float(np.mean(sures) - np.mean(losses))
-        combined = float(np.sqrt(np.var(sures, ddof=1) / draws + np.var(losses, ddof=1) / draws))
-        checks.append(
-            SureCheck(
-                rule_label=type(rule).__name__,
-                mean_sure=float(np.mean(sures)),
-                mean_loss=float(np.mean(losses)),
-                gap=gap,
-                combined_stderr=combined,
-                passed=bool(abs(gap) <= 3.0 * combined),
-            )
-        )
-    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,13 @@ def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarr
     return a, cond, ridge
 
 
-def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: float, rows: int) -> tuple:
-    """Assemble and solve the K-by-K normal system for the expansion on a
-    checked spectrum, returning (phi, phid, M, c, a, condition_estimate,
-    ridge_used) with phi, phid the basis and its derivatives.  Only the
-    leading `rows` singular values enter the quadratic fit; the pairwise
-    gap sums inside the right-hand side still run over the whole spectrum.
+def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: float) -> tuple:
+    """Assemble and solve the K-by-K normal system for the expansion on
+    singular values s with their pairwise gap sums, returning (phi, phid,
+    M, c, a, condition_estimate, ridge_used) with phi, phid the basis and
+    its derivatives.  To fit only the leading values of a checked spectrum,
+    pass those values and their gap sums, still summed over the whole
+    spectrum.
     """
     K = _expansion_order(K)
     if not math.isfinite(T) or T <= 0.0:
@@ -275,10 +276,9 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     with np.errstate(over="ignore", invalid="ignore"):
         g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
         phi, phid = _dog_atoms(s, K, float(T))
-        phi_fit = phi[:rows]
-        M = phi_fit.T @ phi_fit
+        M = phi.T @ phi
         M = 0.5 * (M + M.T)
-        c = phi_fit.T @ g[:rows] - sigma2 * phid[:rows].sum(axis=0)
+        c = phi.T @ g - sigma2 * phid.sum(axis=0)
     a, cond, ridge = _solve_normal_system(M, c, K)
     return phi, phid, M, c, a, cond, ridge
 
@@ -297,7 +297,7 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     T = C * problem.sigma
     s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
     # _fit_expansion validates K.
-    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T, shape.L)
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T)
     rule = Svlet(K=K, T=T, a=a, C=C)
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(

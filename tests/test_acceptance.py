@@ -49,14 +49,14 @@ from svshrink import (
     sensitivity_sweep,
     solve_svlet,
     sure,
-    sure_unbiasedness,
     svd,
     timing_report,
     tune_grid,
-    verify_asymptotic_optimality,
     verify_laws,
 )
 from svshrink import cli
+
+from montecarlo import sure_unbiasedness, verify_asymptotic_optimality
 
 SEED = 20260818
 

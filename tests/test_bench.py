@@ -21,17 +21,16 @@ from svshrink import (
     MethodSpec,
     eym_truncate,
     generate_problem,
-    nmse,
     parse_method,
     paper_preset,
     run_sweep,
     sensitivity_sweep,
-    sure_unbiasedness,
     timing_report,
-    verify_asymptotic_optimality,
 )
 from svshrink import bench
 from svshrink.shrinkage import Identity, Svst
+
+from montecarlo import sure_unbiasedness, verify_asymptotic_optimality
 
 
 def value_fields(rows):
@@ -103,36 +102,6 @@ class TestGenerateProblem:
             generate_problem(5, 5, 6, 1.0, rng)
         with pytest.raises(ContractError):
             generate_problem(5, 5, 2, 0.0, rng)
-
-
-class TestNmse:
-    """Trial-averaged relative squared error."""
-
-    def test_perfect_estimates(self):
-        X = np.ones((3, 3))
-        assert nmse([X, X], [X, X]) == 0.0
-
-    def test_zero_estimates(self):
-        X = np.full((4, 2), 2.0)
-        assert nmse([np.zeros_like(X)], [X]) == 1.0
-
-    def test_averages_per_trial_ratios(self):
-        """Per-trial ratios 0.2 and 0.4 average to 0.3."""
-        X = np.eye(5)
-        e1 = X * (1.0 - np.sqrt(0.2))  # ||e1 - X||^2/||X||^2 = 0.2
-        e2 = X * (1.0 - np.sqrt(0.4))
-        np.testing.assert_allclose(nmse([e1, e2], [X, X]), 0.3, rtol=1e-12)
-
-    def test_rejects_empty_and_mismatched(self):
-        X = np.ones((2, 2))
-        with pytest.raises(ContractError):
-            nmse([], [])
-        with pytest.raises(ContractError):
-            nmse([X], [X, X])
-        with pytest.raises(ContractError):
-            nmse([np.ones((2, 3))], [X])
-        with pytest.raises(ContractError):
-            nmse([X], [np.zeros((2, 2))])
 
 
 class TestMethodSpec:

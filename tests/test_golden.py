@@ -9,6 +9,10 @@ or the sensitivity CSV plus the printed JSON summary.
 One case pins `solve_svlet` alone on a seeded corpus of 200 problems: the
 bytes of every coefficient vector, normal system, conditioning diagnostic
 and SURE report, so a leaner solve must reproduce every bit of them.
+Two cases pin the Monte Carlo harnesses of criteria 3 and 7: every float
+of `sure_unbiasedness` on two paired configurations, and every field of
+`verify_asymptotic_optimality` on two small sizes, whose fits run on the
+r* < L leading singular values only.
 One more case pins `write_matrix` alone on a seeded array whose magnitudes
 span 1e-300..1e300 with both signs and signed zeros, so both `%g` notations,
 the zeros, and the exact ties the fast formatter hands back to `%.17g` are
@@ -27,8 +31,10 @@ import json
 import numpy as np
 import pytest
 
-from svshrink import cli, solve_svlet, svd, write_matrix
+from svshrink import Identity, Svst, cli, solve_svlet, svd, write_matrix
 from svshrink.bench import generate_problem
+
+from montecarlo import sure_unbiasedness, verify_asymptotic_optimality
 
 SIGMA = "0.5"
 
@@ -79,6 +85,8 @@ EXPECTED = {
     "bench-sensitivity": "a60c27475b5eea1cf54e111b4db7675c2ae67ce9120c17c242c3784708f98c7b",
     "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
     "solve-svlet-corpus": "fd57373641e8fc4a89703b8b94ad0aaa79229b5944ac718b03a340b4eed75cc9",
+    "sure-unbiasedness": "51d6612ced45af1cd14698935c5d8f42056cc29253d1eccfafd605e793953608",
+    "asymptotic-optimality": "a6ea181d1f8140a3ff7a378e1d32e4db37852998ba6346deba057d6e0eabcf8f",
 }
 
 SVLET_SHAPES = ((50, 50), (30, 20), (20, 30), (100, 40), (9, 5))
@@ -203,3 +211,22 @@ def test_solve_svlet_corpus_bytes():
         ridged += solved.ridge_used > 0.0
     assert ridged > 0
     assert _digest(*parts) == EXPECTED["solve-svlet-corpus"]
+
+
+def test_sure_unbiasedness_bytes():
+    rng = np.random.default_rng(79)
+    X = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
+    checks = sure_unbiasedness([(X, 0.5, Identity()), (X, 0.5, Svst(1.0))], draws=120, seed=80)
+    parts = [np.array([c.mean_sure, c.mean_loss, c.gap, c.combined_stderr]).tobytes() for c in checks]
+    assert _digest(*parts) == EXPECTED["sure-unbiasedness"]
+
+
+def test_asymptotic_optimality_bytes():
+    checks = verify_asymptotic_optimality((80, 120), 2, 1.0, 77, n_seeds=2)
+    parts = []
+    for c in checks:
+        parts += [
+            np.array([c.mean_deviation, *c.per_seed]).tobytes(),
+            np.array([c.n, c.m, c.skipped, *c.detected_ranks]).tobytes(),
+        ]
+    assert _digest(*parts) == EXPECTED["asymptotic-optimality"]

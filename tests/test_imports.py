@@ -173,6 +173,8 @@ class TestPublicNames:
         [
             "GridSpec", "SvletBasis", "solve_expansion", "deterministic_jitter",
             "validate_factors", "ORTHONORMALITY_TOL", "RECONSTRUCTION_TOL",
+            "sure_unbiasedness", "SureCheck", "verify_asymptotic_optimality",
+            "AsymptoticCheck", "nmse",
         ],
     )
     def test_removed_names_are_gone(self, name):

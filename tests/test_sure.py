@@ -383,15 +383,16 @@ class TestSolveSvlet:
             _solve_normal_system(np.zeros((2, 2)), c, 2)
 
     def test_fit_count_restricts_rows(self):
-        """With row count t only the top-t values enter the Gram matrix."""
+        """Fitting the top-t values and their gap sums puts only those
+        values in the Gram matrix."""
         from svshrink.sure import _fit_expansion, _spectral_pieces
 
         rng = np.random.default_rng(46)
         problem, factors = random_problem(rng, 12, 12, sigma=0.5)
         shape = factors.shape
         s, _, rowsums = _spectral_pieces(factors.S, shape)
-        M_full = _fit_expansion(s, rowsums, shape, 0.5, 2, 5.0, 12)[2]
-        M_top = _fit_expansion(s, rowsums, shape, 0.5, 2, 5.0, 3)[2]
+        M_full = _fit_expansion(s[:12], rowsums[:12], shape, 0.5, 2, 5.0)[2]
+        M_top = _fit_expansion(s[:3], rowsums[:3], shape, 0.5, 2, 5.0)[2]
         phi = dog_basis(factors.S, 2, 5.0)
         np.testing.assert_allclose(M_top, phi[:3].T @ phi[:3], rtol=1e-12)
         assert not np.allclose(M_full, M_top)
