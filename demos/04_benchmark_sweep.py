@@ -6,7 +6,7 @@ grid cell and ranks the methods; the same table can be written as a CSV via
 `svshrink bench` for larger runs.
 """
 
-from svshrink import ExperimentGrid, parse_method, run_sweep
+from svshrink.bench import ExperimentGrid, parse_method, run_sweep
 
 SEED = 11
 METHODS = ("svlet(C=10,K=2)", "svst-sure", "svht-4sqrt3", "opt-shrink", "eym-oracle")

@@ -6,7 +6,7 @@ surface is flat near the defaults, so (C=10, K=2) is a safe choice rather
 than a delicate one.
 """
 
-from svshrink import ExperimentGrid, parse_method, sensitivity_sweep
+from svshrink.bench import ExperimentGrid, parse_method, sensitivity_sweep
 
 SEED = 11
 C_VALUES = (2.0, 5.0, 10.0, 15.0, 20.0)

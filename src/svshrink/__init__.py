@@ -4,8 +4,8 @@ Estimate a low-rank (or any-rank) signal matrix X from Y = X + sigma * G by
 keeping the singular vectors of Y and shrinking its singular values.  The
 headline estimator solves a small linear system for the risk-optimal
 coefficients of a smooth shrinkage expansion; classical thresholding rules,
-their SURE grid searches, calibrated asymptotic shrinkers, and a
-reproducible benchmark harness ride along.
+their SURE grid searches and calibrated asymptotic shrinkers ride along.
+The benchmark harness is the separate module `svshrink.bench`.
 
 >>> import numpy as np, svshrink
 >>> rng = np.random.default_rng(7)
@@ -19,25 +19,6 @@ True
 """
 
 from ._version import __version__
-from .bench import (
-    DEFAULT_C,
-    DEFAULT_K,
-    DEFAULT_TRIALS,
-    PAPER_C_VALUES,
-    PAPER_K_VALUES,
-    ExperimentGrid,
-    MethodSpec,
-    NmseRow,
-    NmseTable,
-    SensitivityReport,
-    TimingRow,
-    generate_problem,
-    paper_preset,
-    parse_method,
-    run_sweep,
-    sensitivity_sweep,
-    timing_report,
-)
 from .errors import (
     ContractError,
     DegenerateSpectrumError,
@@ -106,34 +87,24 @@ from .sure import (
 __all__ = [
     "__version__",
     "ASYMPTOTIC_VARIANTS",
-    "DEFAULT_C",
-    "DEFAULT_K",
-    "DEFAULT_TRIALS",
     "GAMMA_MAX",
     "OPTIMAL_SHRINK",
     "GAP_TOL_FACTOR",
     "IO_ROUNDTRIP_TOL",
-    "PAPER_C_VALUES",
-    "PAPER_K_VALUES",
     "SVHT_COEFF",
     "Atn",
     "AspectRatio",
     "ContractError",
     "DegenerateSpectrumError",
     "DenoiseProblem",
-    "ExperimentGrid",
     "FactorizationError",
     "Identity",
     "LawCheck",
     "MatrixParseError",
     "MatrixShape",
-    "MethodSpec",
-    "NmseRow",
-    "NmseTable",
     "NumericalError",
     "RankEstimate",
     "RmtOptimal",
-    "SensitivityReport",
     "ShrinkageRule",
     "SolverFailureError",
     "SureReport",
@@ -144,7 +115,6 @@ __all__ = [
     "Svlt",
     "Svst",
     "SvshrinkError",
-    "TimingRow",
     "Zero",
     "apply",
     "asymptotic_denoise",
@@ -155,24 +125,18 @@ __all__ = [
     "dog_basis_deriv",
     "estimate_rank",
     "eym_truncate",
-    "generate_problem",
     "ks_distance",
     "overlap_u",
     "overlap_v",
-    "paper_preset",
-    "parse_method",
     "quarter_circle_cdf",
     "quarter_circle_pdf",
     "read_matrix",
     "reconstruct",
-    "run_sweep",
-    "sensitivity_sweep",
     "solve_svlet",
     "spike_location",
     "sure",
     "svd",
     "svlet_clamp_gap",
-    "timing_report",
     "tune_grid",
     "verify_laws",
     "write_matrix",

@@ -270,15 +270,19 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     checks.append(_check("bulk-edge", float(w[0]), ratio.edge_high, 0.1, "abs"))
     checks.append(_check("quarter-circle-ks", ks_distance(w, ratio), 0.0, 0.05, "abs"))
 
+    def spiked(stream: list, x: float) -> tuple:
+        # Unit u and Y = x u v^T + noise / sqrt(m), drawn from one seed stream.
+        rng = np.random.default_rng(np.random.SeedSequence(stream))
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        v = rng.standard_normal(m)
+        v /= np.linalg.norm(v)
+        return u, x * np.outer(u, v) + rng.standard_normal((n, m)) / root_m
+
     for x in (1.5, 2.0, 3.0):
         tops = []
         for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1, int(10 * x), t]))
-            u = rng.standard_normal(n)
-            u /= np.linalg.norm(u)
-            v = rng.standard_normal(m)
-            v /= np.linalg.norm(v)
-            Y = x * np.outer(u, v) + rng.standard_normal((n, m)) / root_m
+            _, Y = spiked([int(seed), 1, int(10 * x), t], x)
             tops.append(np.linalg.svd(Y, compute_uv=False)[0])
         checks.append(
             _check(f"spike-location-x{x:g}", float(np.mean(tops)), float(spike_location(x, ratio)), 0.05, "rel")
@@ -287,12 +291,7 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     x = 2.0
     overlaps = []
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2, t]))
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(m)
-        v /= np.linalg.norm(v)
-        Y = x * np.outer(u, v) + rng.standard_normal((n, m)) / root_m
+        u, Y = spiked([int(seed), 2, t], x)
         U, _, _ = np.linalg.svd(Y, full_matrices=False)
         overlaps.append(abs(float(u @ U[:, 0])))
     checks.append(_check("overlap-u-x2", float(np.mean(overlaps)), float(overlap_u(x, ratio)), 0.05, "abs"))

@@ -51,7 +51,8 @@ RIDGE_FACTOR = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-8
 # svlt steepness p1 when none is given (the grid holds it fixed).
 SVLT_P1 = 100.0
-# Grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
+# svlt grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
+# svlt's L * 50 rows are the only grid whose row count grows with L.
 BATCH_ROWS = 100
 
 
@@ -336,18 +337,14 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
       svlt: steepness p1 held fixed, integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
-    Candidates are scored in batches, one row of formula values per
-    candidate, with the same bits as sure() of each candidate's rule; only
-    the winner is built as a rule.  Ties are broken toward the
-    lexicographically smallest parameter tuple; the winning report is
-    returned with the full (params, sure) trace.
+    Candidates are scored as rows of formula values, one row per candidate
+    (svlt's in batches of BATCH_ROWS), with the same bits as sure() of each
+    candidate's rule; only the winner is built as a rule.  Ties are broken
+    toward the lexicographically smallest parameter tuple; the winning
+    report is returned with the full (params, sure) trace.
     """
     name = _family_name(family)
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
-
-    def batches(count: int) -> list:
-        # Slices of at most BATCH_ROWS candidates, one row of a batch each.
-        return [slice(start, start + BATCH_ROWS) for start in range(0, count, BATCH_ROWS)]
 
     def score(formula: tuple) -> np.ndarray:
         # SURE of each row of a batch's (eta, eta').
@@ -362,31 +359,27 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
         # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
         # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run
-        # in full batches, and each batch gathers only its own weight rows.
+        # in batches of BATCH_ROWS, and each batch gathers only its own weight rows.
         table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
         weights = sliding_window_view(table, L)[::-1]
         p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
+        batches = [slice(start, start + BATCH_ROWS) for start in range(0, p2_row.shape[0], BATCH_ROWS)]
         sures = np.concatenate([
-            score(Svlt._formula(s, weights[p2_row[rows]], p3[p3_col[rows], None]))
-            for rows in batches(p2_row.shape[0])
+            score(Svlt._formula(s, weights[p2_row[rows]], p3[p3_col[rows], None])) for rows in batches
         ])
         params = list(product([p1], idx.tolist(), p3.tolist()))
     else:
         thresholds = _upper_half_grid(float(s[0]), 100)
         if name == "svst":
-            sures = np.concatenate([
-                score(Svst._formula(s, thresholds[rows, None])) for rows in batches(thresholds.shape[0])
-            ])
+            sures = score(Svst._formula(s, thresholds[:, None]))
             params = list(product(thresholds.tolist()))
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
-            # path as sure() does.  A batch of thresholds forms tau / y and
-            # its masks once for all 20 gammas.
+            # path as sure() does.  The thresholds form tau / y and its masks
+            # once for all 20 gammas.
             gammas = [float(g) for g in range(1, 21)]
-            parts = [Atn._thresholded(s, thresholds[rows, None]) for rows in batches(thresholds.shape[0])]
-            sures = np.concatenate([
-                np.stack([score(Atn._powered(s, part, g)) for g in gammas], axis=1) for part in parts
-            ]).ravel()
+            thresholded = Atn._thresholded(s, thresholds[:, None])
+            sures = np.stack([score(Atn._powered(s, thresholded, g)) for g in gammas], axis=1).ravel()
             params = list(product(thresholds.tolist(), gammas))
 
     # Candidates are in lexicographic parameter order and argmin takes the

@@ -22,18 +22,13 @@ Known values:
   50x50 and is expected to FAIL honestly; see README.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from svshrink import (
-    PAPER_C_VALUES,
-    PAPER_K_VALUES,
     Atn,
     DenoiseProblem,
-    ExperimentGrid,
     Identity,
     MatrixShape,
     RmtOptimal,
@@ -43,16 +38,21 @@ from svshrink import (
     Svst,
     Zero,
     divergence,
-    parse_method,
-    paper_preset,
-    run_sweep,
-    sensitivity_sweep,
     solve_svlet,
     sure,
     svd,
-    timing_report,
     tune_grid,
     verify_laws,
+)
+from svshrink.bench import (
+    PAPER_C_VALUES,
+    PAPER_K_VALUES,
+    ExperimentGrid,
+    paper_preset,
+    parse_method,
+    run_sweep,
+    sensitivity_sweep,
+    timing_report,
 )
 from svshrink import cli
 

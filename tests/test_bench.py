@@ -14,20 +14,18 @@ import io
 import numpy as np
 import pytest
 
-from svshrink import (
-    ContractError,
-    DegenerateSpectrumError,
+from svshrink import ContractError, DegenerateSpectrumError, eym_truncate
+from svshrink import bench
+from svshrink.bench import (
     ExperimentGrid,
     MethodSpec,
-    eym_truncate,
     generate_problem,
-    parse_method,
     paper_preset,
+    parse_method,
     run_sweep,
     sensitivity_sweep,
     timing_report,
 )
-from svshrink import bench
 from svshrink.shrinkage import Identity, Svst
 
 from montecarlo import sure_unbiasedness, verify_asymptotic_optimality

@@ -17,6 +17,8 @@ One more case pins `write_matrix` alone on a seeded array whose magnitudes
 span 1e-300..1e300 with both signs and signed zeros, so both `%g` notations,
 the zeros, and the exact ties the fast formatter hands back to `%.17g` are
 covered.
+One case pins the printed report of `rmt-check --n 150 --trials 4 --seed 9`,
+whose spiked draws come from one seed stream per check and trial.
 A digest changes only when some output byte changes, so a refactor that
 claims "same behaviour" must leave every case green.
 
@@ -87,6 +89,7 @@ EXPECTED = {
     "solve-svlet-corpus": "fd57373641e8fc4a89703b8b94ad0aaa79229b5944ac718b03a340b4eed75cc9",
     "sure-unbiasedness": "51d6612ced45af1cd14698935c5d8f42056cc29253d1eccfafd605e793953608",
     "asymptotic-optimality": "a6ea181d1f8140a3ff7a378e1d32e4db37852998ba6346deba057d6e0eabcf8f",
+    "rmt-check-150": "78444e2badcc78dd907ecc53a8da8553337556d40b15678f61a29728e736f68c",
 }
 
 SVLET_SHAPES = ((50, 50), (30, 20), (20, 30), (100, 40), (9, 5))
@@ -185,6 +188,11 @@ def test_sweep_bytes(tmp_path, capsys):
 
 def test_sensitivity_bytes(tmp_path, capsys):
     assert _sensitivity_digest(tmp_path, capsys) == EXPECTED["bench-sensitivity"]
+
+
+def test_rmt_check_bytes(capsys):
+    out = _run(["rmt-check", "--n", "150", "--trials", "4", "--seed", "9"], capsys)
+    assert _digest(out.encode()) == EXPECTED["rmt-check-150"]
 
 
 def test_write_mixed_magnitudes_bytes():

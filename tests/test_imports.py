@@ -1,6 +1,7 @@
 """Import cost: no step loads scipy, the CSV formatter's tables are built
-only when a matrix is written, and concurrent.futures never loads (the bench
-sweeps run serially).
+only when a matrix is written, concurrent.futures never loads (the bench
+sweeps run serially), and `import svshrink` does not load the benchmark
+harness.
 
 Importing scipy.special takes about 0.3 s and 25 MB.  The logistic rule's
 weights 1/(1+e^(p1*(i-p2))) come from libm's exp, one value at a time,
@@ -18,7 +19,8 @@ reference: the rule's weights, and every row of the SURE grid's shared
 weight table, must match it bit for bit.
 
 The public names are what `svshrink.__all__` lists: each must resolve, none
-may repeat, and names removed from the API must stay gone.
+may repeat, and names removed from the API must stay gone.  The harness's
+names live in `svshrink.bench` only, not at the package root.
 """
 
 import importlib
@@ -53,6 +55,7 @@ from svshrink import spectral
 seen["import"] = scipy_modules()
 built["import"] = spectral._format_tables.cache_info().currsize
 pool["import"] = "concurrent.futures" in sys.modules
+harness = {"import": "svshrink.bench" in sys.modules}
 
 from svshrink import DenoiseProblem, Svlt, apply, cli, reconstruct, solve_svlet, svd, write_matrix
 rng = np.random.default_rng(3)
@@ -76,7 +79,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
 apply(Svlt(p1=2.0, p2=3.0, p3=0.1), factors.S)
 seen["svlt"] = scipy_modules()
-print(json.dumps({"scipy": seen, "tables": built, "pool": pool}), file=sys.stderr)
+print(json.dumps({"scipy": seen, "tables": built, "pool": pool, "harness": harness}), file=sys.stderr)
 """
 
 
@@ -106,6 +109,14 @@ class TestNoThreadPool:
     @pytest.mark.parametrize("step", ["import", "cli svlet", "cli opt-shrink", "cli svst"])
     def test_concurrent_futures_not_loaded(self, after_each_step, step):
         assert after_each_step["pool"][step] is False
+
+
+class TestHarnessNotImported:
+    """The package root holds the estimator; the benchmark harness and its
+    stdlib imports load only when `svshrink.bench` is imported by name."""
+
+    def test_import_does_not_load_bench(self, after_each_step):
+        assert after_each_step["harness"]["import"] is False
 
 
 class TestFormatTablesBuiltOnWrite:
@@ -182,3 +193,17 @@ class TestPublicNames:
         # svshrink.sure is the function, so the modules are looked up by name.
         for module in ("", ".bench", ".cli", ".rmt", ".shrinkage", ".spectral", ".sure"):
             assert not hasattr(importlib.import_module("svshrink" + module), name), module
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "DEFAULT_C", "DEFAULT_K", "DEFAULT_TRIALS", "PAPER_C_VALUES", "PAPER_K_VALUES",
+            "ExperimentGrid", "MethodSpec", "NmseRow", "NmseTable", "SensitivityReport",
+            "TimingRow", "generate_problem", "paper_preset", "parse_method", "run_sweep",
+            "sensitivity_sweep", "timing_report",
+        ],
+    )
+    def test_harness_names_live_in_bench_only(self, name):
+        assert name not in svshrink.__all__
+        assert not hasattr(svshrink, name)
+        assert getattr(importlib.import_module("svshrink.bench"), name) is not None
