@@ -22,6 +22,7 @@ parametric rules, lives here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -54,19 +55,55 @@ SVLT_P1 = 100.0
 # svlt grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
 # svlt's L * 50 rows are the only grid whose row count grows with L.
 BATCH_ROWS = 100
+# Thresholds in the svst and atn grids; each is one row of their batches.
+GRID_THRESHOLDS = 100
+
+
+class GridTrace(Sequence):
+    """The (parameter tuple, SURE) pairs of a grid search, in the order of
+    nested loops over its parameter axes, the last axis fastest.  It holds
+    the axes and the SURE array and builds each pair of Python floats when
+    it is read; it equals the tuple of its pairs."""
+
+    __slots__ = ("_axes", "_sures")
+
+    def __init__(self, axes: tuple, sures: np.ndarray) -> None:
+        self._axes = axes
+        self._sures = sures
+
+    def __len__(self) -> int:
+        return self._sures.shape[0]
+
+    def __getitem__(self, k):
+        # range normalises a negative k and raises IndexError past the end.
+        flat = rest = range(len(self))[k]
+        params = []
+        for axis in reversed(self._axes):
+            rest, j = divmod(rest, len(axis))
+            params.append(axis[j])
+        return tuple(params[::-1]), float(self._sures[flat])
+
+    def __iter__(self):
+        return zip(product(*self._axes), self._sures.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, GridTrace)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
 class SureReport:
     """One risk evaluation: the rule, its SURE value, and the two pieces
     (spectral residual and divergence) it decomposes into.  Grid tuning
-    attaches the full list of (parameter tuple, SURE) pairs it visited."""
+    attaches the (parameter tuple, SURE) pairs it visited as a GridTrace;
+    tuple(report.trace) lists them."""
 
     rule: ShrinkageRule
     sure: float
     residual: float
     divergence: float
-    trace: tuple = ()
+    trace: Sequence = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,27 +183,32 @@ def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
     return shape, s, idx, rowsums
 
 
-def _divergences(vals, ders, s, rowsums, shape: MatrixShape) -> np.ndarray:
+def _divergences(vals, ders, s, rowsums, shape: MatrixShape, work=None) -> np.ndarray:
     """Divergence array, one entry per row of a formula's values and
     derivatives on a checked spectrum (a scalar for a single 1-D row).
-    Every row is reduced on its own, so a row gives the same bits alone as
-    in a batch."""
+    A batch may pass s tiled to its shape, and a scratch array of that
+    shape as work to form the terms in.  Every row is reduced on its own,
+    so a row gives the same bits alone as in a batch."""
     # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
     # and its gap term; forming w first would move SURE in the last bits.
     div = ders.sum(axis=-1)
-    div += abs(shape.n - shape.m) * (vals / s).sum(axis=-1)
+    terms = np.divide(vals, s, out=work)
+    div += abs(shape.n - shape.m) * terms.sum(axis=-1)
     # One matmul over the batch whose core is a (1, L) by (L, 1) product:
     # each row still meets rowsums in a dot product of its own.
-    div += 2.0 * np.matmul((s * vals)[..., None, :], rowsums[:, None])[..., 0, 0]
+    np.multiply(s, vals, out=terms)
+    div += 2.0 * np.matmul(terms[..., None, :], rowsums[:, None])[..., 0, 0]
     return div
 
 
-def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
+def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float, work=None) -> tuple:
     """(SURE, residual, divergence) arrays, one entry per row of a formula's
     values and derivatives on a checked spectrum (scalars for a single 1-D
-    row); the one place the estimate is assembled."""
-    resid = ((s - vals) ** 2).sum(axis=-1)
-    div = _divergences(vals, ders, s, rowsums, shape)
+    row), with s and work as in _divergences; the one place the estimate is
+    assembled."""
+    diff = np.subtract(s, vals, out=work)
+    resid = np.multiply(diff, diff, out=diff).sum(axis=-1)
+    div = _divergences(vals, ders, s, rowsums, shape, diff)
     sigma2 = sigma * sigma
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
@@ -339,16 +381,23 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
 
     Candidates are scored as rows of formula values, one row per candidate
     (svlt's in batches of BATCH_ROWS), with the same bits as sure() of each
-    candidate's rule; only the winner is built as a rule.  Ties are broken
-    toward the lexicographically smallest parameter tuple; the winning
-    report is returned with the full (params, sure) trace.
+    candidate's rule; each batch is scored against the spectrum tiled once
+    per call to the batch's shape, in one scratch buffer the call reuses.
+    Only the winner is built as a rule.  Ties are broken toward the
+    lexicographically smallest parameter tuple.  The winning report carries
+    the (params, sure) pairs as a GridTrace, which builds them on access;
+    tuple(report.trace) lists them.
     """
     name = _family_name(family)
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
+    # With s tiled, no formula or score broadcasts s against every row.
+    tiled = np.tile(s, (max(BATCH_ROWS, GRID_THRESHOLDS), 1))
+    work = np.empty_like(tiled)
 
     def score(formula: tuple) -> np.ndarray:
         # SURE of each row of a batch's (eta, eta').
-        return _scores(*formula, s, rowsums, shape, problem.sigma)[0]
+        rows = formula[0].shape[0]
+        return _scores(*formula, tiled[:rows], rowsums, shape, problem.sigma, work[:rows])[0]
 
     if name == "svlt":
         p1 = float(p1)
@@ -363,27 +412,31 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
         weights = sliding_window_view(table, L)[::-1]
         p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
-        batches = [slice(start, start + BATCH_ROWS) for start in range(0, p2_row.shape[0], BATCH_ROWS)]
-        sures = np.concatenate([
-            score(Svlt._formula(s, weights[p2_row[rows]], p3[p3_col[rows], None])) for rows in batches
-        ])
-        params = list(product([p1], idx.tolist(), p3.tolist()))
+
+        def batch(rows: slice) -> np.ndarray:
+            w = weights[p2_row[rows]]
+            return score(Svlt._formula(tiled[: w.shape[0]], w, p3[p3_col[rows], None]))
+
+        sures = np.concatenate([batch(slice(k, k + BATCH_ROWS)) for k in range(0, p2_row.shape[0], BATCH_ROWS)])
+        axes = ([p1], idx.tolist(), p3.tolist())
     else:
-        thresholds = _upper_half_grid(float(s[0]), 100)
+        thresholds = _upper_half_grid(float(s[0]), GRID_THRESHOLDS)
+        spectra = tiled[:GRID_THRESHOLDS]
         if name == "svst":
-            sures = score(Svst._formula(s, thresholds[:, None]))
-            params = list(product(thresholds.tolist()))
+            sures = score(Svst._formula(spectra, thresholds[:, None]))
+            axes = (thresholds.tolist(),)
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
             # path as sure() does.  The thresholds form tau / y and its masks
             # once for all 20 gammas.
             gammas = [float(g) for g in range(1, 21)]
-            thresholded = Atn._thresholded(s, thresholds[:, None])
-            sures = np.stack([score(Atn._powered(s, thresholded, g)) for g in gammas], axis=1).ravel()
-            params = list(product(thresholds.tolist(), gammas))
+            thresholded = Atn._thresholded(spectra, thresholds[:, None])
+            sures = np.stack([score(Atn._powered(spectra, thresholded, g)) for g in gammas], axis=1).ravel()
+            axes = (thresholds.tolist(), gammas)
 
     # Candidates are in lexicographic parameter order and argmin takes the
     # first minimum, so ties go to the smallest tuple.
-    winner = _FAMILIES[name](*params[int(np.argmin(sures))])
+    trace = GridTrace(axes, sures)
+    winner = _FAMILIES[name](*trace[int(np.argmin(sures))][0])
     report = _report(winner, *winner._eval(s, idx), s, rowsums, shape, problem.sigma)
-    return replace(report, trace=tuple(zip(params, sures.tolist())))
+    return replace(report, trace=trace)

@@ -12,8 +12,11 @@ a_1 = 1 - n*m*sigma^2 / sum(y_i^2), and exhaustive trace inspection for
 grid tuning (the tuner must return the argmin of its own trace).
 """
 
+import gc
 import re
+import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -47,7 +50,14 @@ from svshrink import (
     svlet_clamp_gap,
     tune_grid,
 )
-from svshrink.sure import CONDITION_LIMIT, SOLVE_RESIDUAL_RTOL, _divergences, _spectral_pieces, _upper_half_grid
+from svshrink.sure import (
+    CONDITION_LIMIT,
+    SOLVE_RESIDUAL_RTOL,
+    _divergences,
+    _scores,
+    _spectral_pieces,
+    _upper_half_grid,
+)
 
 
 def scored_formula(rule, s):
@@ -183,6 +193,31 @@ class TestBatchedDivergence:
             assert alone.shape == ()
             assert float(alone) == float(batched[k])
             assert np.signbit(alone) == np.signbit(batched[k])
+
+    @pytest.mark.parametrize("n, m", [(1, 6), (7, 1), (9, 5), (5, 9), (50, 50), (40, 80), (120, 90)])
+    @pytest.mark.parametrize("rows", [1, 37, 100])
+    def test_tiled_batch_scores_equal_rows_alone_bitwise(self, n, m, rows):
+        """A batch scored as tune_grid scores it, against the leading rows of
+        a tiled spectrum and of a reused scratch buffer, gives every row's
+        SURE, residual and divergence the bits and sign of that row scored
+        alone, as sure() scores one rule."""
+        rng = np.random.default_rng([91, n, m, rows])
+        shape = MatrixShape(n, m)
+        s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
+        tiled = np.tile(s, (100, 1))
+        work = np.full_like(tiled, np.nan)
+        sigma = 0.7
+        for _ in range(2):  # the second pass reuses the buffer the first wrote
+            vals = s * rng.uniform(-0.5, 1.0, size=(rows, s.shape[0]))
+            vals[rng.random(vals.shape) < 0.3] = 0.0
+            ders = rng.uniform(0.0, 1.5, size=vals.shape)
+            batched = _scores(vals, ders, tiled[:rows], rowsums, shape, sigma, work[:rows])
+            for k in range(rows):
+                alone = _scores(vals[k], ders[k], s, rowsums, shape, sigma)
+                for whole, one in zip(batched, alone):
+                    assert whole.shape == (rows,) and one.shape == ()
+                    assert float(one) == float(whole[k])
+                    assert np.signbit(one) == np.signbit(whole[k])
 
 
 class TestSureReports:
@@ -557,6 +592,62 @@ class TestTuneGrid:
             for params, value in report.trace:
                 assert type(value) is float
                 assert value == sure(problem, factors, families[family](*params)).sure
+
+    @pytest.mark.parametrize(
+        "n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9), (7, 3), (3, 7), (1, 6), (41, 80)]
+    )
+    def test_trace_reads_as_the_eager_tuple(self, n, m):
+        """The trace, built on access, reads as the tuple of (params, sure)
+        pairs of Python floats over the grid's nested loops: its pairs, len,
+        indexing, repeated iteration and equality are a tuple's."""
+        rng = np.random.default_rng(61 + n + 2 * m)
+        problem, factors = random_problem(rng, n, m, sigma=0.5)
+        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
+        y1, L = float(factors.S[0]), min(n, m)
+        thresholds = _upper_half_grid(y1, 100).tolist()
+        gammas = [float(g) for g in range(1, 21)]
+        offsets = _upper_half_grid(y1, 50).tolist()
+        for family, options in [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})]:
+            report = tune_grid(problem, factors, family, **options)
+            axes = {
+                "svst": (thresholds,),
+                "atn": (thresholds, gammas),
+                "svlt": ([float(options.get("p1", 100.0))], [float(p2) for p2 in range(1, L + 1)], offsets),
+            }[family]
+            sures = np.array([sure(problem, factors, families[family](*params)).sure for params in product(*axes)])
+            eager = tuple(zip(product(*axes), sures.tolist()))
+            lazy = tuple(report.trace)
+            assert lazy == eager
+            assert all(type(p) is float for params, value in lazy for p in params + (value,))
+            assert len(report.trace) == len(eager)
+            assert report.trace[0] == eager[0] and report.trace[-1] == eager[-1]
+            assert report.trace[-len(eager)] == eager[0]
+            for k in (len(eager), -len(eager) - 1):
+                with pytest.raises(IndexError):
+                    report.trace[k]
+            assert tuple(report.trace) == lazy
+            assert report.trace == eager and eager == report.trace
+            assert report.trace != eager[:-1] and report.trace != list(eager)
+            assert report.trace == tune_grid(problem, factors, family, **options).trace
+
+    @pytest.mark.parametrize("family", ["atn", "svlt"])
+    def test_report_retains_little_memory(self, family):
+        """A 50x50 report keeps the grid axes and the SURE array, not one
+        Python tuple per candidate."""
+        rng = np.random.default_rng(65)
+        problem, factors = random_problem(rng, 50, 50)
+        tune_grid(problem, factors, family)  # warm caches outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = tune_grid(problem, factors, family)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.trace) == {"atn": 2000, "svlt": 2500}[family]
+        assert retained < 50_000
 
     @pytest.mark.parametrize(
         "p1, message",
