@@ -149,6 +149,8 @@ class Atn:
 
     gamma = 1 recovers the soft threshold; as gamma grows the rule
     approaches the hard threshold at tau.  eta(0) = 0 by definition.
+    (tau/y)^gamma is formed only where y >= tau, so no entry divides by
+    zero or overflows; eta and eta' are 0 everywhere below tau.
     """
 
     tau: float
@@ -162,28 +164,35 @@ class Atn:
 
     @staticmethod
     def _thresholded(y: np.ndarray, tau) -> tuple:
-        """(tau / y, y > tau, y >= tau): the part of the formula that does
-        not depend on gamma, so a grid forms it once for every gamma.  tau
-        broadcasts, so a column of thresholds gives one row per threshold."""
-        # Below tau the quotient may overflow, or be tau/0.
-        with np.errstate(divide="ignore", over="ignore"):
-            return tau / y, y > tau, y >= tau
+        """(flat indices where y >= tau, tau / y and y at those entries):
+        the part of the formula that does not depend on gamma, so a grid
+        forms it once for every gamma.  tau is a scalar, or a column with
+        one threshold per row of y, which then scores one row per threshold.
+        Below tau the clamp leaves 0, so nothing there is formed."""
+        reached = np.flatnonzero(y >= tau)
+        # reached // L is each entry's row, and so the index of its threshold.
+        y_reached = y.ravel()[reached]
+        return reached, np.ravel(tau)[reached // y.shape[-1]] / y_reached, y_reached
 
     @staticmethod
-    def _powered(y: np.ndarray, thresholded: tuple, gamma: float) -> tuple:
-        """(eta, eta') on y from _thresholded's triple.  gamma stays a
-        scalar, which keeps numpy's fast paths for ** 1.0 and ** 2.0."""
-        quotient, above, reached = thresholded
-        # Below tau the ratio may overflow (or be tau/0), and gamma = 1 gives
-        # 0 * inf there; the clamp discards every such entry.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = quotient ** gamma
-            vals = np.where(above, y * (1.0 - ratio), 0.0)
-            ders = np.where(reached, 1.0 + (gamma - 1.0) * ratio, 0.0)
+    def _powered(thresholded: tuple, gamma: float, out: tuple) -> tuple:
+        """(eta, eta') from _thresholded's triple, written at its entries
+        into out, a pair of zeroed C-ordered arrays of y's shape whose
+        other entries stay 0.  Every gamma writes the same entries, so a
+        grid passes one pair for all of them.  gamma stays a scalar, which
+        keeps numpy's fast paths for ** 1.0 and ** 2.0.  At y = tau the
+        ratio is exactly 1, so eta = y * (1 - 1) = +0.0 there, the clamp's
+        value."""
+        reached, quotient, y = thresholded
+        vals, ders = out
+        ratio = quotient ** gamma
+        vals.ravel()[reached] = y * (1.0 - ratio)
+        ders.ravel()[reached] = 1.0 + (gamma - 1.0) * ratio
         return vals, ders
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
-        return self._powered(y, self._thresholded(y, self.tau), self.gamma)
+        out = (np.zeros(y.shape), np.zeros(y.shape))
+        return self._powered(self._thresholded(y, self.tau), self.gamma, out)
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,10 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
                 "requires a simple spectrum"
             )
     diff = sq[:, None] - sq[None, :]
+    # 1 / inf = 0 drops the diagonal from each row sum.
     np.fill_diagonal(diff, np.inf)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return s, idx, (1.0 / diff).sum(axis=1)
+    return s, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
 
 
 def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
@@ -427,11 +428,13 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             axes = (thresholds.tolist(),)
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
-            # path as sure() does.  The thresholds form tau / y and its masks
-            # once for all 20 gammas.
+            # path as sure() does.  The thresholds find the entries at or
+            # above tau, and tau / y there, once for all 20 gammas, which
+            # write their (eta, eta') into the same pair of arrays.
             gammas = [float(g) for g in range(1, 21)]
             thresholded = Atn._thresholded(spectra, thresholds[:, None])
-            sures = np.stack([score(Atn._powered(spectra, thresholded, g)) for g in gammas], axis=1).ravel()
+            out = (np.zeros(spectra.shape), np.zeros(spectra.shape))
+            sures = np.stack([score(Atn._powered(thresholded, g, out)) for g in gammas], axis=1).ravel()
             axes = (thresholds.tolist(), gammas)
 
     # Candidates are in lexicographic parameter order and argmin takes the

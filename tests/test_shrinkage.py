@@ -13,6 +13,8 @@ Known values:
     Atn(gamma=1, tau=lam) == Svst(lam) on any spectrum
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -29,6 +31,7 @@ from svshrink import (
     Svlet,
     Svlt,
     Svst,
+    SvdFactors,
     Zero,
     apply,
     derivative,
@@ -38,7 +41,9 @@ from svshrink import (
     reconstruct,
     sure,
     svd,
+    tune_grid,
 )
+from svshrink.sure import _divergences, _scores, _spectral_pieces, _upper_half_grid
 
 
 def finite_difference(rule, y, i=1, h_scale=1e-6):
@@ -415,3 +420,82 @@ class TestApplyValidation:
         for call in calls:
             with pytest.raises(ContractError, match="unknown shrinkage rule: object"):
                 call(object())
+
+
+def masked_atn(y, tau, gamma):
+    """Atn's (eta, eta') as first written: tau / y and (tau / y)^gamma on
+    every entry, then masks for y > tau and y >= tau, under errstate."""
+    with np.errstate(divide="ignore", over="ignore"):
+        quotient = tau / y
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = quotient**gamma
+        vals = np.where(y > tau, y * (1.0 - ratio), 0.0)
+        ders = np.where(y >= tau, 1.0 + (gamma - 1.0) * ratio, 0.0)
+    return vals, ders
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestAtnEdgeBits:
+    """Atn against the masked formula, bit for bit and sign for sign, where
+    y meets tau, at zeros, and far enough below tau that (tau/y)^gamma
+    overflows.  With y_1 = 4 the grid thresholds are 2k/100, so 1.0 and 0.5
+    are thresholds 50 and 25."""
+
+    GAMMAS = (1.0, 1.5, 2.0, 3.0, 20.0, 64.0)
+    # 1e-200 squares to 0 and puts tau / y near 1e198, so every gamma >= 2
+    # overflows there.
+    SPECTRUM = np.array([4.0, 2.7, 1.0, 0.77, 0.5, 1e-200])
+
+    @staticmethod
+    def problem(n, m):
+        rng = np.random.default_rng([64, n, m])
+        S = TestAtnEdgeBits.SPECTRUM
+        U, _ = np.linalg.qr(rng.standard_normal((n, S.shape[0])))
+        V, _ = np.linalg.qr(rng.standard_normal((m, S.shape[0])))
+        return DenoiseProblem((U * S) @ V.T, 0.5), SvdFactors(U=U, S=S, V=V)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.02, 4.0, 5.0])
+    def test_apply_and_derivative(self, tau, gamma):
+        s = np.concatenate([self.SPECTRUM, [0.0, 0.0]])
+        rule = Atn(tau=tau, gamma=gamma)
+        vals, ders = masked_atn(np.array([tau]), tau, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bits(apply(rule, s)) == bits(np.maximum(masked_atn(s, tau, gamma)[0], 0.0))
+            assert bits(derivative(rule, tau)) == bits(0.0 if vals[0] < 0.0 else ders[0])
+        assert derivative(rule, tau) == gamma
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.02])
+    @pytest.mark.parametrize("n, m", [(6, 6), (9, 6), (6, 11)])
+    def test_sure_and_divergence(self, n, m, tau, gamma):
+        problem, factors = self.problem(n, m)
+        s, _, rowsums = _spectral_pieces(factors.S, problem.shape)
+        vals, ders = masked_atn(s, tau, gamma)
+        expected = _scores(vals, ders, s, rowsums, problem.shape, problem.sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sure(problem, factors, Atn(tau=tau, gamma=gamma))
+            div = divergence(s, Atn(tau=tau, gamma=gamma), problem.shape)
+        assert bits([report.sure, report.residual, report.divergence]) == bits(expected)
+        assert bits(div) == bits(_divergences(vals, ders, s, rowsums, problem.shape))
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (9, 6), (6, 11)])
+    def test_tune_grid_trace(self, n, m):
+        problem, factors = self.problem(n, m)
+        s, _, rowsums = _spectral_pieces(factors.S, problem.shape)
+        thresholds = _upper_half_grid(4.0, 100)
+        assert thresholds[49] == 1.0 and thresholds[24] == 0.5
+        expected = [
+            _scores(*masked_atn(s, tau, float(g)), s, rowsums, problem.shape, problem.sigma)[0]
+            for tau in thresholds.tolist()
+            for g in range(1, 21)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = tune_grid(problem, factors, "atn")
+        assert bits([value for _, value in report.trace]) == bits(expected)

@@ -198,6 +198,47 @@ class TestSvd:
             cols = np.arange(factors.U.shape[1])
             assert np.all(factors.U[lead, cols] >= 0.0)
 
+    @pytest.mark.parametrize(
+        "Y",
+        [np.random.default_rng([8, n, m]).standard_normal((n, m))
+         for n, m in [(1, 6), (6, 1), (7, 3), (3, 7), (50, 50), (40, 80), (400, 200)]]
+        + [
+            # Rank 2 in a 9x6 matrix, and rank 1 in a wide one.
+            np.random.default_rng(81).standard_normal((9, 2)) @ np.random.default_rng(82).standard_normal((2, 6)),
+            np.outer(np.arange(1.0, 6.0), np.arange(-3.0, 5.0)),
+            np.random.default_rng(83).integers(-3, 4, size=(12, 8)).astype(float),
+            np.zeros((3, 2)),
+            np.array([[3.0, 1.0], [-3.0, 1.0], [0.0, 0.0]]),
+        ],
+        ids=["1x6", "6x1", "7x3", "3x7", "50x50", "40x80", "400x200",
+             "rank2", "rank1", "integers", "zero", "tied-lead"],
+    )
+    def test_signs_match_argmax_rule_bitwise(self, Y):
+        """U, S and V are, bit for bit, LAPACK's factors with each column of
+        U flipped where its first largest-magnitude entry is negative, and
+        V's column with it; both factors are C-ordered."""
+        U, S, Vh = np.linalg.svd(Y, full_matrices=False)
+        V = Vh.T.copy()
+        U = U.copy()
+        lead = np.argmax(np.abs(U), axis=0)
+        cols = np.arange(U.shape[1])
+        flip = U[lead, cols] < 0.0
+        U[:, flip] *= -1.0
+        V[:, flip] *= -1.0
+        factors = svd(Y)
+        for got, want in [(factors.U, U), (factors.S, S), (factors.V, V)]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert factors.U.flags.c_contiguous and factors.V.flags.c_contiguous
+
+    def test_tied_lead_case_has_both_signs_at_the_top(self):
+        """The tied-lead case above tests the tie: LAPACK's first left vector
+        holds +-1/sqrt(2) with the negative entry first, so its sign comes
+        from the first largest-magnitude entry, not from max against -min."""
+        U = np.linalg.svd(np.array([[3.0, 1.0], [-3.0, 1.0], [0.0, 0.0]]), full_matrices=False)[0]
+        assert U[:, 0].max() == -U[:, 0].min()
+        assert U[np.argmax(np.abs(U[:, 0])), 0] < 0.0
+
     def test_bitwise_deterministic(self):
         """Two calls on the same matrix return bitwise-identical factors."""
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Alternated benchmark pairs: a base revision against the working tree.
 
     python3 tools/pairs.py --base HEAD --workload sure-grid --seeds 601-610
+    python3 tools/pairs.py --base HEAD --workload sure-grid --seeds 611-614 --trace
 
 The script measures the checkout it lives in.  The base revision's
 committed files are exported with `git archive` into a temporary
@@ -12,8 +13,10 @@ included.  For each seed, `perfbench/run.py --workload W --seed N
 alternating from seed to seed.  For every end-to-end metric in
 BENCHMARK.json the script prints each side's median and quartiles, the
 change of the medians, and the pairs in which the working tree did
-better and those in which both sides read the same.  Standard library
-only.
+better and those in which both sides read the same.  With --trace the
+runs are `--trace 1` and the same lines cover BENCHMARK.json's per-layer
+metrics instead, so a stage's change shows beside the totals.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ def export(revision: str, directory: str) -> None:
         tar.extractall(directory)
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One perfbench run; returns the JSON record of its last output line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(command, cwd=checkout, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -69,9 +72,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 601-610 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs, reporting the per-layer metrics")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as stream:
-        metrics = json.load(stream)["end_to_end"]
+        metrics = json.load(stream)["per_layer" if args.trace else "end_to_end"]
     runs = {"base": [], "tree": []}
     base_dir = tempfile.mkdtemp(prefix="pairs-base-")
     try:
@@ -79,13 +84,15 @@ def main(argv=None) -> int:
         for k, seed in enumerate(args.seeds):
             order = ("base", "tree") if k % 2 == 0 else ("tree", "base")
             for side in order:
-                record = run_once(base_dir if side == "base" else ROOT, args.workload, seed, args.seconds)
+                record = run_once(base_dir if side == "base" else ROOT, args.workload, seed, args.seconds,
+                                  args.trace)
                 runs[side].append(record)
                 print(f"seed {seed} {side}: failed {record['failed']} of {record['attempted']} ops",
                       file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
-    print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}, base {args.base}")
+    print(f"{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}, base {args.base}"
+          + (", traced" if args.trace else ""))
     for side in ("base", "tree"):
         failed = sum(record["failed"] for record in runs[side])
         attempted = sum(record["attempted"] for record in runs[side])
