@@ -15,7 +15,6 @@ from svshrink import (
     apply,
     reconstruct,
     solve_svlet,
-    sure,
     svd,
     tune_grid,
 )

@@ -5,8 +5,6 @@ overlaps) for two aspect ratios, then verifies them against Monte Carlo
 draws at a desk-scale size via the packaged law checker.
 """
 
-import numpy as np
-
 from svshrink import AspectRatio, overlap_u, overlap_v, spike_location, verify_laws
 
 SEED = 404

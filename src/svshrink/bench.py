@@ -16,6 +16,7 @@ import re
 import statistics
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -26,10 +27,8 @@ from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
 from .rmt import asymptotic_denoise as _asymptotic_denoise
 from .shrinkage import _expansion_order, apply
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct, svd, truncated_spectrum
-from .sure import solve_svlet, tune_grid
+from .sure import DEFAULT_C, DEFAULT_K, solve_svlet, tune_grid
 
-DEFAULT_C = 10.0
-DEFAULT_K = 2
 DEFAULT_TRIALS = 10
 # timing_report times each method this many times per trial and keeps the
 # fastest run: other work on the machine only ever adds time.
@@ -544,3 +543,139 @@ def paper_preset(seed: int, *, trials: int = DEFAULT_TRIALS) -> dict:
             trials=trials, seed=seed,
         ),
     }
+
+
+# ---------------------------------------------------------------------------
+# `svshrink bench` jobs: the paper preset or one config file
+
+
+@dataclass(frozen=True)
+class BenchJob:
+    """One `svshrink bench` job: a run kind, its grid and its CSV's name; a
+    sensitivity run sweeps svlet over c_values x k_values."""
+
+    run: str
+    grid: ExperimentGrid
+    out: str
+    c_values: tuple = PAPER_C_VALUES
+    k_values: tuple = PAPER_K_VALUES
+
+
+def preset_jobs(seed: int, trials: int = None) -> list:
+    """The paper preset's four jobs on paper_preset's grids."""
+    grids = paper_preset(seed, trials=DEFAULT_TRIALS if trials is None else trials)
+    return [
+        BenchJob("sweep", grids["asymptotic"], "asymptotic.csv"),
+        BenchJob("sweep", grids["sure"], "sure.csv"),
+        BenchJob("sensitivity", grids["sensitivity"], "sensitivity.csv"),
+        BenchJob("timing", grids["timing"], "timing.csv"),
+    ]
+
+
+def _parse_list(value: str, key: str, kind) -> tuple:
+    """Numbers separated by commas or spaces; integers also as `lo..hi`,
+    both ends included."""
+    if kind is int and ".." in value and "," not in value:
+        lo, _, hi = value.partition("..")
+        try:
+            return tuple(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise ContractError(f"{key}: cannot parse range {value!r}") from None
+    try:
+        return tuple(kind(item) for item in value.replace(",", " ").split())
+    except ValueError:
+        what = "integer" if kind is int else "number"
+        raise ContractError(f"{key}: cannot parse {what} list {value!r}") from None
+
+
+def _parse_scalar(kind, key):
+    def parse(value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ContractError(f"{key}: cannot parse {value!r}") from None
+
+    return parse
+
+
+# Each parser reads a value already stripped of surrounding blanks.
+_CONFIG_PARSERS = {
+    "run": str,
+    "n": _parse_scalar(int, "n"),
+    "m": _parse_scalar(int, "m"),
+    "ranks": lambda v: _parse_list(v, "ranks", int),
+    "snrs": lambda v: _parse_list(v, "snrs", float),
+    "methods": lambda v: tuple(v.split()),
+    "trials": _parse_scalar(int, "trials"),
+    "c_values": lambda v: _parse_list(v, "c_values", float),
+    "k_values": lambda v: _parse_list(v, "k_values", int),
+    "out": str,
+}
+
+
+def load_config(path, seed: int) -> BenchJob:
+    """Parse a flat `key = value` file ('#' starts a comment) into one job.
+
+    Unknown and duplicate keys are errors; the seed never comes from the
+    file — reproducibility is owned by the mandatory --seed flag.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ContractError(f"cannot read config file {path}: {exc}") from exc
+    fields = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ContractError(f"config line {lineno}: expected `key = value`, got {raw!r}")
+        key = key.strip()
+        if key == "seed":
+            raise ContractError("config line %d: seed must be given via --seed" % lineno)
+        if key not in _CONFIG_PARSERS:
+            raise ContractError(
+                f"config line {lineno}: unknown key {key!r}; "
+                f"valid keys: {', '.join(sorted(_CONFIG_PARSERS))}"
+            )
+        if key in fields:
+            raise ContractError(f"config line {lineno}: duplicate key {key!r}")
+        fields[key] = _CONFIG_PARSERS[key](value.strip())
+    run = fields.pop("run", "sweep")
+    if run not in ("sweep", "sensitivity", "timing"):
+        raise ContractError(f"run must be one of sweep, sensitivity, timing; got {run!r}")
+    out = fields.pop("out", None) or f"{run}.csv"
+    sweep = {key: fields.pop(key) for key in ("c_values", "k_values") if key in fields}
+    grid = dict(n=50, m=50, ranks=tuple(range(1, 51)), snrs=PAPER_ASYMPTOTIC_SNRS, methods=tuple(METHOD_RUNNERS))
+    return BenchJob(run, ExperimentGrid(**{**grid, **fields}, seed=seed), out, **sweep)
+
+
+def run_jobs(jobs, outdir, *, include_timing: bool = False) -> dict:
+    """Run each job into its CSV under outdir and return the summary: a
+    sensitivity run's best (C, K) and its NMSE, and the files `written`."""
+    outdir = Path(outdir)
+    summary = {}
+    written = []
+    try:  # the directory and the CSVs are the only file-system writes here
+        outdir.mkdir(parents=True, exist_ok=True)
+        # A job's CSV is written only after its sweep, so a missing directory
+        # must fail before the first job runs, not after it.
+        for job in jobs:
+            if not (outdir / job.out).parent.is_dir():
+                raise ContractError(f"cannot write bench output: no directory for {outdir / job.out}")
+        for job in jobs:
+            path = outdir / job.out
+            if job.run == "timing":
+                write_timing_csv(path, timing_report(job.grid), job.grid.seed)
+            elif job.run == "sweep":
+                run_sweep(job.grid).write_csv(path, include_timing=include_timing)
+            else:
+                report = sensitivity_sweep(job.grid, job.c_values, job.k_values)
+                report.table.write_csv(path, include_timing=include_timing)
+                summary.update(best_C=report.best.C, best_K=report.best.K, best_nmse=report.best.mean_nmse)
+            written.append(str(path))
+    except OSError as exc:
+        raise ContractError(f"cannot write bench output: {exc}") from exc
+    summary["written"] = written
+    return summary

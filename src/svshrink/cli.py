@@ -16,19 +16,6 @@ from pathlib import Path
 from time import perf_counter
 
 from ._version import __version__
-from .bench import (
-    DEFAULT_C,
-    DEFAULT_K,
-    DEFAULT_TRIALS,
-    PAPER_C_VALUES,
-    PAPER_K_VALUES,
-    ExperimentGrid,
-    paper_preset,
-    run_sweep,
-    sensitivity_sweep,
-    timing_report,
-    write_timing_csv,
-)
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, calibration_scale, verify_laws
 from .shrinkage import Atn, Svht, Svlt, Svst, apply
@@ -40,125 +27,7 @@ from .spectral import (
     truncated_spectrum,
     write_matrix,
 )
-from .sure import SVLT_P1, solve_svlet, sure, tune_grid
-
-_DEFAULT_METHODS = (
-    "svlet(C=10,K=2)",
-    "svst-sure",
-    "atn-sure",
-    "svlt-sure",
-    "opt-shrink",
-    "svht-4sqrt3",
-    "svst-bulk",
-    "eym-oracle",
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    """Validated bench configuration; field defaults are the documented ones."""
-
-    run: str = "sweep"
-    n: int = 50
-    m: int = 50
-    ranks: tuple = tuple(range(1, 51))
-    snrs: tuple = (0.5, 1.0, 2.0, 4.0)
-    methods: tuple = _DEFAULT_METHODS
-    trials: int = DEFAULT_TRIALS
-    c_values: tuple = PAPER_C_VALUES
-    k_values: tuple = PAPER_K_VALUES
-    out: str = None
-
-    def __post_init__(self) -> None:
-        if self.run not in ("sweep", "sensitivity", "timing"):
-            raise ContractError(
-                f"run must be one of sweep, sensitivity, timing; got {self.run!r}"
-            )
-
-    def grid(self, seed: int) -> ExperimentGrid:
-        return ExperimentGrid(
-            n=self.n, m=self.m, ranks=self.ranks, snrs=self.snrs,
-            methods=self.methods, trials=self.trials, seed=seed,
-        )
-
-
-def _parse_int_list(value: str, key: str) -> tuple:
-    value = value.strip()
-    if ".." in value and "," not in value:
-        lo, _, hi = value.partition("..")
-        try:
-            return tuple(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ContractError(f"{key}: cannot parse range {value!r}") from None
-    items = value.replace(",", " ").split()
-    try:
-        return tuple(int(item) for item in items)
-    except ValueError:
-        raise ContractError(f"{key}: cannot parse integer list {value!r}") from None
-
-
-def _parse_float_list(value: str, key: str) -> tuple:
-    items = value.replace(",", " ").split()
-    try:
-        return tuple(float(item) for item in items)
-    except ValueError:
-        raise ContractError(f"{key}: cannot parse number list {value!r}") from None
-
-
-def _parse_scalar(kind, key):
-    def parse(value: str):
-        try:
-            return kind(value)
-        except ValueError:
-            raise ContractError(f"{key}: cannot parse {value!r}") from None
-
-    return parse
-
-
-_CONFIG_PARSERS = {
-    "run": lambda v: v.strip(),
-    "n": _parse_scalar(int, "n"),
-    "m": _parse_scalar(int, "m"),
-    "ranks": lambda v: _parse_int_list(v, "ranks"),
-    "snrs": lambda v: _parse_float_list(v, "snrs"),
-    "methods": lambda v: tuple(v.split()),
-    "trials": _parse_scalar(int, "trials"),
-    "c_values": lambda v: _parse_float_list(v, "c_values"),
-    "k_values": lambda v: _parse_int_list(v, "k_values"),
-    "out": lambda v: v.strip(),
-}
-
-
-def load_config(path) -> CliConfig:
-    """Parse a flat `key = value` file ('#' starts a comment) into CliConfig.
-
-    Unknown and duplicate keys are errors; the seed never comes from the
-    file — reproducibility is owned by the mandatory --seed flag.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ContractError(f"cannot read config file {path}: {exc}") from exc
-    fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ContractError(f"config line {lineno}: expected `key = value`, got {raw!r}")
-        key = key.strip()
-        if key == "seed":
-            raise ContractError("config line %d: seed must be given via --seed" % lineno)
-        if key not in _CONFIG_PARSERS:
-            raise ContractError(
-                f"config line {lineno}: unknown key {key!r}; "
-                f"valid keys: {', '.join(sorted(_CONFIG_PARSERS))}"
-            )
-        if key in fields:
-            raise ContractError(f"config line {lineno}: duplicate key {key!r}")
-        fields[key] = _CONFIG_PARSERS[key](value.strip())
-    return CliConfig(**fields)
+from .sure import DEFAULT_C, DEFAULT_K, SVLT_P1, solve_svlet, sure, tune_grid
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +64,7 @@ def cmd_denoise(args) -> int:
     sure_value = None
     if args.method == "svlet":
         solved = solve_svlet(problem, factors, K=args.K, C=args.C)
-        params = {"C": solved.rule.C, "K": solved.rule.K}
+        params = {"C": args.C, "K": args.K}
         sure_value = solved.report.sure
         Xhat = reconstruct(factors, apply(solved.rule, factors.S))
     elif args.method in ("svst", "atn", "svlt"):
@@ -273,54 +142,19 @@ def cmd_tune(args) -> int:
 # bench
 
 
-def _run_job(args, run: str, grid: ExperimentGrid, path: Path, c_values, k_values) -> dict:
-    """Run one bench job, write its CSV to path and return its summary keys."""
-    if run == "timing":
-        write_timing_csv(path, timing_report(grid), grid.seed)
-        return {}
-    if run == "sweep":
-        run_sweep(grid).write_csv(path, include_timing=args.include_timing)
-        return {}
-    report = sensitivity_sweep(grid, c_values, k_values)
-    report.table.write_csv(path, include_timing=args.include_timing)
-    return {"best_C": report.best.C, "best_K": report.best.K, "best_nmse": report.best.mean_nmse}
-
-
 def cmd_bench(args) -> int:
     if (args.config is None) == (args.preset is None):
         raise ContractError("bench needs exactly one of --config FILE or --preset paper")
+    # Only this command loads the benchmark harness.
+    from . import bench
+
     if args.preset == "paper":
-        grids = paper_preset(args.seed, trials=DEFAULT_TRIALS if args.trials is None else args.trials)
-        jobs = [
-            ("sweep", grids["asymptotic"], "asymptotic.csv"),
-            ("sweep", grids["sure"], "sure.csv"),
-            ("sensitivity", grids["sensitivity"], "sensitivity.csv"),
-            ("timing", grids["timing"], "timing.csv"),
-        ]
-        c_values, k_values = PAPER_C_VALUES, PAPER_K_VALUES
+        jobs = bench.preset_jobs(args.seed, args.trials)
+    elif args.trials is not None:
+        raise ContractError("--trials applies to --preset only; set the config's `trials` key")
     else:
-        if args.trials is not None:
-            raise ContractError("--trials applies to --preset only; set the config's `trials` key")
-        config = load_config(args.config)
-        jobs = [(config.run, config.grid(args.seed), config.out or f"{config.run}.csv")]
-        c_values, k_values = config.c_values, config.k_values
-    outdir = Path(args.output_dir)
-    summary = {}
-    written = []
-    try:  # the directory and the CSVs are the only file-system writes here
-        outdir.mkdir(parents=True, exist_ok=True)
-        # A job's CSV is written only after its sweep, so a missing directory
-        # must fail before the first job runs, not after it.
-        for _, _, name in jobs:
-            if not (outdir / name).parent.is_dir():
-                raise ContractError(f"cannot write bench output: no directory for {outdir / name}")
-        for run, grid, name in jobs:
-            summary.update(_run_job(args, run, grid, outdir / name, c_values, k_values))
-            written.append(str(outdir / name))
-    except OSError as exc:
-        raise ContractError(f"cannot write bench output: {exc}") from exc
-    summary["written"] = written
-    print(json.dumps(summary))
+        jobs = [bench.load_config(args.config, args.seed)]
+    print(json.dumps(bench.run_jobs(jobs, args.output_dir, include_timing=args.include_timing)))
     return 0
 
 
@@ -386,9 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", help="flat key=value config file")
     ben.add_argument("--preset", choices=["paper"], help="run the documented 50x50 regime")
     ben.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-    ben.add_argument(
-        "--trials", type=int, help=f"realizations per cell of --preset (default {DEFAULT_TRIALS})"
-    )
+    ben.add_argument("--trials", type=int, help="realizations per cell of --preset (default 10)")
     ben.add_argument("--output-dir", default=".", help="directory for CSV outputs")
     ben.add_argument(
         "--include-timing",

@@ -230,16 +230,14 @@ class Svlet:
     coefficient vector: eta(y) = dog_basis(y, K, T) @ a.
 
     T is the Gaussian width; by convention T = C * sigma when the expansion
-    is fitted to a problem with noise level sigma, and C is kept for
-    reporting when known.  The coefficients a may be negative.  The formula
-    is the unclamped expansion, which the risk engine scores; applying it
-    clamps negative outputs to zero.
+    is fitted to a problem with noise level sigma.  The coefficients a may
+    be negative.  The formula is the unclamped expansion, which the risk
+    engine scores; applying it clamps negative outputs to zero.
     """
 
     K: int
     T: float
     a: np.ndarray = field(repr=False)
-    C: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", _expansion_order(self.K))
@@ -251,10 +249,6 @@ class Svlet:
         # numpy calls on so few values.
         _require(all(map(math.isfinite, a.tolist())), "a contains non-finite entries")
         object.__setattr__(self, "a", a)
-        if self.C is not None:
-            C = _finite_scalar(self.C, "C")
-            _require(C > 0.0, "C must be > 0, got {}", C)
-            object.__setattr__(self, "C", C)
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
         phi, phid = _dog_atoms(y, self.K, self.T)

@@ -52,6 +52,9 @@ RIDGE_FACTOR = 1e-10
 SOLVE_RESIDUAL_RTOL = 1e-8
 # svlt steepness p1 when none is given (the grid holds it fixed).
 SVLT_P1 = 100.0
+# svlet's width multiplier C (T = C * sigma) and order K when none are given.
+DEFAULT_C = 10.0
+DEFAULT_K = 2
 # svlt grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
 # svlt's L * 50 rows are the only grid whose row count grows with L.
 BATCH_ROWS = 100
@@ -220,6 +223,18 @@ def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> S
     return SureReport(rule=rule, sure=float(value), residual=float(resid), divergence=float(div))
 
 
+def _finite_formula(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray) -> tuple:
+    """A rule's (eta, eta') on a checked spectrum.  An eta that is not
+    finite has no finite risk, so it fails as apply fails it, before numpy
+    warns about the overflow it came from."""
+    _check_rule(rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, ders = rule._eval(s, idx)
+    if not np.isfinite(vals).all():
+        raise ContractError("rule produced non-finite output")
+    return vals, ders
+
+
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
     """Closed-form divergence of the induced spectral estimator.
 
@@ -227,10 +242,9 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     unclamped linear form, matching how the SURE objective is defined.
     """
     s, idx, rowsums = _spectral_pieces(spectrum, shape)
-    _check_rule(rule)
     # No residual is formed: its squares may overflow where the divergence
     # does not.
-    vals, ders = rule._eval(s, idx)
+    vals, ders = _finite_formula(rule, s, idx)
     return float(_divergences(vals, ders, s, rowsums, shape))
 
 
@@ -241,8 +255,7 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
-    _check_rule(rule)
-    return _report(rule, *rule._eval(s, idx), s, rowsums, shape, problem.sigma)
+    return _report(rule, *_finite_formula(rule, s, idx), s, rowsums, shape, problem.sigma)
 
 
 def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -> dict:
@@ -342,7 +355,7 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
     # _fit_expansion validates K.
     phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T)
-    rule = Svlet(K=K, T=T, a=a, C=C)
+    rule = Svlet(K=K, T=T, a=a)
     report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
     return SvletSolve(
         M=M,

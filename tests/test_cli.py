@@ -39,7 +39,7 @@ from svshrink import (
     svd,
     write_matrix,
 )
-from svshrink import cli
+from svshrink import bench, cli
 
 
 def make_input(path, seed=0, n=8, m=6, rank=2):
@@ -329,6 +329,17 @@ class TestDenoise:
         assert err.startswith("numerical failure:")
         assert out == ""
 
+    def test_svlet_width_overflow_exits_2(self, tmp_path, capsys):
+        """C and sigma are finite, but the width T = C * sigma is not."""
+        path = str(tmp_path / "obs.csv")
+        make_input(path)
+        code, out, err = run_cli(
+            ["denoise", path, "--sigma", "1e10", "--method", "svlet", "--C", "1e300"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and "T must be a finite positive number" in err
+        assert out == ""
+
     @pytest.mark.parametrize("method", ["svst", "atn", "svlt"])
     def test_residual_overflow_exits_3(self, tmp_path, capsys, method):
         """Every y^2 is finite but L * y_1^2 is not: the grid search stops
@@ -473,7 +484,7 @@ class TestBenchCommand:
         def no_sweep(grid):
             raise AssertionError("the sweep ran before its output path was checked")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(bench, "run_sweep", no_sweep)
         config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG + "out = sub/x.csv\n")
         outdir = tmp_path / "out"
         code, out, err = run_cli(
@@ -508,10 +519,51 @@ class TestBenchCommand:
             seen.append(trials)
             raise ContractError("preset captured")
 
-        monkeypatch.setattr(cli, "paper_preset", stop_after_preset)
+        monkeypatch.setattr(bench, "paper_preset", stop_after_preset)
         code, _, err = run_cli(["bench", "--preset", "paper", "--seed", "11"] + argv, capsys)
         assert code == 2 and "preset captured" in err
         assert seen == [expected]
+
+    def test_preset_writes_its_four_tables(self, tmp_path, monkeypatch, capsys):
+        """--preset paper runs paper_preset's grids as two sweeps, the
+        sensitivity sweep and the timing run, each into its own CSV."""
+
+        def tiny_preset(seed, *, trials):
+            def grid(*methods):
+                return bench.ExperimentGrid(
+                    n=12, m=10, ranks=(1, 3), snrs=(1.0,), methods=methods, trials=trials, seed=seed
+                )
+
+            return {
+                "asymptotic": grid("svlet(C=10,K=2)", "opt-shrink", "eym-oracle"),
+                "sure": grid("svlet(C=10,K=2)", "svst-sure"),
+                "sensitivity": grid("svlet(C=10,K=2)"),
+                "timing": grid("svlet(C=10,K=2)", "svst-sure"),
+            }
+
+        monkeypatch.setattr(bench, "paper_preset", tiny_preset)
+        outdir = tmp_path / "out"
+        code, out, _ = run_cli(
+            ["bench", "--preset", "paper", "--seed", "11", "--trials", "2", "--output-dir", str(outdir)],
+            capsys,
+        )
+        assert code == 0
+        names = ["asymptotic.csv", "sure.csv", "sensitivity.csv", "timing.csv"]
+        summary = json.loads(out)
+        assert list(summary) == ["best_C", "best_K", "best_nmse", "written"]
+        assert summary["written"] == [str(outdir / name) for name in names]
+        assert summary["best_C"] in bench.PAPER_C_VALUES
+        assert summary["best_K"] in bench.PAPER_K_VALUES
+        assert summary["best_nmse"] > 0.0
+        for name in names[:3]:
+            lines = (outdir / name).read_text().splitlines()
+            assert lines[6] == "method,n,m,r,snr,trials,nmse,nmse_stderr,median_time_s,status"
+        assert (outdir / "timing.csv").read_text().splitlines()[2] == "method,median_time_s,ratio_vs_svlet"
+        grids = tiny_preset(11, trials=2)
+        for key in ("asymptotic", "sure"):
+            expected = tmp_path / f"expected-{key}.csv"
+            bench.run_sweep(grids[key]).write_csv(expected)
+            assert csv_without_timestamp(outdir / f"{key}.csv") == csv_without_timestamp(expected)
 
     def test_requires_config_or_preset(self, tmp_path, capsys):
         code, out, err = run_cli(["bench", "--seed", "11"], capsys)
@@ -521,7 +573,7 @@ class TestBenchCommand:
     def test_config_and_preset_together_rejected(self, tmp_path, monkeypatch, capsys):
         """Neither source may win silently: with both, the file would go unread."""
         seen = []
-        monkeypatch.setattr(cli, "paper_preset", lambda seed, *, trials: seen.append(seed) or {})
+        monkeypatch.setattr(bench, "paper_preset", lambda seed, *, trials: seen.append(seed) or {})
         config = write_config(tmp_path / "bench.cfg", SWEEP_CONFIG)
         outdir = tmp_path / "out"
         code, out, err = run_cli(
@@ -566,9 +618,8 @@ class TestBenchCommand:
         config = write_config(
             tmp_path / "bench.cfg", "run = sweep\nranks = 2..4\nmethods = svlet(C=7.5,K=3) svlet\n"
         )
-        parsed = cli.load_config(config)
-        assert parsed.ranks == (2, 3, 4)
-        grid = parsed.grid(seed=11)
+        grid = bench.load_config(config, seed=11).grid
+        assert grid.ranks == (2, 3, 4)
         assert [spec.label for spec in grid.methods] == ["svlet(C=7.5,K=3)", "svlet(C=10,K=2)"]
 
     @pytest.mark.parametrize("line", ["C = 7.5", "K = 3", "output_dir = elsewhere"])
@@ -584,11 +635,16 @@ class TestBenchCommand:
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = write_config(
             tmp_path / "bench.cfg",
-            "# full-line comment\n\nrun = timing  # trailing comment\nn = 12\n",
+            "# full-line comment\n\nrun = timing  # trailing comment\nn = 12\nranks = 1\n",
         )
-        parsed = cli.load_config(config)
+        parsed = bench.load_config(config, seed=11)
         assert parsed.run == "timing"
-        assert parsed.n == 12
+        assert parsed.grid.n == 12
+        # Left out, methods default to every method at its default parameters.
+        assert [spec.label for spec in parsed.grid.methods] == [
+            "svlet(C=10,K=2)", "svst-sure", "atn-sure", "svlt-sure",
+            "opt-shrink", "svht-4sqrt3", "svst-bulk", "eym-oracle",
+        ]
 
     def test_sensitivity_summary(self, tmp_path, capsys):
         config = write_config(

@@ -1,7 +1,7 @@
 """Import cost: no step loads scipy, the CSV formatter's tables are built
 only when a matrix is written, concurrent.futures never loads (the bench
-sweeps run serially), and `import svshrink` does not load the benchmark
-harness.
+sweeps run serially), and neither `import svshrink` nor `svshrink denoise`
+loads the benchmark harness.
 
 Importing scipy.special takes about 0.3 s and 25 MB.  The logistic rule's
 weights 1/(1+e^(p1*(i-p2))) come from libm's exp, one value at a time,
@@ -58,6 +58,7 @@ pool["import"] = "concurrent.futures" in sys.modules
 harness = {"import": "svshrink.bench" in sys.modules}
 
 from svshrink import DenoiseProblem, Svlt, apply, cli, reconstruct, solve_svlet, svd, write_matrix
+harness["cli"] = "svshrink.bench" in sys.modules
 rng = np.random.default_rng(3)
 Y = rng.standard_normal((8, 6))
 factors = svd(Y)
@@ -76,6 +77,7 @@ with tempfile.TemporaryDirectory() as tmp:
         assert code == 0, (method, code)
         seen["cli " + method] = scipy_modules()
         pool["cli " + method] = "concurrent.futures" in sys.modules
+        harness["cli " + method] = "svshrink.bench" in sys.modules
 
 apply(Svlt(p1=2.0, p2=3.0, p3=0.1), factors.S)
 seen["svlt"] = scipy_modules()
@@ -113,10 +115,15 @@ class TestNoThreadPool:
 
 class TestHarnessNotImported:
     """The package root holds the estimator; the benchmark harness and its
-    stdlib imports load only when `svshrink.bench` is imported by name."""
+    stdlib imports load only when `svshrink.bench` is imported by name, or
+    by the `bench` command, the one command that runs it."""
 
     def test_import_does_not_load_bench(self, after_each_step):
         assert after_each_step["harness"]["import"] is False
+
+    @pytest.mark.parametrize("step", ["cli", "cli svlet", "cli opt-shrink", "cli svst", "cli svlt"])
+    def test_cli_denoise_does_not_load_bench(self, after_each_step, step):
+        assert after_each_step["harness"][step] is False
 
 
 class TestFormatTablesBuiltOnWrite:

@@ -250,6 +250,11 @@ class TestEstimateRank:
         with pytest.raises(ContractError):
             estimate_rank(np.zeros(3), MatrixShape(5, 5), 1.0)
 
+    @pytest.mark.parametrize("entry", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_entry(self, entry):
+        with pytest.raises(ContractError, match="finite and non-negative"):
+            estimate_rank(np.array([3.0, 2.0, entry]), MatrixShape(3, 5), 1.0)
+
 
 class TestAsymptoticDenoise:
     """Calibrated shrink-and-rescale wrappers."""

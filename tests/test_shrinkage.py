@@ -264,6 +264,10 @@ class TestDerivatives:
         with pytest.raises(ContractError):
             derivative(Identity(), -1.0)
 
+    def test_derivative_requires_index_from_1(self):
+        with pytest.raises(ContractError, match="index must be >= 1"):
+            derivative(Identity(), 1.0, i=0)
+
 
 class TestDogBasis:
     """The derivative-of-Gaussian atom matrix."""

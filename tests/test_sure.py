@@ -27,7 +27,6 @@ from svshrink import (
     ContractError,
     DegenerateSpectrumError,
     DenoiseProblem,
-    GAP_TOL_FACTOR,
     Identity,
     MatrixShape,
     RmtOptimal,
@@ -159,6 +158,18 @@ class TestDivergence:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ContractError):
             divergence(np.array([2.0, 1.0]), Identity(), MatrixShape(3, 3))
+
+    @pytest.mark.parametrize(
+        "spectrum, message",
+        [
+            (np.array([[2.0, 1.0, 0.5]]), "must be 1-D"),
+            (np.array([2.0, np.nan, 0.5]), "non-finite entries"),
+            (np.array([1.0, 2.0, 0.5]), "sorted in descending order"),
+        ],
+    )
+    def test_rejects_malformed_spectrum(self, spectrum, message):
+        with pytest.raises(ContractError, match=message):
+            divergence(spectrum, Identity(), MatrixShape(3, 3))
 
 
 def row_dot_divergences(vals, ders, s, rowsums, shape):
@@ -749,6 +760,21 @@ class TestOverflow:
                 call()
         with pytest.raises(SolverFailureError, match="non-finite entries"):
             solve_svlet(problem, factors, K=2, C=10.0)
+
+    @pytest.mark.parametrize("a", [[1e308], [1e308, -1e308]])
+    def test_non_finite_eta_raises(self, a):
+        """An eta that overflows (to inf, or to inf - inf = NaN) has no
+        finite risk: sure() and divergence() fail as apply() does, before
+        numpy warns about the overflow."""
+        Y = np.random.default_rng(73).standard_normal((6, 5))
+        problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
+        rule = Svlet(K=len(a), T=1.0, a=a)
+        for call in (
+            lambda: sure(problem, factors, rule),
+            lambda: divergence(factors.S, rule, factors.shape),
+        ):
+            with pytest.raises(ContractError, match="rule produced non-finite output"):
+                call()
 
     def test_divergence_does_not_form_residual(self):
         """Every y^2 is finite but their sum is not: the divergence, which
