@@ -18,7 +18,9 @@ The benchmark harness is the separate module `svshrink.bench`.
 True
 """
 
-from ._version import __version__
+# The one statement of the version: pyproject.toml reads it from here.
+__version__ = "0.1.0"
+
 from .errors import (
     ContractError,
     DegenerateSpectrumError,

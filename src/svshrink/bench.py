@@ -21,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ._version import __version__
+from . import __version__
 from .errors import ContractError
 from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
 from .rmt import asymptotic_denoise as _asymptotic_denoise
@@ -219,6 +219,28 @@ METHOD_RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
+# CSV tables
+
+
+def _write_table(dest, comments: dict, header, rows) -> None:
+    """Write a harness table to a path or an open text stream: one
+    '# key=value' line per comment, then the header and the rows as CSV."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as stream:
+            _write_table(stream, comments, header, rows)
+        return
+    dest.write("".join(f"# {key}={value}\n" for key, value in comments.items()))
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _number(x) -> str:
+    """A float field: repr's round-trip digits, or empty for None."""
+    return "" if x is None else repr(float(x))
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 
@@ -245,7 +267,6 @@ class NmseTable:
     n: int
     m: int
     trials: int
-    version: str = __version__
 
     def write_csv(self, dest, *, include_timing: bool = False, timestamp: str = None) -> None:
         """Emit the table: '#' metadata comments, header, one row per cell.
@@ -254,43 +275,20 @@ class NmseTable:
         two runs of the same seeded grid produce byte-identical files; the
         measured times stay available on the rows and via timing_report.
         """
-        if hasattr(dest, "write"):
-            self._write_stream(dest, include_timing, timestamp)
-        else:
-            with open(dest, "w", newline="") as stream:
-                self._write_stream(stream, include_timing, timestamp)
-
-    def _write_stream(self, stream, include_timing: bool, timestamp: str) -> None:
         if timestamp is None:
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        stream.write(f"# seed={self.seed}\n")
-        stream.write(f"# n={self.n}\n")
-        stream.write(f"# m={self.m}\n")
-        stream.write(f"# trials={self.trials}\n")
-        stream.write(f"# version={self.version}\n")
-        stream.write(f"# timestamp={timestamp}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["method", "n", "m", "r", "snr", "trials", "nmse", "nmse_stderr", "median_time_s", "status"]
+        comments = dict(
+            seed=self.seed, n=self.n, m=self.m, trials=self.trials, version=__version__, timestamp=timestamp
         )
-        for row in self.rows:
-            timing = ""
-            if include_timing and row.median_time_s is not None:
-                timing = repr(float(row.median_time_s))
-            writer.writerow(
-                [
-                    row.method,
-                    row.n,
-                    row.m,
-                    row.r,
-                    repr(float(row.snr)),
-                    row.trials,
-                    "" if row.nmse is None else repr(float(row.nmse)),
-                    "" if row.nmse_stderr is None else repr(float(row.nmse_stderr)),
-                    timing,
-                    row.status,
-                ]
+        header = ("method", "n", "m", "r", "snr", "trials", "nmse", "nmse_stderr", "median_time_s", "status")
+        rows = (
+            (
+                row.method, row.n, row.m, row.r, _number(row.snr), row.trials, _number(row.nmse),
+                _number(row.nmse_stderr), _number(row.median_time_s if include_timing else None), row.status,
             )
+            for row in self.rows
+        )
+        _write_table(dest, comments, header, rows)
 
     def cell(self, method: str, r: int, snr: float) -> NmseRow:
         """Look up the unique row for (method label, r, snr)."""
@@ -394,7 +392,6 @@ class SensitivityCell:
     C: float
     K: int
     mean_nmse: float  # averaged over every (rank, snr) cell; NaN if any errored
-    label: str
 
 
 @dataclass(frozen=True)
@@ -437,7 +434,7 @@ def sensitivity_sweep(
             mean = float("nan")
         else:
             mean = float(np.mean([row.nmse for row in rows]))
-        cells.append(SensitivityCell(C=spec.C, K=spec.K, mean_nmse=mean, label=spec.label))
+        cells.append(SensitivityCell(C=spec.C, K=spec.K, mean_nmse=mean))
     usable = [cell for cell in cells if np.isfinite(cell.mean_nmse)]
     if not usable:
         raise ContractError("every (C, K) combination produced error rows")
@@ -499,14 +496,8 @@ def timing_report(grid: ExperimentGrid):
 def write_timing_csv(path, rows, seed: int) -> None:
     """Emit timing_report rows: '#' seed and version comments, header, one
     row per method (ratio_vs_svlet empty when the grid has no svlet)."""
-    with open(path, "w", newline="") as stream:
-        stream.write(f"# seed={seed}\n")
-        stream.write(f"# version={__version__}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["method", "median_time_s", "ratio_vs_svlet"])
-        for row in rows:
-            ratio = "" if row.ratio_vs_svlet is None else repr(float(row.ratio_vs_svlet))
-            writer.writerow([row.method, repr(float(row.median_seconds)), ratio])
+    table = ((row.method, _number(row.median_seconds), _number(row.ratio_vs_svlet)) for row in rows)
+    _write_table(path, dict(seed=seed, version=__version__), ("method", "median_time_s", "ratio_vs_svlet"), table)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from ._version import __version__
+from . import __version__
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, calibration_scale, verify_laws
 from .shrinkage import Atn, Svht, Svlt, Svst, apply

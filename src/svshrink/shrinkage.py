@@ -5,8 +5,10 @@ its 1-based rank index i) to a replacement value, leaving the singular
 vectors untouched.  Rules are frozen dataclasses validated at construction.
 Each rule's one `_eval(y, idx)` returns its formula and that formula's
 analytic d(eta)/dy at fixed index, (eta, eta'), which is what the risk
-engine scores; `apply` evaluates it on a whole spectrum and `derivative` at
-one point, both with the non-negativity clamp.  The grid-tuned families
+engine scores.  Every entry point evaluates a rule through `_evaluate`,
+which rejects an eta that is not finite; `apply` evaluates it on a whole
+spectrum and `derivative` at one point, both with the non-negativity
+clamp.  The grid-tuned families
 (Svst, Atn, Svlt) evaluate through static formulas whose parameters
 broadcast, so the risk engine can score a column of candidate parameters as
 a batch of rows.
@@ -311,6 +313,18 @@ def _check_rule(rule) -> None:
         raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
 
 
+def _evaluate(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray) -> tuple:
+    """A checked rule's (eta, eta') on a checked spectrum, the one evaluation
+    every entry point runs.  An eta that is not finite has neither a clamped
+    value nor a finite risk, so it fails here, before numpy warns about the
+    overflow it came from."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, ders = rule._eval(s, idx)
+    if not np.isfinite(vals).all():
+        raise ContractError("rule produced non-finite output")
+    return vals, ders
+
+
 def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     """Evaluate a rule entrywise on a descending non-negative spectrum.
 
@@ -322,10 +336,7 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     _check_rule(rule)
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    out = np.maximum(rule._eval(s, idx)[0], 0.0)
-    if not np.isfinite(out).all():
-        raise ContractError("rule produced non-finite output")
-    return out
+    return np.maximum(_evaluate(rule, s, idx)[0], 0.0)
 
 
 def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
@@ -339,5 +350,5 @@ def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
         raise ContractError(f"derivative requires y > 0, got {y!r}")
     if i < 1:
         raise ContractError(f"index must be >= 1, got {i}")
-    vals, ders = rule._eval(np.asarray([y], dtype=float), np.asarray([float(i)]))
+    vals, ders = _evaluate(rule, np.asarray([y], dtype=float), np.asarray([float(i)]))
     return 0.0 if vals[0] < 0.0 else float(ders[0])

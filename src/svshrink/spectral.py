@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import io
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -374,12 +373,17 @@ def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
     else:
         name = os.fspath(path)
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
+            # The bytes are dropped once decoded; on a non-ASCII byte the
+            # error still holds them and the byte's offset.
+            with open(path, "rb") as fh:
+                text = fh.read().decode("ascii")
         except OSError as exc:
             raise MatrixParseError(f"cannot read matrix file {name}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise MatrixParseError(_non_ascii_message(path, name)) from None
+        except UnicodeDecodeError as exc:
+            data, pos = exc.object, exc.start
+            # Lines are counted as the parser's str.splitlines counts them.
+            lineno = len((data[:pos].decode("ascii") + "x").splitlines())
+            raise MatrixParseError(f"{name}: line {lineno}: byte 0x{data[pos]:02x} is not ASCII") from None
     lines = text.splitlines()
     # numpy's C reader accepts a subset of what float() does and gives the
     # same doubles.  It reads the lines str.splitlines made, as the line
@@ -396,16 +400,6 @@ def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
         except (ValueError, Warning):
             pass
     return _parse_lines(lines, name)
-
-
-def _non_ascii_message(path: str | os.PathLike, name: str) -> str:
-    """Name the 1-based line of a file's first non-ASCII byte, counting lines
-    as the parser's str.splitlines does."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    pos = re.search(rb"[\x80-\xff]", data).start()
-    lineno = len((data[:pos].decode("ascii") + "x").splitlines())
-    return f"{name}: line {lineno}: byte 0x{data[pos]:02x} is not ASCII"
 
 
 def _parse_lines(lines: list[str], name: str) -> np.ndarray:

@@ -38,9 +38,9 @@ from .shrinkage import (
     Svst,
     _check_rule,
     _dog_atoms,
+    _evaluate,
     _expansion_order,
     _logistic_weights,
-    apply,
 )
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching
 
@@ -223,18 +223,6 @@ def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> S
     return SureReport(rule=rule, sure=float(value), residual=float(resid), divergence=float(div))
 
 
-def _finite_formula(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray) -> tuple:
-    """A rule's (eta, eta') on a checked spectrum.  An eta that is not
-    finite has no finite risk, so it fails as apply fails it, before numpy
-    warns about the overflow it came from."""
-    _check_rule(rule)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, ders = rule._eval(s, idx)
-    if not np.isfinite(vals).all():
-        raise ContractError("rule produced non-finite output")
-    return vals, ders
-
-
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
     """Closed-form divergence of the induced spectral estimator.
 
@@ -242,9 +230,10 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     unclamped linear form, matching how the SURE objective is defined.
     """
     s, idx, rowsums = _spectral_pieces(spectrum, shape)
+    _check_rule(rule)
     # No residual is formed: its squares may overflow where the divergence
     # does not.
-    vals, ders = _finite_formula(rule, s, idx)
+    vals, ders = _evaluate(rule, s, idx)
     return float(_divergences(vals, ders, s, rowsums, shape))
 
 
@@ -255,7 +244,8 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
-    return _report(rule, *_finite_formula(rule, s, idx), s, rowsums, shape, problem.sigma)
+    _check_rule(rule)
+    return _report(rule, *_evaluate(rule, s, idx), s, rowsums, shape, problem.sigma)
 
 
 def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -> dict:
@@ -268,10 +258,9 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
     s, idx, _ = _spectral_pieces(factors.S, _check_matching(problem, factors))
-    raw = rule._eval(s, idx)[0]
-    clamped = apply(rule, s)
+    raw = _evaluate(rule, s, idx)[0]
     r_raw = float(np.sum((s - raw) ** 2))
-    r_clamped = float(np.sum((s - clamped) ** 2))
+    r_clamped = float(np.sum((s - np.maximum(raw, 0.0)) ** 2))
     return {
         "residual_unclamped": r_raw,
         "residual_clamped": r_clamped,
@@ -454,5 +443,5 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     # first minimum, so ties go to the smallest tuple.
     trace = GridTrace(axes, sures)
     winner = _FAMILIES[name](*trace[int(np.argmin(sures))][0])
-    report = _report(winner, *winner._eval(s, idx), s, rowsums, shape, problem.sigma)
+    report = _report(winner, *_evaluate(winner, s, idx), s, rowsums, shape, problem.sigma)
     return replace(report, trace=trace)

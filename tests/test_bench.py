@@ -19,12 +19,14 @@ from svshrink import bench
 from svshrink.bench import (
     ExperimentGrid,
     MethodSpec,
+    TimingRow,
     generate_problem,
     paper_preset,
     parse_method,
     run_sweep,
     sensitivity_sweep,
     timing_report,
+    write_timing_csv,
 )
 from svshrink.shrinkage import Identity, Svst
 
@@ -438,6 +440,21 @@ class TestTimingReport:
         )
         rows = timing_report(grid)
         assert rows[0].ratio_vs_svlet is None
+
+    def test_timing_csv_bytes(self, tmp_path):
+        """Comments, header, repr digits, the quoted svlet label and an
+        empty ratio, byte for byte."""
+        rows = (
+            TimingRow("svlet(C=10,K=2)", 0.00025, 1.0),
+            TimingRow("svst-sure", 3.0e-4, 1.2000000000000002),
+            TimingRow("svlt-sure", 0.1, None),
+        )
+        path = tmp_path / "timing.csv"
+        write_timing_csv(path, rows, 7)
+        assert path.read_bytes() == (
+            b"# seed=7\n# version=0.1.0\nmethod,median_time_s,ratio_vs_svlet\n"
+            b'"svlet(C=10,K=2)",0.00025,1.0\nsvst-sure,0.0003,1.2000000000000002\nsvlt-sure,0.1,\n'
+        )
 
     def test_repeat_run_medians_stable(self):
         """Same machine, same seed: medians agree within 50% (stability

@@ -20,7 +20,8 @@ weight table, must match it bit for bit.
 
 The public names are what `svshrink.__all__` lists: each must resolve, none
 may repeat, and names removed from the API must stay gone.  The harness's
-names live in `svshrink.bench` only, not at the package root.
+names live in `svshrink.bench` only, not at the package root.  The version
+is stated once, as `svshrink.__version__`, which pyproject.toml reads.
 """
 
 import importlib
@@ -214,3 +215,14 @@ class TestPublicNames:
         assert name not in svshrink.__all__
         assert not hasattr(svshrink, name)
         assert getattr(importlib.import_module("svshrink.bench"), name) is not None
+
+
+class TestVersion:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_pyproject_reads_package_version(self):
+        import tomllib
+
+        pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "svshrink.__version__"}

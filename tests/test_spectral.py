@@ -10,6 +10,7 @@ Known values:
     svd(zeros(3, 2)) -> S = [0, 0]
 """
 
+import builtins
 import io
 import re
 
@@ -420,6 +421,23 @@ class TestMatrixIO:
         message = re.escape(f"{path}: line {lineno}: byte {byte} is not ASCII")
         with pytest.raises(MatrixParseError, match=message):
             read_matrix(path)
+
+    def test_non_ascii_file_opened_once(self, tmp_path, monkeypatch):
+        """The message comes from the decode error; the file is not read a
+        second time to find the byte."""
+        path = tmp_path / "accent.csv"
+        path.write_bytes(b"1,2\n3,\xe94\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with pytest.raises(MatrixParseError, match="line 2: byte 0xe9 is not ASCII"):
+            read_matrix(path)
+        assert opened == [path]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

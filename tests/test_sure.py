@@ -761,17 +761,22 @@ class TestOverflow:
         with pytest.raises(SolverFailureError, match="non-finite entries"):
             solve_svlet(problem, factors, K=2, C=10.0)
 
-    @pytest.mark.parametrize("a", [[1e308], [1e308, -1e308]])
+    @pytest.mark.parametrize("a", [[1e308], [1e308, -1e308], [-1e308]])
     def test_non_finite_eta_raises(self, a):
-        """An eta that overflows (to inf, or to inf - inf = NaN) has no
-        finite risk: sure() and divergence() fail as apply() does, before
-        numpy warns about the overflow."""
+        """An eta that overflows (to inf, to -inf, or to inf - inf = NaN)
+        has neither a clamped value nor a finite risk: sure() and
+        divergence() fail as apply(), derivative() and svlet_clamp_gap()
+        do, before numpy warns about the overflow.  A clamp applied first
+        would turn -inf into 0."""
         Y = np.random.default_rng(73).standard_normal((6, 5))
         problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
         rule = Svlet(K=len(a), T=1.0, a=a)
         for call in (
             lambda: sure(problem, factors, rule),
             lambda: divergence(factors.S, rule, factors.shape),
+            lambda: apply(rule, factors.S),
+            lambda: derivative(rule, factors.S[0]),
+            lambda: svlet_clamp_gap(problem, factors, rule),
         ):
             with pytest.raises(ContractError, match="rule produced non-finite output"):
                 call()
