@@ -26,7 +26,7 @@ from .errors import ContractError
 from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
 from .rmt import asymptotic_denoise as _asymptotic_denoise
 from .shrinkage import _expansion_order, apply
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, reconstruct, svd, truncated_spectrum
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _positive, reconstruct, svd, truncated_spectrum
 from .sure import DEFAULT_C, DEFAULT_K, solve_svlet, tune_grid
 
 DEFAULT_TRIALS = 10
@@ -63,9 +63,7 @@ class MethodSpec:
             raise ContractError(
                 f"unknown method {self.family!r}; expected one of {sorted(METHOD_RUNNERS)}"
             )
-        C = float(self.C)
-        if not np.isfinite(C) or C <= 0.0:
-            raise ContractError(f"C must be a finite positive number, got {self.C!r}")
+        C = _positive(self.C, "C")
         object.__setattr__(self, "K", _expansion_order(self.K))
         object.__setattr__(self, "C", C)
 
@@ -117,23 +115,16 @@ class ExperimentGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
-        shape = MatrixShape(int(self.n), int(self.m))
+        shape = MatrixShape(self.n, self.m)
         ranks = tuple(self.ranks)
         if not ranks:
             raise ContractError("ranks must be non-empty")
         for r in ranks:
             if not isinstance(r, (int, np.integer)) or not (1 <= r <= shape.L):
                 raise ContractError(f"ranks must be integers in [1, {shape.L}], got {r!r}")
-        snrs = tuple(float(s) for s in self.snrs)
+        snrs = tuple(_positive(s, "snr") for s in self.snrs)
         if not snrs:
             raise ContractError("snrs must be non-empty")
-        for s in snrs:
-            if not np.isfinite(s) or s <= 0.0:
-                raise ContractError(f"snrs must be finite and > 0, got {s!r}")
         methods = tuple(parse_method(spec) for spec in self.methods)
         if not methods:
             raise ContractError("methods must be non-empty")
@@ -164,12 +155,10 @@ def generate_problem(n: int, m: int, r: int, snr: float, rng) -> tuple:
     from the realized ||X||_F so that ||X||_F^2 / (n m sigma^2) equals the
     requested snr for this draw, not merely in expectation.
     """
-    shape = MatrixShape(int(n), int(m))
+    shape = MatrixShape(n, m)
     if not isinstance(r, (int, np.integer)) or not (1 <= r <= shape.L):
         raise ContractError(f"r must be an integer in [1, {shape.L}], got {r!r}")
-    snr = float(snr)
-    if not np.isfinite(snr) or snr <= 0.0:
-        raise ContractError(f"snr must be finite and > 0, got {snr!r}")
+    snr = _positive(snr, "snr")
     left = rng.standard_normal((shape.n, int(r)))
     right = rng.standard_normal((shape.m, int(r)))
     X = left @ right.T

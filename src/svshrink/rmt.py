@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .shrinkage import RmtOptimal, Svht, Svst, apply
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, reconstruct
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _positive, reconstruct
 
 OPTIMAL_SHRINK = "opt-shrink"
 SVHT_4SQRT3 = "svht-4sqrt3"
@@ -164,10 +164,7 @@ def calibration_scale(shape: MatrixShape, sigma: float) -> float:
     shape and a matrix and its transpose calibrate alike (Gavish & Donoho
     2014).  Every calibrated rule and rank count divides by this one value.
     """
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise ContractError(f"sigma must be a finite positive number, got {sigma!r}")
-    return float(np.sqrt(max(shape.n, shape.m)) * sigma)
+    return float(np.sqrt(max(shape.n, shape.m)) * _positive(sigma, "sigma"))
 
 
 def estimate_rank(spectrum: np.ndarray, shape: MatrixShape, sigma: float) -> RankEstimate:

@@ -26,6 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError
+from .spectral import _check_spectrum, _positive
 
 # Hard cap on the ATN exponent; beyond this the rule is indistinguishable
 # from a hard threshold at double precision anyway.
@@ -118,8 +119,7 @@ class Svht:
     mu: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _finite_scalar(self.mu, "mu"))
-        _require(self.mu > 0.0, "mu must be > 0, got {}", self.mu)
+        object.__setattr__(self, "mu", _positive(self.mu, "mu"))
 
     def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
         return np.where(y > self.mu, y, 0.0), np.where(y >= self.mu, 1.0, 0.0)
@@ -159,9 +159,8 @@ class Atn:
     gamma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", _finite_scalar(self.tau, "tau"))
+        object.__setattr__(self, "tau", _positive(self.tau, "tau"))
         object.__setattr__(self, "gamma", _finite_scalar(self.gamma, "gamma"))
-        _require(self.tau > 0.0, "tau must be > 0, got {}", self.tau)
         _require(1.0 <= self.gamma <= GAMMA_MAX, "gamma must lie in [1, {:g}], got {}", GAMMA_MAX, self.gamma)
 
     @staticmethod
@@ -243,8 +242,7 @@ class Svlet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", _expansion_order(self.K))
-        object.__setattr__(self, "T", _finite_scalar(self.T, "T"))
-        _require(self.T > 0.0, "T must be > 0, got {}", self.T)
+        object.__setattr__(self, "T", _positive(self.T, "T"))
         a = np.asarray(self.a, dtype=float)
         _require(a.ndim == 1 and a.shape[0] == self.K, "a must be a length-{} vector, got shape {}", self.K, a.shape)
         # K is small, and Python's isfinite on its entries is cheaper than
@@ -295,19 +293,6 @@ class RmtOptimal:
 ShrinkageRule = Union[Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal]
 
 
-def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    s = np.asarray(spectrum, dtype=float)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ContractError(f"spectrum must be a non-empty 1-D array, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ContractError("spectrum contains non-finite entries")
-    if (s < 0.0).any():
-        raise ContractError("spectrum contains negative entries")
-    if (s[1:] > s[:-1]).any():
-        raise ContractError("spectrum must be sorted in descending order")
-    return s
-
-
 def _check_rule(rule) -> None:
     if not isinstance(rule, ShrinkageRule):
         raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
@@ -345,9 +330,7 @@ def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
     Where apply's non-negativity clamp is active the derivative is 0.
     """
     _check_rule(rule)
-    y = float(y)
-    if not np.isfinite(y) or y <= 0.0:
-        raise ContractError(f"derivative requires y > 0, got {y!r}")
+    y = _positive(y, "y")
     if i < 1:
         raise ContractError(f"index must be >= 1, got {i}")
     vals, ders = _evaluate(rule, np.asarray([y], dtype=float), np.asarray([float(i)]))

@@ -3,7 +3,10 @@
 Everything downstream (shrinkage rules, risk estimation, benchmarks) works
 on the factors produced here, so this module pins down the conventions once:
 thin factors with L = min(n, m) columns, descending singular values, and a
-deterministic sign choice for the singular vectors.
+deterministic sign choice for the singular vectors.  It also owns the input
+contracts the other modules share: MatrixShape checks every matrix's
+dimensions, _check_spectrum every spectrum a rule or the risk engine
+reads, and _positive every parameter that must be finite and > 0.
 
 write_matrix prints every value with the bytes of ``"%.17g" % v`` but finds
 the digits with numpy, a block of values at a time.  For finite nonzero x
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -65,10 +69,35 @@ class MatrixShape:
 
     @classmethod
     def of(cls, matrix: np.ndarray) -> "MatrixShape":
+        """The shape of a 2-D array with at least one row and one column."""
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ContractError(f"expected a 2-D array, got ndim={matrix.ndim}")
-        return cls(int(matrix.shape[0]), int(matrix.shape[1]))
+        return cls(*matrix.shape)
+
+
+def _positive(x, name: str) -> float:
+    """x as a float that is finite and > 0."""
+    value = float(x)
+    # Python's isfinite on one float is cheaper than numpy's.
+    if not (math.isfinite(value) and value > 0.0):
+        raise ContractError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
+def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
+    """A spectrum as a float array that is 1-D, non-empty, finite,
+    non-negative and descending."""
+    s = np.asarray(spectrum, dtype=float)
+    if s.ndim != 1 or s.shape[0] < 1:
+        raise ContractError(f"spectrum must be 1-D and non-empty, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ContractError("spectrum contains non-finite entries")
+    if (s < 0.0).any():
+        raise ContractError("spectrum contains negative entries")
+    if (s[1:] > s[:-1]).any():
+        raise ContractError("spectrum must be sorted in descending order")
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +122,11 @@ class DenoiseProblem:
 
     def __post_init__(self) -> None:
         Y = np.asarray(self.Y, dtype=float)
-        if Y.ndim != 2:
-            raise ContractError(f"Y must be 2-D, got ndim={Y.ndim}")
-        if Y.shape[0] < 1 or Y.shape[1] < 1:
-            raise ContractError(f"Y must be non-empty, got shape {Y.shape}")
+        MatrixShape.of(Y)
         if not np.all(np.isfinite(Y)):
             raise ContractError("Y contains non-finite entries")
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise ContractError(f"sigma must be a finite positive number, got {self.sigma!r}")
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _positive(self.sigma, "sigma"))
 
     @property
     def shape(self) -> MatrixShape:
@@ -133,10 +156,7 @@ def svd(Y: np.ndarray) -> SvdFactors:
     bitwise-identical factors.
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ContractError(f"expected a 2-D array, got ndim={Y.ndim}")
-    if Y.shape[0] < 1 or Y.shape[1] < 1:
-        raise ContractError(f"matrix must be non-empty, got shape {Y.shape}")
+    MatrixShape.of(Y)
     if not np.isfinite(Y).all():
         raise ContractError("matrix contains non-finite entries")
     try:
@@ -203,8 +223,7 @@ def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None
     block of values at a time, so the whole of it is never held at once.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise ContractError(f"expected a non-empty 2-D array, got shape {getattr(M, 'shape', None)}")
+    MatrixShape.of(M)
     if hasattr(path, "write"):
         _write_csv(path, M)
     else:

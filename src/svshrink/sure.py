@@ -42,7 +42,7 @@ from .shrinkage import (
     _expansion_order,
     _logistic_weights,
 )
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _check_spectrum, _positive
 
 # Pairwise squared-value gaps below GAP_TOL_FACTOR * y_1^2 count as ties.
 GAP_TOL_FACTOR = 1e-10
@@ -129,15 +129,9 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
     (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2)).
     Both scales must square without overflow, or every risk formed from them
     would be inf or NaN."""
-    s = np.asarray(spectrum, dtype=float)
-    if s.ndim != 1:
-        raise ContractError(f"spectrum must be 1-D, got shape {s.shape}")
+    s = _check_spectrum(spectrum)
     if s.shape[0] != shape.L:
         raise ContractError(f"spectrum length {s.shape[0]} does not match min(n, m) = {shape.L}")
-    if not np.isfinite(s).all():
-        raise ContractError("spectrum contains non-finite entries")
-    if (s[1:] > s[:-1]).any():
-        raise ContractError("spectrum must be sorted in descending order")
     # Products of Python floats overflow to inf without a numpy warning.
     y1 = float(s[0])
     if not math.isfinite(y1 * y1):
@@ -148,8 +142,8 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
         raise DegenerateSpectrumError(
             f"n*m*sigma^2 overflows for sigma = {sigma!r}; rescale Y and sigma together"
         )
-    if s[-1] <= 0.0:
-        k = int(np.argmax(s <= 0.0))
+    if s[-1] == 0.0:
+        k = int(np.argmax(s == 0.0))
         raise DegenerateSpectrumError(
             f"singular value #{k + 1} is not strictly positive ({s[k]!r}); "
             "the closed-form divergence requires a strictly positive spectrum"
@@ -217,10 +211,22 @@ def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float, work=None)
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
 
+def _rule_scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
+    """_scores of one rule's formula values and derivatives, as floats.  A
+    finite eta far above the spectrum can still square past the double
+    range, and that residual has no finite risk, so it fails here before
+    numpy warns about the overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, resid, div = _scores(vals, ders, s, rowsums, shape, sigma)
+    if not math.isfinite(resid):
+        raise ContractError("the rule's residual sum_i (y_i - eta(y_i))^2 overflows")
+    return float(value), float(resid), float(div)
+
+
 def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> SureReport:
     """SURE report of one rule from its formula's values and derivatives."""
-    value, resid, div = _scores(vals, ders, s, rowsums, shape, sigma)
-    return SureReport(rule=rule, sure=float(value), residual=float(resid), divergence=float(div))
+    value, resid, div = _rule_scores(vals, ders, s, rowsums, shape, sigma)
+    return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
 
 
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
@@ -238,7 +244,9 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
 
 
 def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:
-    """Unbiased estimate of ||Xhat - X||_F^2 for the spectral rule.
+    """Unbiased estimate of ||Xhat - X||_F^2 for the spectral rule's
+    formula; for a Svlet that is the unclamped expansion, not the clamped
+    rule apply uses.
 
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
@@ -257,10 +265,12 @@ def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -
     """
     if not isinstance(rule, Svlet):
         raise ContractError("clamp gap is defined for solved expansion rules only")
-    s, idx, _ = _spectral_pieces(factors.S, _check_matching(problem, factors))
-    raw = _evaluate(rule, s, idx)[0]
-    r_raw = float(np.sum((s - raw) ** 2))
-    r_clamped = float(np.sum((s - np.maximum(raw, 0.0)) ** 2))
+    shape = _check_matching(problem, factors)
+    s, idx, rowsums = _spectral_pieces(factors.S, shape)
+    raw, ders = _evaluate(rule, s, idx)
+    # Only the residuals are read.
+    r_raw = _rule_scores(raw, ders, s, rowsums, shape, problem.sigma)[1]
+    r_clamped = _rule_scores(np.maximum(raw, 0.0), ders, s, rowsums, shape, problem.sigma)[1]
     return {
         "residual_unclamped": r_raw,
         "residual_clamped": r_clamped,
@@ -314,14 +324,13 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     spectrum.
     """
     K = _expansion_order(K)
-    if not math.isfinite(T) or T <= 0.0:
-        raise ContractError(f"T must be a finite positive number, got {T!r}")
+    T = _positive(T, "T")
     sigma2 = float(sigma) * float(sigma)
     # Values near the top of the double range can overflow here; the solve
     # rejects the non-finite system that results.
     with np.errstate(over="ignore", invalid="ignore"):
         g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
-        phi, phid = _dog_atoms(s, K, float(T))
+        phi, phid = _dog_atoms(s, K, T)
         M = phi.T @ phi
         M = 0.5 * (M + M.T)
         c = phi.T @ g - sigma2 * phid.sum(axis=0)
@@ -336,9 +345,7 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     clamp); the attached report is its SURE, scored on the solve's own basis
     and coefficients.
     """
-    C = float(C)
-    if not math.isfinite(C) or C <= 0.0:
-        raise ContractError(f"C must be a finite positive number, got {C!r}")
+    C = _positive(C, "C")
     shape = _check_matching(problem, factors)
     T = C * problem.sigma
     s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)

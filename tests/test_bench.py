@@ -103,6 +103,15 @@ class TestGenerateProblem:
         with pytest.raises(ContractError):
             generate_problem(5, 5, 2, 0.0, rng)
 
+    def test_rejects_non_integer_sizes(self):
+        """A 3.7 x 4.2 request is an error, as in ExperimentGrid, not a
+        3 x 4 draw."""
+        rng = np.random.default_rng(76)
+        with pytest.raises(ContractError, match="matrix dimensions must be integers"):
+            generate_problem(3.7, 4.2, 1, 1.0, rng)
+        with pytest.raises(ContractError):
+            generate_problem(4, 4.0, 1, 1.0, rng)
+
 
 class TestMethodSpec:
     """Method specifiers and their labels."""
@@ -147,6 +156,10 @@ class TestMethodSpec:
         with pytest.raises(ContractError):
             MethodSpec(family="svlet", K=0)
 
+    def test_rejects_non_string_specifier(self):
+        with pytest.raises(ContractError, match="method specifier must be a string, got int"):
+            parse_method(3)
+
 
 class TestExperimentGrid:
     """Grid validation and coercion."""
@@ -179,6 +192,12 @@ class TestExperimentGrid:
             small_grid(ranks=())
         with pytest.raises(ContractError):
             small_grid(methods=())
+        with pytest.raises(ContractError, match="snrs must be non-empty"):
+            small_grid(snrs=())
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ContractError):
+            small_grid(n=0)
 
 
 class TestRunSweep:
@@ -378,6 +397,15 @@ class TestSensitivitySweep:
         base = small_grid()
         with pytest.raises(ContractError):
             sensitivity_sweep(base, c_values=(), k_values=(2,))
+
+    def test_rejects_all_error_cells(self, monkeypatch):
+        def explode(problem, factors, spec, true_rank):
+            raise DegenerateSpectrumError("synthetic failure")
+
+        monkeypatch.setitem(bench.METHOD_RUNNERS, "svlet", explode)
+        base = small_grid(methods=("svlet(C=10,K=2)",), ranks=(1,), snrs=(1.0,), trials=1)
+        with pytest.raises(ContractError, match=r"every \(C, K\) combination produced error rows"):
+            sensitivity_sweep(base, c_values=(2.0, 10.0), k_values=(1,))
 
 
 class TestVerifyAsymptoticOptimality:

@@ -359,6 +359,17 @@ class TestDenoise:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_output_into_missing_directory_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "obs.csv")
+        make_input(path)
+        output = str(tmp_path / "missing" / "out.csv")
+        code, out, err = run_cli(
+            ["denoise", path, "--sigma", "0.5", "--method", "svlet", "--output", output], capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write matrix file {output}:")
+        assert out == ""
+
     def test_non_ascii_input_exits_2(self, tmp_path, capsys):
         """A UTF-8 byte in the CSV is a parse error (exit 2), not a crash."""
         path = tmp_path / "accent.csv"
@@ -613,6 +624,31 @@ class TestBenchCommand:
         code, out, err = run_cli(["bench", "--config", config, "--seed", "11"], capsys)
         assert code == 2
         assert "duplicate key 'n'" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("ranks = 1..x", "ranks: cannot parse range '1..x'"),
+            ("ranks = 1,x", "ranks: cannot parse integer list '1,x'"),
+            ("snrs = 1 x", "snrs: cannot parse number list '1 x'"),
+            ("m = x", "m: cannot parse 'x'"),
+            ("trials", "config line 2: expected `key = value`, got 'trials'"),
+            ("run = foo", "run must be one of sweep, sensitivity, timing; got 'foo'"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, line, message):
+        config = write_config(tmp_path / "bench.cfg", f"n = 12\n{line}\n")
+        code, out, err = run_cli(["bench", "--config", config, "--seed", "11"], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        config = str(tmp_path / "missing.cfg")
+        code, out, err = run_cli(["bench", "--config", config, "--seed", "11"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {config}:")
+        assert out == ""
 
     def test_rank_range_syntax(self, tmp_path):
         config = write_config(

@@ -30,7 +30,7 @@ from svshrink import (
     svd,
     write_matrix,
 )
-from svshrink.spectral import _FORMAT_BLOCK, _parse_lines
+from svshrink.spectral import _FORMAT_BLOCK, _parse_lines, truncated_spectrum
 
 # A fixed example sequence and no example database, so every run on every
 # machine tests the same inputs.
@@ -160,6 +160,10 @@ class TestDenoiseProblem:
         with pytest.raises(ContractError):
             DenoiseProblem(np.ones(4), 1.0)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ContractError):
+            DenoiseProblem(np.zeros((0, 3)), 1.0)
+
 
 class TestSvd:
     """Thin SVD with the deterministic sign convention."""
@@ -264,6 +268,10 @@ class TestSvd:
         with pytest.raises(ContractError):
             svd(np.ones(5))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ContractError):
+            svd(np.zeros((0, 3)))
+
 
 class TestReconstruct:
     """Synthesis from factors with replacement singular values."""
@@ -348,6 +356,10 @@ class TestEymTruncate:
             eym_truncate(Y, 5)
         with pytest.raises(ContractError):
             eym_truncate(Y, -1)
+
+    def test_rejects_non_integer_rank(self):
+        with pytest.raises(ContractError, match="rank must be an integer, got 1.5"):
+            truncated_spectrum(np.array([3.0, 2.0, 1.0]), 1.5)
 
 
 class TestFactorProperties:

@@ -165,6 +165,7 @@ class TestDivergence:
             (np.array([[2.0, 1.0, 0.5]]), "must be 1-D"),
             (np.array([2.0, np.nan, 0.5]), "non-finite entries"),
             (np.array([1.0, 2.0, 0.5]), "sorted in descending order"),
+            (np.array([2.0, 1.0, -0.5]), "negative entries"),
         ],
     )
     def test_rejects_malformed_spectrum(self, spectrum, message):
@@ -301,7 +302,8 @@ class TestSureReports:
                 asymptotic_denoise(problem, other, variant)
 
     def test_clamp_gap_checks_factors(self):
-        """A 5x5 problem with 9x7 factors, or an unusable spectrum, raises."""
+        """A 5x5 problem with 9x7 factors, an unusable spectrum, or a rule
+        that is not a solved expansion raises."""
         rng = np.random.default_rng(48)
         problem, factors = random_problem(rng, 5, 5)
         rule = Svlet(K=2, T=4.0, a=np.array([0.9, -0.1]))
@@ -310,6 +312,8 @@ class TestSureReports:
         zeroed = SvdFactors(U=factors.U, S=np.zeros(5), V=factors.V)
         with pytest.raises(DegenerateSpectrumError):
             svlet_clamp_gap(problem, zeroed, rule)
+        with pytest.raises(ContractError, match="solved expansion rules only"):
+            svlet_clamp_gap(problem, factors, Svst(1.0))
 
     def test_svlet_residual_uses_unclamped_form(self):
         """The risk engine scores the raw expansion, not the clamped apply."""
@@ -780,6 +784,22 @@ class TestOverflow:
         ):
             with pytest.raises(ContractError, match="rule produced non-finite output"):
                 call()
+
+    def test_residual_overflow_raises(self):
+        """eta is finite, but its residual squares past the double range:
+        scoring the one rule fails with a typed error that names the
+        residual, before numpy warns, while the divergence, which never
+        squares eta, stays finite."""
+        Y = np.random.default_rng(73).standard_normal((6, 5))
+        problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
+        rule = Svlet(K=1, T=1.0, a=[1e200])
+        for call in (
+            lambda: sure(problem, factors, rule),
+            lambda: svlet_clamp_gap(problem, factors, rule),
+        ):
+            with pytest.raises(ContractError, match="residual"):
+                call()
+        assert divergence(factors.S, rule, factors.shape) == 2.9999999999999986e201
 
     def test_divergence_does_not_form_residual(self):
         """Every y^2 is finite but their sum is not: the divergence, which
