@@ -25,8 +25,8 @@ from . import __version__
 from .errors import ContractError
 from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
 from .rmt import asymptotic_denoise as _asymptotic_denoise
-from .shrinkage import _expansion_order, apply
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _positive, reconstruct, svd, truncated_spectrum
+from .shrinkage import apply
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _count, _positive, reconstruct, svd, truncated_spectrum
 from .sure import DEFAULT_C, DEFAULT_K, solve_svlet, tune_grid
 
 DEFAULT_TRIALS = 10
@@ -63,9 +63,8 @@ class MethodSpec:
             raise ContractError(
                 f"unknown method {self.family!r}; expected one of {sorted(METHOD_RUNNERS)}"
             )
-        C = _positive(self.C, "C")
-        object.__setattr__(self, "K", _expansion_order(self.K))
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", _positive(self.C, "C"))
+        object.__setattr__(self, "K", _count(self.K, "K", 1))
 
     @property
     def label(self) -> str:
@@ -116,12 +115,9 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         shape = MatrixShape(self.n, self.m)
-        ranks = tuple(self.ranks)
+        ranks = tuple(_count(r, "rank", 1, shape.L) for r in self.ranks)
         if not ranks:
             raise ContractError("ranks must be non-empty")
-        for r in ranks:
-            if not isinstance(r, (int, np.integer)) or not (1 <= r <= shape.L):
-                raise ContractError(f"ranks must be integers in [1, {shape.L}], got {r!r}")
         snrs = tuple(_positive(s, "snr") for s in self.snrs)
         if not snrs:
             raise ContractError("snrs must be non-empty")
@@ -131,17 +127,13 @@ class ExperimentGrid:
         labels = [spec.label for spec in methods]
         if len(set(labels)) != len(labels):
             raise ContractError(f"duplicate method specifiers in {labels}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ContractError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ContractError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
+        object.__setattr__(self, "n", shape.n)
+        object.__setattr__(self, "m", shape.m)
+        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "snrs", snrs)
         object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", _count(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
     @property
     def shape(self) -> MatrixShape:
@@ -156,11 +148,10 @@ def generate_problem(n: int, m: int, r: int, snr: float, rng) -> tuple:
     requested snr for this draw, not merely in expectation.
     """
     shape = MatrixShape(n, m)
-    if not isinstance(r, (int, np.integer)) or not (1 <= r <= shape.L):
-        raise ContractError(f"r must be an integer in [1, {shape.L}], got {r!r}")
+    r = _count(r, "r", 1, shape.L)
     snr = _positive(snr, "snr")
-    left = rng.standard_normal((shape.n, int(r)))
-    right = rng.standard_normal((shape.m, int(r)))
+    left = rng.standard_normal((shape.n, r))
+    right = rng.standard_normal((shape.m, r))
     X = left @ right.T
     sigma = float(np.linalg.norm(X) / np.sqrt(snr * shape.n * shape.m))
     Y = X + sigma * rng.standard_normal((shape.n, shape.m))
@@ -192,7 +183,7 @@ def _make_asymptotic_runner(variant: str):
 
 
 def _run_eym_oracle(problem: DenoiseProblem, factors: SvdFactors, spec: MethodSpec, true_rank: int):
-    return reconstruct(factors, truncated_spectrum(factors.S, int(true_rank)))
+    return reconstruct(factors, truncated_spectrum(factors.S, true_rank))
 
 
 METHOD_RUNNERS = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .shrinkage import RmtOptimal, Svht, Svst, apply
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _positive, reconstruct
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _count, _positive, reconstruct
 
 OPTIMAL_SHRINK = "opt-shrink"
 SVHT_4SQRT3 = "svht-4sqrt3"
@@ -36,7 +36,10 @@ class AspectRatio:
     beta: float
 
     def __post_init__(self) -> None:
-        beta = float(self.beta)
+        try:
+            beta = float(self.beta)
+        except (TypeError, ValueError):
+            beta = float("nan")  # not a number: fails the check below
         if not np.isfinite(beta) or not (0.0 < beta <= 1.0):
             raise ContractError(f"beta must lie in (0, 1], got {self.beta!r}")
         object.__setattr__(self, "beta", beta)
@@ -252,16 +255,15 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     (mean over `trials` draws); the left-vector overlap at x = 2 matches
     overlap_u within 0.05 (mean over `trials` draws).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ContractError(f"n must be an integer >= 2, got {n!r}")
+    n = _count(n, "n", 2)
     ratio = _as_ratio(beta)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ContractError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _count(trials, "trials", 1)
+    seed = _count(seed, "seed", 0)
     m = int(round(n / ratio.beta))
     root_m = np.sqrt(m)
     checks: list[LawCheck] = []
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     W = rng.standard_normal((n, m)) / root_m
     w = np.linalg.svd(W, compute_uv=False)
     checks.append(_check("bulk-edge", float(w[0]), ratio.edge_high, 0.1, "abs"))
@@ -279,7 +281,7 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     for x in (1.5, 2.0, 3.0):
         tops = []
         for t in range(trials):
-            _, Y = spiked([int(seed), 1, int(10 * x), t], x)
+            _, Y = spiked([seed, 1, int(10 * x), t], x)
             tops.append(np.linalg.svd(Y, compute_uv=False)[0])
         checks.append(
             _check(f"spike-location-x{x:g}", float(np.mean(tops)), float(spike_location(x, ratio)), 0.05, "rel")
@@ -288,7 +290,7 @@ def verify_laws(n: int, beta: float, trials: int, seed: int) -> list[LawCheck]:
     x = 2.0
     overlaps = []
     for t in range(trials):
-        u, Y = spiked([int(seed), 2, t], x)
+        u, Y = spiked([seed, 2, t], x)
         U, _, _ = np.linalg.svd(Y, full_matrices=False)
         overlaps.append(abs(float(u @ U[:, 0])))
     checks.append(_check("overlap-u-x2", float(np.mean(overlaps)), float(overlap_u(x, ratio)), 0.05, "abs"))

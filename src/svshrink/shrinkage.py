@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError
-from .spectral import _check_spectrum, _positive
+from .spectral import _check_spectrum, _count, _positive
 
 # Hard cap on the ATN exponent; beyond this the rule is indistinguishable
 # from a hard threshold at double precision anyway.
@@ -81,19 +81,12 @@ def _require(cond: bool, msg: str, *args) -> None:
 
 
 def _finite_scalar(x, name: str) -> float:
-    x = float(x)
-    _require(math.isfinite(x), "{} must be finite, got {!r}", name, x)
-    return x
-
-
-def _expansion_order(K) -> int:
-    """The expansion order K as an int; booleans are not orders."""
-    _require(
-        isinstance(K, (int, np.integer)) and not isinstance(K, bool) and K >= 1,
-        "K must be an integer >= 1, got {!r}",
-        K,
-    )
-    return int(K)
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        value = x  # not a number: the check below fails and shows x as given
+    _require(type(value) is float and math.isfinite(value), "{} must be finite, got {!r}", name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -241,7 +234,7 @@ class Svlet:
     a: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K", _expansion_order(self.K))
+        object.__setattr__(self, "K", _count(self.K, "K", 1))
         object.__setattr__(self, "T", _positive(self.T, "T"))
         a = np.asarray(self.a, dtype=float)
         _require(a.ndim == 1 and a.shape[0] == self.K, "a must be a length-{} vector, got shape {}", self.K, a.shape)
@@ -327,11 +320,13 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
 def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
     """Analytic d(eta)/dy at the point y, holding the rank index i fixed.
 
-    Where apply's non-negativity clamp is active the derivative is 0.
+    Where apply's non-negativity clamp is active the derivative is 0; a
+    derivative that is not finite raises ContractError.
     """
     _check_rule(rule)
     y = _positive(y, "y")
-    if i < 1:
-        raise ContractError(f"index must be >= 1, got {i}")
+    i = _count(i, "index", 1)
     vals, ders = _evaluate(rule, np.asarray([y], dtype=float), np.asarray([float(i)]))
-    return 0.0 if vals[0] < 0.0 else float(ders[0])
+    d = 0.0 if vals[0] < 0.0 else float(ders[0])
+    _require(math.isfinite(d), "rule produced a non-finite derivative")
+    return d

@@ -6,7 +6,8 @@ thin factors with L = min(n, m) columns, descending singular values, and a
 deterministic sign choice for the singular vectors.  It also owns the input
 contracts the other modules share: MatrixShape checks every matrix's
 dimensions, _check_spectrum every spectrum a rule or the risk engine
-reads, and _positive every parameter that must be finite and > 0.
+reads, _positive every parameter that must be finite and > 0, and _count
+every count: a dimension, rank, expansion order, index, trials or seed.
 
 write_matrix prints every value with the bytes of ``"%.17g" % v`` but finds
 the digits with numpy, a block of values at a time.  For finite nonzero x
@@ -49,6 +50,15 @@ _TIE_MARGIN = 2.0**-44  # a fraction this close to 1/2 is left to "%.17g"
 _VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
 
 
+def _count(x, name: str, lo: int, hi: int | None = None) -> int:
+    """x as a Python int in [lo, hi] (no upper bound when hi is None); a
+    bool, a float or a string is not a count, whatever its value."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x and (hi is None or x <= hi):
+        return int(x)
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ContractError(f"{name} must be an integer {bounds}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class MatrixShape:
     """Dimensions (n rows, m columns) of a data matrix."""
@@ -57,10 +67,8 @@ class MatrixShape:
     m: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and isinstance(self.m, (int, np.integer))):
-            raise ContractError(f"matrix dimensions must be integers, got ({self.n!r}, {self.m!r})")
-        if self.n < 1 or self.m < 1:
-            raise ContractError(f"matrix dimensions must be >= 1, got ({self.n}, {self.m})")
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
+        object.__setattr__(self, "m", _count(self.m, "m", 1))
 
     @property
     def L(self) -> int:
@@ -78,9 +86,12 @@ class MatrixShape:
 
 def _positive(x, name: str) -> float:
     """x as a float that is finite and > 0."""
-    value = float(x)
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        value = x  # not a number: the check below fails and shows x as given
     # Python's isfinite on one float is cheaper than numpy's.
-    if not (math.isfinite(value) and value > 0.0):
+    if not (type(value) is float and math.isfinite(value) and value > 0.0):
         raise ContractError(f"{name} must be a finite positive number, got {value!r}")
     return value
 
@@ -110,7 +121,7 @@ class SvdFactors:
 
     @property
     def shape(self) -> MatrixShape:
-        return MatrixShape(int(self.U.shape[0]), int(self.V.shape[0]))
+        return MatrixShape(self.U.shape[0], self.V.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +209,7 @@ def reconstruct(factors: SvdFactors, s_new: np.ndarray) -> np.ndarray:
 
 def truncated_spectrum(S: np.ndarray, r: int) -> np.ndarray:
     """A copy of the spectrum S with every value after the leading r zeroed."""
-    L = S.shape[0]
-    if not isinstance(r, (int, np.integer)):
-        raise ContractError(f"rank must be an integer, got {r!r}")
-    if r < 0 or r > L:
-        raise ContractError(f"rank must lie in [0, {L}], got {r}")
+    r = _count(r, "rank", 0, S.shape[0])
     s_new = S.copy()
     s_new[r:] = 0.0
     return s_new

@@ -39,10 +39,9 @@ from .shrinkage import (
     _check_rule,
     _dog_atoms,
     _evaluate,
-    _expansion_order,
     _logistic_weights,
 )
-from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _check_spectrum, _positive
+from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _check_matching, _check_spectrum, _count, _positive
 
 # Pairwise squared-value gaps below GAP_TOL_FACTOR * y_1^2 count as ties.
 GAP_TOL_FACTOR = 1e-10
@@ -233,14 +232,19 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     """Closed-form divergence of the induced spectral estimator.
 
     Scores the rule's formula, which for a solved expansion is the
-    unclamped linear form, matching how the SURE objective is defined.
+    unclamped linear form, matching how the SURE objective is defined.  An
+    eta' or y * eta past the double range fails here, before numpy warns.
     """
     s, idx, rowsums = _spectral_pieces(spectrum, shape)
     _check_rule(rule)
     # No residual is formed: its squares may overflow where the divergence
     # does not.
     vals, ders = _evaluate(rule, s, idx)
-    return float(_divergences(vals, ders, s, rowsums, shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        div = float(_divergences(vals, ders, s, rowsums, shape))
+    if not math.isfinite(div):
+        raise ContractError("the rule's divergence is not finite")
+    return div
 
 
 def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> SureReport:
@@ -323,7 +327,7 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     pass those values and their gap sums, still summed over the whole
     spectrum.
     """
-    K = _expansion_order(K)
+    K = _count(K, "K", 1)
     T = _positive(T, "T")
     sigma2 = float(sigma) * float(sigma)
     # Values near the top of the double range can overflow here; the solve
@@ -410,11 +414,10 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         return _scores(*formula, tiled[:rows], rowsums, shape, problem.sigma, work[:rows])[0]
 
     if name == "svlt":
-        p1 = float(p1)
         L = shape.L
         p3 = _upper_half_grid(float(s[0]), 50)
         # Every p2 and p3 is valid, so building the first candidate checks p1.
-        Svlt(p1=p1, p2=1.0, p3=float(p3[0]))
+        p1 = Svlt(p1=p1, p2=1.0, p3=float(p3[0])).p1
         # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
         # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
         # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run

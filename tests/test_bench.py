@@ -107,7 +107,7 @@ class TestGenerateProblem:
         """A 3.7 x 4.2 request is an error, as in ExperimentGrid, not a
         3 x 4 draw."""
         rng = np.random.default_rng(76)
-        with pytest.raises(ContractError, match="matrix dimensions must be integers"):
+        with pytest.raises(ContractError, match=r"^n must be an integer >= 1, got 3\.7$"):
             generate_problem(3.7, 4.2, 1, 1.0, rng)
         with pytest.raises(ContractError):
             generate_problem(4, 4.0, 1, 1.0, rng)

@@ -215,7 +215,7 @@ class TestDenoise:
             ["denoise", path, "--sigma", "0.5", "--method", "eym", "--rank", "7"], capsys
         )
         assert code == 2
-        assert "rank must lie in [0, 6], got 7" in err
+        assert "rank must be an integer in [0, 6], got 7" in err
 
     def test_svht_default_threshold(self, tmp_path, capsys):
         path = str(tmp_path / "obs.csv")

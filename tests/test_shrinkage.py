@@ -265,7 +265,7 @@ class TestDerivatives:
             derivative(Identity(), -1.0)
 
     def test_derivative_requires_index_from_1(self):
-        with pytest.raises(ContractError, match="index must be >= 1"):
+        with pytest.raises(ContractError, match="^index must be an integer >= 1, got 0$"):
             derivative(Identity(), 1.0, i=0)
 
 

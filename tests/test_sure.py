@@ -801,6 +801,29 @@ class TestOverflow:
                 call()
         assert divergence(factors.S, rule, factors.shape) == 2.9999999999999986e201
 
+    def test_non_finite_divergence_raises(self):
+        """eta is finite but a divergence term is not: in the first rule
+        y * eta overflows, in the second eta' does.  divergence() and
+        derivative() fail with a typed error before numpy warns; apply()
+        still returns the second rule's finite values, and sure() fails on
+        the residual, which overflows first."""
+        draw = np.random.default_rng(73).standard_normal((6, 5))
+        cases = (
+            (1e5 * draw, Svlet(K=1, T=1e9, a=[1e300])),
+            (0.1 * draw, Svlet(K=2, T=1.0, a=[1e308, 1e308])),
+        )
+        for Y, rule in cases:
+            factors = svd(Y)
+            with pytest.raises(ContractError, match="^the rule's divergence is not finite$"):
+                divergence(factors.S, rule, factors.shape)
+            with pytest.raises(ContractError, match="residual"):
+                sure(DenoiseProblem(Y, 0.5), factors, rule)
+        Y, rule = cases[1]
+        factors = svd(Y)
+        with pytest.raises(ContractError, match="^rule produced a non-finite derivative$"):
+            derivative(rule, factors.S[0])
+        assert np.isfinite(apply(rule, factors.S)).all()
+
     def test_divergence_does_not_form_residual(self):
         """Every y^2 is finite but their sum is not: the divergence, which
         never squares y, is finite and equals the value the same sums gave
