@@ -32,7 +32,7 @@ import io
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,15 +113,20 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Thin SVD factors: U is n-by-L, S is length L descending, V is m-by-L."""
+    """Thin SVD factors: U is n-by-L, S is length L descending, V is m-by-L.
+    The (n, m) shape is checked and stored when the factors are built."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    shape: MatrixShape = field(init=False, repr=False)
 
-    @property
-    def shape(self) -> MatrixShape:
-        return MatrixShape(self.U.shape[0], self.V.shape[0])
+    def __post_init__(self) -> None:
+        for name in ("U", "V"):
+            ndim = np.ndim(getattr(self, name))
+            if ndim != 2:
+                raise ContractError(f"{name} must be a 2-D array, got ndim={ndim}")
+        object.__setattr__(self, "shape", MatrixShape(self.U.shape[0], self.V.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,10 +54,22 @@ SVLT_P1 = 100.0
 # svlet's width multiplier C (T = C * sigma) and order K when none are given.
 DEFAULT_C = 10.0
 DEFAULT_K = 2
-# svlt grid candidates scored at once: a batch holds BATCH_ROWS x L doubles.
-# svlt's L * 50 rows are the only grid whose row count grows with L.
-BATCH_ROWS = 100
-# Thresholds in the svst and atn grids; each is one row of their batches.
+# Values per array in one block of svlt or atn grid candidates: svlt's
+# blocks have max(1, BLOCK_ELEMENTS // L) rows, and an atn block holds the
+# 100 thresholds of as many gammas as fit (at least one).  Larger blocks
+# issue fewer numpy calls per grid, until the allocator starts to return
+# the freed blocks to the OS and to fault them back.  The value is set by
+# that cliff as measured with glibc 2.36 on a 2-CPU Xeon VM, in alternated
+# perfbench sure-grid runs (50x50 and 40x80 grids): budgets of 8,000 and
+# 10,000 values ran at 523 and 540 ops/s against 516 for the old 100-row
+# blocks, with at most a few more minor faults per op; 12,500 ran at 504
+# ops/s with about 50 more faults per op, and 15,000 at 453 with about 200
+# more.  Another allocator, or other trim thresholds, may put the cliff
+# elsewhere.  Every row is reduced on its own, so the block size never
+# changes a bit of any score.
+BLOCK_ELEMENTS = 10_000
+# Thresholds in the svst and atn grids; each is one row of their blocks,
+# and svst's 100 are always one block.
 GRID_THRESHOLDS = 100
 
 
@@ -393,44 +405,55 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
       svlt: steepness p1 held fixed, integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
-    Candidates are scored as rows of formula values, one row per candidate
-    (svlt's in batches of BATCH_ROWS), with the same bits as sure() of each
-    candidate's rule; each batch is scored against the spectrum tiled once
-    per call to the batch's shape, in one scratch buffer the call reuses.
-    Only the winner is built as a rule.  Ties are broken toward the
-    lexicographically smallest parameter tuple.  The winning report carries
-    the (params, sure) pairs as a GridTrace, which builds them on access;
-    tuple(report.trace) lists them.
+    Candidates are scored as rows of formula values, one row per
+    candidate, in blocks sized by BLOCK_ELEMENTS values per array: svlt
+    cuts its (p2, p3) rows into blocks of max(1, BLOCK_ELEMENTS // L) rows,
+    atn scores the 100 thresholds of as many gammas as fit in one block
+    (at least one gamma), and svst scores its 100 thresholds as one block.
+    The budget sits below the size at which glibc was measured to return
+    freed blocks to the OS and fault them back (see its comment).  Each
+    block is scored against the spectrum tiled once per call, in one
+    scratch buffer the call reuses, and every row is reduced on its own,
+    so each trace value has the same bits as sure() of its candidate's
+    rule whatever the block size.  Only the winner is built as a rule.
+    Ties are broken toward the lexicographically smallest parameter tuple.
+    The winning report carries the (params, sure) pairs as a GridTrace,
+    which builds them on access; tuple(report.trace) lists them.
     """
     name = _family_name(family)
     shape, s, idx, rowsums = _scored_spectrum(problem, factors)
-    # With s tiled, no formula or score broadcasts s against every row.
-    tiled = np.tile(s, (max(BATCH_ROWS, GRID_THRESHOLDS), 1))
+    L = shape.L
+    rows = max(1, BLOCK_ELEMENTS // L)
+    gammas = [float(g) for g in range(1, 21)]
+    per = min(len(gammas), max(1, rows // GRID_THRESHOLDS))
+    # With s tiled, no formula or score broadcasts s against every row.  No
+    # block is longer than its grid.
+    block_rows = {"svst": GRID_THRESHOLDS, "atn": per * GRID_THRESHOLDS, "svlt": min(rows, L * 50)}[name]
+    tiled = np.tile(s, (block_rows, 1))
     work = np.empty_like(tiled)
 
     def score(formula: tuple) -> np.ndarray:
-        # SURE of each row of a batch's (eta, eta').
-        rows = formula[0].shape[0]
-        return _scores(*formula, tiled[:rows], rowsums, shape, problem.sigma, work[:rows])[0]
+        # SURE of each row of a block's (eta, eta').
+        count = formula[0].shape[0]
+        return _scores(*formula, tiled[:count], rowsums, shape, problem.sigma, work[:count])[0]
 
     if name == "svlt":
-        L = shape.L
         p3 = _upper_half_grid(float(s[0]), 50)
         # Every p2 and p3 is valid, so building the first candidate checks p1.
         p1 = Svlt(p1=p1, p2=1.0, p3=float(p3[0])).p1
         # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
         # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
         # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run
-        # in batches of BATCH_ROWS, and each batch gathers only its own weight rows.
+        # in blocks, and each block gathers only its own weight rows.
         table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
         weights = sliding_window_view(table, L)[::-1]
         p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
 
-        def batch(rows: slice) -> np.ndarray:
-            w = weights[p2_row[rows]]
-            return score(Svlt._formula(tiled[: w.shape[0]], w, p3[p3_col[rows], None]))
+        def block(k: int) -> np.ndarray:
+            w = weights[p2_row[k : k + rows]]
+            return score(Svlt._formula(tiled[: w.shape[0]], w, p3[p3_col[k : k + rows], None]))
 
-        sures = np.concatenate([batch(slice(k, k + BATCH_ROWS)) for k in range(0, p2_row.shape[0], BATCH_ROWS)])
+        sures = np.concatenate([block(k) for k in range(0, p2_row.shape[0], rows)])
         axes = ([p1], idx.tolist(), p3.tolist())
     else:
         thresholds = _upper_half_grid(float(s[0]), GRID_THRESHOLDS)
@@ -441,12 +464,21 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
             # path as sure() does.  The thresholds find the entries at or
-            # above tau, and tau / y there, once for all 20 gammas, which
-            # write their (eta, eta') into the same pair of arrays.
-            gammas = [float(g) for g in range(1, 21)]
+            # above tau, and tau / y there, once for all 20 gammas.  Each
+            # gamma of a block writes its (eta, eta') into its own 100 rows
+            # of one zeroed pair; every gamma writes the same entries, so the
+            # pair serves every block.
             thresholded = Atn._thresholded(spectra, thresholds[:, None])
-            out = (np.zeros(spectra.shape), np.zeros(spectra.shape))
-            sures = np.stack([score(Atn._powered(thresholded, g, out)) for g in gammas], axis=1).ravel()
+            vals, ders = (np.zeros((per, GRID_THRESHOLDS, L)) for _ in range(2))
+            blocks = []
+            for j in range(0, len(gammas), per):
+                group = gammas[j : j + per]
+                for r, g in enumerate(group):
+                    Atn._powered(thresholded, g, (vals[r], ders[r]))
+                blocks.append(score((vals[: len(group)].reshape(-1, L), ders[: len(group)].reshape(-1, L))))
+            # The blocks run gamma by gamma; the trace runs over (tau, gamma),
+            # gamma fastest.
+            sures = np.concatenate(blocks).reshape(len(gammas), GRID_THRESHOLDS).T.ravel()
             axes = (thresholds.tolist(), gammas)
 
     # Candidates are in lexicographic parameter order and argmin takes the

@@ -24,6 +24,7 @@ from svshrink import (
     DenoiseProblem,
     MatrixParseError,
     MatrixShape,
+    SvdFactors,
     eym_truncate,
     read_matrix,
     reconstruct,
@@ -257,6 +258,23 @@ class TestSvd:
     def test_shape_property(self):
         factors = svd(np.ones((6, 4)))
         assert (factors.shape.n, factors.shape.m) == (6, 4)
+
+    def test_factors_check_and_store_shape_once(self):
+        """The shape is checked when the factors are built: a U or V that is
+        not 2-D raises there.  Reading .shape then returns the one stored
+        MatrixShape."""
+        factors = svd(np.arange(24.0).reshape(6, 4))
+        U, S, V = factors.U, factors.S, factors.V
+        for bad in ({"U": U[:, 0]}, {"V": V[None]}, {"U": U[0, 0]}, {"V": [1.0, 2.0]}):
+            parts = {"U": U, "S": S, "V": V, **bad}
+            name = next(iter(bad))
+            with pytest.raises(ContractError, match=rf"{name} must be a 2-D array, got ndim="):
+                SvdFactors(**parts)
+        with pytest.raises(ContractError, match="n must be an integer >= 1"):
+            SvdFactors(U=U[:0], S=S, V=V)
+        built = SvdFactors(U=U, S=S, V=V)
+        assert built.shape is built.shape
+        assert (built.shape.n, built.shape.m) == (6, 4)
 
     def test_rejects_non_finite(self):
         Y = np.ones((3, 3))

@@ -13,6 +13,7 @@ grid tuning (the tuner must return the argmin of its own trace).
 """
 
 import gc
+import importlib
 import re
 import tracemalloc
 import warnings
@@ -57,6 +58,10 @@ from svshrink.sure import (
     _spectral_pieces,
     _upper_half_grid,
 )
+
+
+# The module, not the function the package exports under the same name.
+sure_module = importlib.import_module("svshrink.sure")
 
 
 def scored_formula(rule, s):
@@ -644,6 +649,33 @@ class TestTuneGrid:
             assert report.trace == eager and eager == report.trace
             assert report.trace != eager[:-1] and report.trace != list(eager)
             assert report.trace == tune_grid(problem, factors, family, **options).trace
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (9, 5), (5, 9), (1, 4), (4, 1), (2, 7), (7, 2)])
+    def test_trace_does_not_depend_on_block_size(self, n, m, monkeypatch):
+        """Blocks of 1 row; of 37, 70 or 99 rows, which split an svlt p2
+        run of 50 offsets and leave one atn gamma per block, as does a
+        budget below one gamma's 100 rows (L > budget / 100); of 130 rows,
+        which split a p2 run; of 300 rows, three atn gammas with a short
+        last block; and one block holding the whole grid: each gives the
+        default trace bit for bit, and that trace equals sure() of every
+        candidate."""
+        rng = np.random.default_rng(66 + n + 2 * m)
+        problem, factors = random_problem(rng, n, m, sigma=0.5)
+        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
+        L = min(n, m)
+        budgets = [1, 37 * L, 70 * L, 100 * L - 1, 130 * L, 300 * L, 10**9]
+        for family, build in families.items():
+            default = tune_grid(problem, factors, family)
+            values = np.array([value for _, value in default.trace])
+            expected = [sure(problem, factors, build(*params)).sure for params, _ in default.trace]
+            assert values.tobytes() == np.array(expected).tobytes()
+            for budget in budgets:
+                monkeypatch.setattr(sure_module, "BLOCK_ELEMENTS", budget)
+                report = tune_grid(problem, factors, family)
+                monkeypatch.undo()
+                assert [params for params, _ in report.trace] == [params for params, _ in default.trace]
+                assert np.array([value for _, value in report.trace]).tobytes() == values.tobytes()
+                assert report.rule == default.rule and report.sure == default.sure
 
     @pytest.mark.parametrize("family", ["atn", "svlt"])
     def test_report_retains_little_memory(self, family):

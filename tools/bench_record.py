@@ -1,0 +1,128 @@
+"""Record the benchmark's end-to-end metrics of one revision in BENCH_<n>.json.
+
+    python3 tools/bench_record.py --number 26 --seeds 2801-2805
+    python3 tools/bench_record.py --number 25 --revision HEAD~1 --seeds 2801-2805
+
+The script measures the checkout it lives in: the working tree as it is,
+uncommitted changes included, or with --revision that revision's committed
+files, exported as tools/pairs.py exports its base.  For each workload of
+BENCHMARK.json, `perfbench/run.py --workload W --seed N --seconds S
+--trace 0` runs once per seed, through pairs.py's runner, with S the
+run_seconds of BENCHMARK.json, so every record's runs have the length the
+benchmark's own runs have.  BENCH_<n>.json, written at the root of the
+checkout, holds per workload the median and quartiles over the seeds of
+every end-to-end metric in BENCHMARK.json and of pairs.py's minor faults
+and system CPU time per op, each seed's value, and the ops attempted and
+failed.  It also holds the git revision measured, whether the tree had
+uncommitted changes, the git tree ids of the directories the runs build
+from (SOURCES), the environment perfbench reports and whether every run
+pinned BLAS to one thread before numpy was loaded.  A tree id is the one
+`git rev-parse <commit>:src` prints once the measured files are committed,
+so a record made from a dirty tree can be matched to the commit that holds
+its code.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from pairs import ROOT, RUSAGE_METRICS, export, parse_seeds, quartiles, run_once, value
+
+
+# The directories whose files the benchmark's runs build and run.
+SOURCES = ("src", "perfbench")
+
+
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def working_tree_id(path: str) -> str:
+    """The git tree id of the working tree's `path`, untracked files that
+    .gitignore does not name included, built in a scratch index so the
+    repository's own index is left as it is."""
+    with tempfile.TemporaryDirectory(prefix="bench-record-index-") as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
+        git("read-tree", "HEAD", env=env)
+        git("add", "--all", "--", path, env=env)
+        return git("write-tree", f"--prefix={path}/", env=env)
+
+
+def workload_record(runs: list, metrics: list) -> dict:
+    """The medians, quartiles and values of one workload's runs."""
+    record = {
+        "attempted": sum(run["attempted"] for run in runs),
+        "failed": sum(run["failed"] for run in runs),
+        "metrics": {},
+    }
+    for metric in metrics + list(RUSAGE_METRICS):
+        values = [value(run, metric["name"]) for run in runs]
+        q1, median, q3 = quartiles(values)
+        record["metrics"][metric["name"]] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "median": median, "q1": q1, "q3": q3, "values": values,
+        }
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--number", required=True, type=int, help="n in BENCH_<n>.json")
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 2801-2805 or 1,4,9")
+    parser.add_argument("--revision", help="git revision to measure instead of the working tree")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as stream:
+        benchmark = json.load(stream)
+    seconds = benchmark["run_seconds"]
+    if args.revision:
+        revision, dirty = git("rev-parse", "--verify", f"{args.revision}^{{commit}}"), False
+        trees = {path: git("rev-parse", f"{revision}:{path}") for path in SOURCES}
+    else:
+        revision, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
+        trees = {path: working_tree_id(path) for path in SOURCES}
+    checkout = tempfile.mkdtemp(prefix="bench-record-") if args.revision else ROOT
+    runs = {}
+    try:
+        if args.revision:
+            export(revision, checkout)
+        for workload in (entry["name"] for entry in benchmark["workloads"]):
+            runs[workload] = []
+            for seed in args.seeds:
+                run = run_once(checkout, workload, seed, seconds, False)
+                runs[workload].append(run)
+                print(f"{workload} seed {seed}: failed {run['failed']} of {run['attempted']} ops",
+                      file=sys.stderr, flush=True)
+    finally:
+        if args.revision:
+            shutil.rmtree(checkout, ignore_errors=True)
+    every = [run for workload_runs in runs.values() for run in workload_runs]
+    environment = {key: item for key, item in every[0]["env"].items() if key != "seed"}
+    record = {
+        "revision": revision,
+        "dirty": dirty,
+        "trees": trees,
+        "seeds": args.seeds,
+        "seconds": seconds,
+        "blas_pinned": all(run["env"]["blas_threads"] == 1 and run["env"]["blas_pinned_before_numpy_import"]
+                           for run in every),
+        "environment": environment,
+        "workloads": {name: workload_record(workload_runs, benchmark["end_to_end"])
+                      for name, workload_runs in runs.items()},
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
+    with open(path, "w") as stream:
+        json.dump(record, stream, indent=1)
+        stream.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

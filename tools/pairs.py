@@ -15,8 +15,13 @@ BENCHMARK.json the script prints each side's median and quartiles, the
 change of the medians, and the pairs in which the working tree did
 better and those in which both sides read the same.  With --trace the
 runs are `--trace 1` and the same lines cover BENCHMARK.json's per-layer
-metrics instead, so a stage's change shows beside the totals.  Standard
-library only.
+metrics instead, so a stage's change shows beside the totals.  Two more
+lines follow, read from `getrusage(RUSAGE_CHILDREN)` around each run: the
+minor page faults and the system CPU milliseconds per op attempted, over
+the whole run (imports and set-up processes included).  They show an
+allocator that returns memory to the OS and faults it back, which costs
+ops/s without showing in any metric of the benchmark.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -53,17 +59,51 @@ def export(revision: str, directory: str) -> None:
         tar.extractall(directory)
 
 
+# Per-op costs of a whole run read from getrusage, printed after the metrics.
+RUSAGE_METRICS = (
+    {"name": "minor_faults_per_op", "unit": "1/op", "better": "lower"},
+    {"name": "sys_cpu_ms_per_op", "unit": "ms", "better": "lower"},
+)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One perfbench run; returns the JSON record of its last output line."""
+    """One perfbench run; returns the JSON record of its last output line,
+    with the run's environment (its line before) under "env" and its
+    RUSAGE_METRICS under "rusage"."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(command, cwd=checkout, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    lines = done.stdout.strip().splitlines()
+    record = json.loads(lines[-1])
+    record["env"] = json.loads(lines[-2])["env"]
+    ops = max(record["attempted"], 1)
+    record["rusage"] = {
+        "minor_faults_per_op": (after.ru_minflt - before.ru_minflt) / ops,
+        "sys_cpu_ms_per_op": 1e3 * (after.ru_stime - before.ru_stime) / ops,
+    }
+    return record
+
+
+def value(record: dict, name: str) -> float:
+    """A metric of a run_once record, or one of its RUSAGE_METRICS."""
+    if name in record["rusage"]:
+        return record["rusage"][name]
+    return record["metrics"][name]["value"]
+
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3), inclusive quartiles; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
 
 
 def summary(values: list) -> str:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{statistics.median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+    q1, median, q3 = quartiles(values)
+    return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
 def main(argv=None) -> int:
@@ -98,10 +138,10 @@ def main(argv=None) -> int:
         attempted = sum(record["attempted"] for record in runs[side])
         print(f"{side}: {failed} of {attempted} ops failed")
     print("metric: base median [q1, q3] -> tree median [q1, q3], change, pairs better / equal")
-    for metric in metrics:
+    for metric in metrics + list(RUSAGE_METRICS):
         name = metric["name"]
-        base = [record["metrics"][name]["value"] for record in runs["base"]]
-        tree = [record["metrics"][name]["value"] for record in runs["tree"]]
+        base = [value(record, name) for record in runs["base"]]
+        tree = [value(record, name) for record in runs["tree"]]
         lower = metric["better"] == "lower"
         won = sum((t < b) if lower else (t > b) for b, t in zip(base, tree))
         tied = sum(t == b for b, t in zip(base, tree))
