@@ -21,8 +21,33 @@ known integer plus fraction.  The digits are exact unless that fraction is
 within 2^-44 of 1/2.  Such values go back to ``"%.17g" % v``, as do values
 whose D is not strictly between 10^16 and 10^17 (a decade edge, or an E
 that log10 misjudged), infinities and NaN.  Zeros print as "0" and "-0"
-from the same tables.  The tables this needs are built on the first write,
-not at import.
+from the same tables.  The tables this needs are built on the first write
+or read, not at import.
+
+read_matrix runs the same steps backwards (Clinger 1990), a block of whole
+lines at a time, on text in the plain grammar: ASCII digits, ".", "e", "E",
+"+", "-", "," and line breaks (LF, or CR LF), with spaces and tabs allowed
+around a token and empty lines anywhere; both are deleted first.
+One scan finds every byte that is not a digit and checks that each token is
+a float literal: an optional sign, digits with at most one point, and an
+optional exponent with an optional sign.  With the points deleted, the
+three 8-byte words before the end of a token's mantissa hold its last 24
+digits, and each word turns into its value by adding neighbouring digits,
+then pairs, then fours (Lemire 2021).  At most 18 significant digits give
+an exact int64 D < 10^18 < 2^63, with the token's value D * 10^p.
+D = Dh + Dl exactly, Dh its nearest double.  With 10^p = (h + l) * 2^q as
+above, Dekker's product gives Dh*h = P + e exactly, and r = e + Dl*h +
+Dh*l, three roundings of terms below 2^-51 * P, leaves P + r within about
+2^-100 * P of D * 10^p / 2^q (the dropped Dl*l and the table's error
+included).  R, the double nearest P + r, and its exact tail P + r - R then
+decide the rounding: unless R + tail +- 2^-90 * R round to different
+doubles, R is the double nearest D * 10^p / 2^q, and R * 2^q is exact when
+it is normal.  The other tokens go to ``float(token)``: a tail that close
+to a rounding boundary, a result that is not above the least normal double
+or is infinite, a power of ten outside the table, more than 18 significant
+digits, more than 24 mantissa digits or more than 8 exponent digits.  Text
+outside the grammar, ragged rows and empty fields go to the line-by-line
+``float()`` parser, which also raises every MatrixParseError.
 """
 
 from __future__ import annotations
@@ -31,9 +56,9 @@ import functools
 import io
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +67,29 @@ from .errors import ContractError, FactorizationError, MatrixParseError
 IO_ROUNDTRIP_TOL = 1e-15
 IO_SIGNIFICANT_DIGITS = 17
 
-# The fast 17-digit formatter (see the module docstring).
+# The fast 17-digit formatter and reader (see the module docstring).
 _FORMAT_BLOCK = 4096  # values formatted per block
-_POW10_MIN, _POW10_MAX = -293, 341  # the scalings 10^(16-E) of every double
+_READ_BLOCK = 1 << 16  # bytes of whole lines read per block
+# The writer's scalings 10^(16-E) of every double, and every 10^p by which
+# a read of at most 18 digits can give a normal double.
+_POW10_MIN, _POW10_MAX = -325, 341
 _EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents E of every nonzero double
 _TIE_MARGIN = 2.0**-44  # a fraction this close to 1/2 is left to "%.17g"
 _VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_READ_MARGIN = 2.0**-90  # a read this close (relative) to a rounding boundary goes to float()
+# Kinds of the bytes that are not digits; 0 is outside the reader's grammar.
+_SEPARATOR, _POINT, _EXPONENT, _SIGN = 1, 2, 3, 4
+_MIN_NORMAL, _MAX_DOUBLE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# Word constants of the 8-digit parse (Lemire 2021).
+_DIGIT_MASKS = np.array([(2**64 - 1) << 8 * (8 - kept) & (2**64 - 1) for kept in range(9)], dtype=np.uint64)
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_EVEN_PAIRS = np.uint64(0x000000FF000000FF)
+_PAIR_SCALE = np.uint64(100 + (1000000 << 32))
+_QUAD_SCALE = np.uint64(1 + (10000 << 32))
+# The three mantissa words of a token end 16, 8 and 0 bytes before the end
+# of its mantissa, with 16, 8 and 0 of its digits after them.
+_WORD_ENDS = np.array([[-16], [-8], [0]])
+_DIGITS_AFTER_WORD = np.array([[16], [8], [0]])
 
 
 def _count(x, name: str, lo: int, hi: int | None = None) -> int:
@@ -226,34 +268,37 @@ def eym_truncate(Y: np.ndarray, r: int) -> np.ndarray:
     return reconstruct(factors, truncated_spectrum(factors.S, r))
 
 
-def write_matrix(path: str | os.PathLike | io.TextIOBase, M: np.ndarray) -> None:
+def write_matrix(path: str | os.PathLike | io.IOBase, M: np.ndarray) -> None:
     """Write a matrix as CSV with 17 significant digits per entry.
 
     17 digits round-trip IEEE double exactly, so read_matrix recovers the
     stored values bit for bit.  Each entry is the bytes of "%.17g" % v (see
     the module docstring for how they are found).  The text goes out one
-    block of values at a time, so the whole of it is never held at once.
+    block of values at a time, so the whole of it is never held at once: as
+    ASCII bytes to a path or a binary stream, as str to any other stream.
     """
     M = np.asarray(M, dtype=float)
     MatrixShape.of(M)
     if hasattr(path, "write"):
-        _write_csv(path, M)
+        _write_csv(path, M, isinstance(path, (io.RawIOBase, io.BufferedIOBase)))
     else:
         try:
-            with open(path, "w", encoding="ascii") as fh:
-                _write_csv(fh, M)
+            with open(path, "wb") as fh:
+                _write_csv(fh, M, True)
         except OSError as exc:
             raise ContractError(f"cannot write matrix file {os.fspath(path)}: {exc}") from exc
 
 
-def _write_csv(fh, M: np.ndarray) -> None:
-    """Write M's CSV text to fh, _FORMAT_BLOCK values per write call."""
+def _write_csv(fh, M: np.ndarray, binary: bool) -> None:
+    """Write M's CSV text to fh, _FORMAT_BLOCK values per write call, as
+    bytes when binary and as str otherwise."""
     flat = M.reshape(-1)
     m = M.shape[1]
     for start in range(0, flat.size, _FORMAT_BLOCK):
         stop = min(start + _FORMAT_BLOCK, flat.size)
         last = np.arange(start, stop) % m == m - 1
-        fh.write(_format_block(flat[start:stop], np.where(last, ord("\n"), ord(","))))
+        text = _format_block(flat[start:stop], np.where(last, ord("\n"), ord(",")))
+        fh.write(text if binary else text.decode("ascii"))
 
 
 def _split(a: np.ndarray) -> tuple:
@@ -270,15 +315,16 @@ def _words(strings: list) -> np.ndarray:
 
 @functools.cache
 def _format_tables() -> SimpleNamespace:
-    """The tables the 17-digit formatter reads, built once per process.
+    """The tables the 17-digit writer and reader use, built once per process.
 
     pow10_*: 10^k = (h + l) * 2^q for k in [_POW10_MIN, _POW10_MAX], with h in
-    [1, 2) and l the rounded remainder; h is also kept split.  digits4: the
-    four digits of 0..9999, each followed by a pad byte; keep_mask: the bytes
-    of the first 0..4 of them; trailing_zeros: the trailing zero digits of
-    0..9999 (4 for 0).  lead: sign, the "0.", "0.0", "0.00" or "0.000" of a
-    value in [1e-4, 1), and the leading digit.  exponent: "e+XX", "e-XXX" or
-    nothing, by E.
+    [1, 2) and l the rounded remainder; h is also kept split.  byte_kind:
+    the reader's kind of each byte value, 0 for digits and bytes outside
+    its grammar.  digits4: the four digits of 0..9999, each followed by a
+    pad byte; keep_mask: the bytes of the first 0..4 of them;
+    trailing_zeros: the trailing zero digits of 0..9999 (4 for 0).  lead:
+    sign, the "0.", "0.0", "0.00" or "0.000" of a value in [1e-4, 1), and
+    the leading digit.  exponent: "e+XX", "e-XXX" or nothing, by E.
     """
     size = _POW10_MAX - _POW10_MIN + 1
     h, l, q = np.empty(size), np.empty(size), np.empty(size, dtype=np.int32)
@@ -306,6 +352,9 @@ def _format_tables() -> SimpleNamespace:
         for d in range(10)
     ]
     exponent = ["" if -4 <= E < 17 else f"e{E:+03d}" for E in range(_EXP_MIN, _EXP_MAX + 1)]
+    byte_kind = np.zeros(256, dtype=np.int8)
+    for kind, chars in ((_SEPARATOR, b",\n"), (_POINT, b"."), (_EXPONENT, b"eE"), (_SIGN, b"+-")):
+        byte_kind[list(chars)] = kind
     tables = SimpleNamespace(
         pow10_h=h,
         pow10_h_high=h_high,
@@ -317,15 +366,16 @@ def _format_tables() -> SimpleNamespace:
         trailing_zeros=np.logical_and.accumulate(digit[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.int8),
         lead=_words(lead),
         exponent=_words(exponent),
+        byte_kind=byte_kind,
     )
     for table in vars(tables).values():
         table.setflags(write=False)
     return tables
 
 
-def _format_block(x: np.ndarray, seps: np.ndarray) -> str:
+def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
     """The "%.17g" text of each value of x, each followed by its separator
-    byte in seps."""
+    byte in seps, as ASCII bytes."""
     t = _format_tables()
     a = np.abs(x)
     finite = np.isfinite(a)
@@ -387,56 +437,276 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> str:
     if slow.any():
         text = np.array([f"%.{IO_SIGNIFICANT_DIGITS}g" % v for v in x[slow].tolist()], dtype="S45")
         row[slow, :45] = text.view(np.uint8).reshape(-1, 45)
-    return row.tobytes().translate(None, b"\0").decode("ascii")
+    return row.tobytes().translate(None, b"\0")
 
 
-def read_matrix(path: str | os.PathLike | io.TextIOBase) -> np.ndarray:
+def read_matrix(path: str | os.PathLike | io.IOBase) -> np.ndarray:
     """Parse a CSV matrix written by write_matrix (or any plain float CSV).
 
-    Parses with numpy's C reader and falls back to a line-by-line float()
-    parse when that fails.  Raises MatrixParseError naming the offending
-    1-based line for ragged rows, unparseable tokens or a non-ASCII byte,
-    for an empty file, and for an unreadable path.
+    Reads a path, or a text or binary stream, whose bytes are read as a
+    file's are.  Text in the plain grammar is parsed with numpy, a block of
+    whole lines at a time, to the doubles float() gives each token (see the
+    module docstring); any other text goes to a line-by-line float() parse.
+    Raises MatrixParseError naming the offending 1-based line for ragged
+    rows, unparseable tokens or a non-ASCII byte, for an empty file, and for
+    an unreadable path.
     """
     if hasattr(path, "read"):
-        text = path.read()
+        data = path.read()
         name = getattr(path, "name", "<stream>")
     else:
         name = os.fspath(path)
         try:
-            # The bytes are dropped once decoded; on a non-ASCII byte the
-            # error still holds them and the byte's offset.
             with open(path, "rb") as fh:
-                text = fh.read().decode("ascii")
+                data = fh.read()
         except OSError as exc:
             raise MatrixParseError(f"cannot read matrix file {name}: {exc}") from exc
+    text = data if isinstance(data, str) else None
+    if text is None or text.isascii():
+        M = _read_csv(bytes(data) if text is None else text.encode("ascii"))
+        if M is not None:
+            return M
+    if text is None:
+        try:
+            text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            data, pos = exc.object, exc.start
+            pos = exc.start
             # Lines are counted as the parser's str.splitlines counts them.
             lineno = len((data[:pos].decode("ascii") + "x").splitlines())
             raise MatrixParseError(f"{name}: line {lineno}: byte 0x{data[pos]:02x} is not ASCII") from None
-    lines = text.splitlines()
-    # numpy's C reader accepts a subset of what float() does and gives the
-    # same doubles.  It reads the lines str.splitlines made, as the line
-    # parser does, so a form feed numpy would strip cannot join two lines;
-    # text with U+001F, which numpy strips as whitespace and float() rejects,
-    # goes to the line parser.
-    if "\x1f" not in text:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                M = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
-            if M.size:
-                return M
-        except (ValueError, Warning):
-            pass
-    return _parse_lines(lines, name)
+    return _parse_lines(text.splitlines(), name)
+
+
+def _read_csv(data: bytes) -> np.ndarray | None:
+    """The matrix of CSV bytes in the plain grammar, or None for anything
+    else: other bytes, a token that is no float literal, an empty field,
+    or rows of unequal length.  Empty lines are dropped, as the line parser
+    skips them."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if data.startswith(b"\n") or not data.endswith(b"\n") or data.endswith(b"\n\n"):
+        data = data.strip(b"\n") + b"\n"  # a copy, made only when needed
+    n, m = data.count(b"\n"), data.count(b",", 0, data.index(b"\n")) + 1
+    if n * m > len(data):
+        return None  # more values than bytes; this bounds what is allocated
+    M = np.empty((n, m))
+    flat = M.reshape(-1)
+    start = done = 0
+    while start < len(data):
+        # Whole lines: up to the last line break in _READ_BLOCK bytes, or
+        # one longer line.
+        stop = data.rfind(b"\n", start, start + _READ_BLOCK) + 1 or data.index(b"\n", start) + 1
+        count = _read_block(data[start:stop], m, flat[done:])
+        if count is None:
+            return None
+        start, done = stop, done + count
+    if not done:
+        return None  # no value at all: the line parser says so
+    return M if done == M.size else M[: done // m].copy()  # empty lines dropped
+
+
+class _Tokens(NamedTuple):
+    """Where the tokens of a block lie and what their spelling says."""
+
+    starts: np.ndarray  # first byte
+    ends: np.ndarray  # the separator after the token
+    mantissa_end: np.ndarray  # the e, or the separator
+    points: np.ndarray  # points in the token and the tokens before it
+    n_digits: np.ndarray  # digits before the e
+    p: np.ndarray  # minus the digits after the point
+    negative: np.ndarray
+    exp_token: np.ndarray  # the tokens with an e, and for each of them:
+    exp_digits: np.ndarray  # digits after the e and its sign
+    exp_negative: np.ndarray
+
+
+def _read_block(chunk: bytes, m: int, out: np.ndarray) -> int | None:
+    """Parse whole lines of m tokens each, ending in a line break, into the
+    front of out; return the number of values, or None (see _read_csv).
+    Each step is a function of its own that works in place where it can, so
+    that its temporaries are freed before the next step allocates.  That
+    halved the traced peak memory of a 64 KiB block (1.65 to 0.77 MB).  In
+    a fresh process glibc handed each block's freed heap back to the system
+    and faulted it in again for the next block: a 1000x1000 read took 62k
+    page faults at the old peak and 11k at the new one."""
+    if b" " in chunk or b"\t" in chunk:
+        chunk = _unpadded(chunk)
+        if chunk is None:
+            return None
+    tokens = _tokens(np.frombuffer(chunk, dtype=np.uint8), m)
+    if tokens is None and (chunk.startswith(b"\n") or b"\n\n" in chunk):
+        # Empty lines, which the line parser skips; looking for them in
+        # every block would cost a read a tenth of its time.
+        while b"\n\n" in chunk:
+            chunk = chunk.replace(b"\n\n", b"\n")
+        chunk = chunk.lstrip(b"\n")
+        if not chunk:
+            return 0
+        tokens = _tokens(np.frombuffer(chunk, dtype=np.uint8), m)
+    if tokens is None:
+        return None
+    values = out[: tokens.ends.size]
+    slow = _nearest_doubles(*_decimals(chunk, tokens), tokens.negative, values)
+    for i in np.flatnonzero(slow).tolist():
+        values[i] = float(chunk[tokens.starts[i] : tokens.ends[i]])
+    return values.size
+
+
+def _unpadded(chunk: bytes) -> bytes | None:
+    """chunk without the spaces and tabs around its tokens, which float()
+    strips, or None when a run of them lies inside a token."""
+    text = np.frombuffer(chunk, dtype=np.uint8)
+    blank = (text == ord(" ")) | (text == ord("\t"))
+    turns = np.flatnonzero(blank[1:] != blank[:-1]) + 1
+    if blank[0]:
+        turns = np.concatenate(([0], turns))
+    # Runs of blanks start and end in turn, and each run needs a separator
+    # on one side; byte -1 is the chunk's last, a line break.
+    kinds = _format_tables().byte_kind
+    before, after = kinds.take(text.take(turns[0::2] - 1)), kinds.take(text.take(turns[1::2]))
+    if ((before != _SEPARATOR) & (after != _SEPARATOR)).any():
+        return None
+    return chunk.translate(None, b" \t")
+
+
+def _tokens(text: np.ndarray, m: int) -> _Tokens | None:
+    """The tokens of whole lines of m tokens each, or None when a line has
+    another count or a token is not a float literal."""
+    kinds = _format_tables().byte_kind
+    special = np.flatnonzero((text - np.uint8(ord("0"))) > 9)
+    kind = kinds.take(text.take(special))
+    is_sep = kind == _SEPARATOR
+    ends = np.compress(is_sep, special)
+    T = ends.size
+    newline = text.take(ends) == ord("\n")
+    if not kind.all() or T != m * np.count_nonzero(newline) or not newline[m - 1 :: m].all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # A sign opens its token or follows its e; byte -1 is the block's last,
+    # a line break.
+    before = kinds.take(text.take(np.compress(kind == _SIGN, special) - 1))
+    token = np.cumsum(is_sep)  # of each special byte that is no separator
+    is_point, is_exp = kind == _POINT, kind == _EXPONENT
+    point_token, exp_token = np.compress(is_point, token), np.compress(is_exp, token)
+    if not (
+        ((before == _SEPARATOR) | (before == _EXPONENT)).all()
+        and (point_token[1:] > point_token[:-1]).all()
+        and (exp_token[1:] > exp_token[:-1]).all()
+    ):
+        return None
+    exp_at = np.compress(is_exp, special)
+    mantissa_end = ends.copy()
+    mantissa_end[exp_token] = exp_at
+    has_point = np.zeros(T, dtype=bool)
+    has_point[point_token] = True
+    p = np.zeros(T, dtype=np.int64)
+    p[point_token] = np.compress(is_point, special) + 1 - mantissa_end.take(point_token)
+    lead = text.take(starts)
+    negative = lead == ord("-")
+    n_digits = mantissa_end - starts - (negative | (lead == ord("+"))) - has_point
+    exp_sign = text.take(exp_at + 1)
+    exp_negative = exp_sign == ord("-")
+    exp_digits = ends.take(exp_token) - exp_at - 1 - (exp_negative | (exp_sign == ord("+")))
+    if not ((p <= 0).all() and (n_digits > 0).all() and (exp_digits > 0).all()):
+        return None
+    points = np.cumsum(has_point)
+    return _Tokens(starts, ends, mantissa_end, points, n_digits, p, negative, exp_token, exp_digits, exp_negative)
+
+
+def _word_values(words: np.ndarray, end: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The value of the last `count` digits (clipped to 0..8) of each 8-byte
+    word that ends at a byte offset in `end`, each read from the two
+    aligned `words` that hold it: each byte plus ten times the byte before
+    it, then pairs, then fours (Lemire 2021).  The steps work in place
+    (see _read_block)."""
+    index = end - 8
+    shift = (index & 7).astype(np.uint64) << np.uint64(3)
+    index >>= 3
+    w = words.take(index)
+    w >>= shift
+    index += 1
+    upper = words.take(index)
+    del index
+    np.subtract(np.uint64(64), shift, out=shift)
+    upper <<= shift  # a shift by 64 gives 0
+    del shift
+    w |= upper
+    del upper
+    keep = _DIGIT_MASKS.take(np.clip(count, 0, 8))
+    w &= keep
+    keep &= _ASCII_ZEROS
+    w -= keep
+    del keep
+    pairs = w >> np.uint64(8)
+    w *= np.uint64(10)
+    w += pairs
+    np.bitwise_and(w, _EVEN_PAIRS, out=pairs)
+    pairs *= _PAIR_SCALE
+    w >>= np.uint64(16)
+    w &= _EVEN_PAIRS
+    w *= _QUAD_SCALE
+    w += pairs
+    w >>= np.uint64(32)
+    return w
+
+
+def _decimals(chunk: bytes, tokens: _Tokens) -> tuple:
+    """(Dh, Dl, p, slow): the last 24 mantissa digits of each token as
+    D = Dh + Dl exactly, its value D * 10^p, and whether it goes to float()
+    for more digits than D holds or more than 8 in its exponent."""
+    # With the points deleted and 24 zero bytes in front, the words before
+    # a token's e or separator hold its last 24 mantissa digits.
+    body = chunk.replace(b".", b"")
+    words = np.frombuffer(bytes(24) + body + bytes(16 - len(body) % 8), dtype="<u8")
+    shifted = 24 - tokens.points
+    mantissa_end = tokens.mantissa_end + shifted
+    high, mid, low = _word_values(words, mantissa_end + _WORD_ENDS, tokens.n_digits - _DIGITS_AFTER_WORD)
+    slow = (tokens.n_digits > 24) | (high >= 100)
+    p = tokens.p
+    if tokens.exp_token.size:
+        e = tokens.exp_token
+        exponent = _word_values(words, tokens.ends.take(e) + shifted.take(e), tokens.exp_digits).astype(np.int64)
+        p[e] += np.where(tokens.exp_negative, -exponent, exponent)
+        slow[e[tokens.exp_digits > 8]] = True
+    # (high * 10^8 + mid) * 10^8 < 10^18 is exact, and Dl is the exact
+    # remainder of the rounded sum.
+    upper = (high * np.uint64(10**8) + mid).astype(np.float64) * 1e8
+    low = low.astype(np.float64)
+    Dh = upper + low
+    return Dh, (upper - Dh) + low, p, slow
+
+
+def _nearest_doubles(Dh, Dl, p, slow, negative, out) -> np.ndarray:
+    """Write the nearest double to each (Dh + Dl) * 10^p, signed, into out;
+    return slow or'ed with the tokens whose rounding is not certain."""
+    t = _format_tables()
+    zero = Dh == 0.0
+    Dh[zero] = 1.0
+    k = p - _POW10_MIN
+    in_table = (k >= 0) & (k <= _POW10_MAX - _POW10_MIN)
+    k[~in_table] = 0
+    # D * 10^p / 2^q = P + r within about 2^-100 * P.
+    h = t.pow10_h.take(k)
+    P = Dh * h
+    d_high, d_low = _split(Dh)
+    h_high, h_low = t.pow10_h_high.take(k), t.pow10_h_low.take(k)
+    r = ((d_high * h_high - P) + d_high * h_low + d_low * h_high) + d_low * h_low
+    r += Dl * h + Dh * t.pow10_l.take(k)
+    R = P + r
+    tail = r - (R - P)
+    margin = R * _READ_MARGIN
+    decided = (R + (tail + margin) == R) & (R + (tail - margin) == R)
+    with np.errstate(over="ignore", under="ignore"):  # such results go to float()
+        x = np.ldexp(R, t.pow10_q.take(k))
+    x[zero] = 0.0
+    np.copysign(x, 0.5 - negative, out=out)
+    return slow | ~(zero | (in_table & decided & (x > _MIN_NORMAL) & (x <= _MAX_DOUBLE)))
 
 
 def _parse_lines(lines: list[str], name: str) -> np.ndarray:
-    """Line-by-line float() parse of a CSV: the reader for what numpy rejects
-    (blank-looking lines, underscores in numbers) and the only source of
-    MatrixParseError messages."""
+    """Line-by-line float() parse of a CSV: the reader for text outside the
+    plain grammar (other whitespace, underscores in numbers, non-ASCII
+    text) and the only source of MatrixParseError messages."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -138,8 +138,8 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
     """Check a spectrum for the closed-form risk and, when sigma is given,
     the noise level too, then compute what every rule's risk shares:
     (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2)).
-    Both scales must square without overflow, or every risk formed from them
-    would be inf or NaN."""
+    Both scales must square without overflow, and the gap sums must be
+    finite, or every risk formed from them would be inf or NaN."""
     s = _check_spectrum(spectrum)
     if s.shape[0] != shape.L:
         raise ContractError(f"spectrum length {s.shape[0]} does not match min(n, m) = {shape.L}")
@@ -169,6 +169,13 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
                 f"singular values #{k + 1} and #{k + 2} are numerically tied "
                 f"(squared gap {gaps[k]:.3e} <= {tol:.3e}); the divergence formula "
                 "requires a simple spectrum"
+            )
+        # No |y_i^2 - y_j^2| is below the least adjacent gap, so each gap sum
+        # is below L / gaps[k] in size; a Python float overflows to inf
+        # without a numpy warning.
+        if not math.isfinite(s.shape[0] / float(gaps[k])):
+            raise DegenerateSpectrumError(
+                f"the gap sums 1/(y_i^2 - y_j^2) overflow for y_1 = {float(s[0])!r}; rescale Y and sigma together"
             )
     diff = sq[:, None] - sq[None, :]
     # 1 / inf = 0 drops the diagonal from each row sum.

@@ -11,6 +11,7 @@ Known values:
 """
 
 import builtins
+import decimal
 import io
 import re
 
@@ -31,7 +32,8 @@ from svshrink import (
     svd,
     write_matrix,
 )
-from svshrink.spectral import _FORMAT_BLOCK, _parse_lines, truncated_spectrum
+from svshrink import spectral
+from svshrink.spectral import _FORMAT_BLOCK, _parse_lines, _read_csv, truncated_spectrum
 
 # A fixed example sequence and no example database, so every run on every
 # machine tests the same inputs.
@@ -606,3 +608,133 @@ class TestMatrixIO:
             assert str(excinfo.value) == expected
         else:
             assert read_text(text).tobytes() == np.array(expected).tobytes()
+
+    def test_read_round_trips_random_bit_patterns(self):
+        """About 200k finite doubles: uniform bit patterns, random
+        subnormals, every power of two and both zeros, read back bit for
+        bit, by read_matrix and by the numpy reader alone."""
+        rng = np.random.default_rng(20261019)
+        subnormals = rng.integers(1, 2**52, size=2000, dtype=np.uint64) | (
+            rng.integers(0, 2, size=2000, dtype=np.uint64) << np.uint64(63)
+        )
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        patterns = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+        flat = np.concatenate([[0.0, -0.0], subnormals.view(np.float64), powers, -powers, patterns])
+        flat = flat[np.isfinite(flat)]
+        M = flat[: flat.size // 250 * 250].reshape(-1, 250)
+        buf = io.BytesIO()
+        write_matrix(buf, M)
+        data = buf.getvalue()
+        assert read_matrix(io.BytesIO(data)).tobytes() == M.tobytes()
+        assert _read_csv(data).tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "9007199254740993",  # 2^53 + 1, a tie rounded to even
+            "2.2250738585072011e-308",  # just below the least normal double
+            "2.2250738585072012e-308",
+            "4.9406564584124654e-324",
+            "1.7976931348623157e308",
+            "1.7976931348623159e308",  # rounds to infinity
+            "0.1",
+            "1234567890123456789",  # 19 digits
+            "12345678901234567891",  # 20 digits
+            "1000000000000000000000000",  # 25 digits, the last 24 zeros
+            "1.00000000000000011102230246251565404236316680908203125",  # 1 + 2^-53, a tie
+            "1.000000000000000111022302462515654042363166809082031251",
+            "7.3177701707893310e+15",
+            "5e-324",
+            "1e-400",
+            "1e400",
+            "0.000000000000000000000000000000000000000000001e45",
+        ],
+    )
+    def test_read_hard_strings_match_float(self, token):
+        text = f"{token},-{token}\n{token},1\n"
+        expected = np.array([[float(token), -float(token)], [float(token), 1.0]])
+        assert read_text(text).tobytes() == expected.tobytes()
+
+    def test_read_random_spellings_match_float(self):
+        """Random literals of 1 to 26 digits, with or without a sign, a
+        point and an exponent, and 17- and 18-digit roundings of the exact
+        midpoints between neighbouring doubles: float()'s bits for each."""
+        rng = np.random.default_rng(20261020)
+        tokens = []
+        for _ in range(20_000):
+            digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 27)))))
+            cut = int(rng.integers(0, len(digits) + 1))
+            token = str(rng.choice(["", "-", "+"])) + digits[:cut] + str(rng.choice([".", ""])) + digits[cut:]
+            if rng.random() < 0.5:
+                token += str(rng.choice(["e", "E"])) + str(rng.choice(["", "-", "+"])) + str(rng.integers(0, 400))
+            tokens.append(token)
+        doubles = np.abs(rng.standard_normal(1000)) * 10.0 ** rng.integers(-300, 300, size=1000)
+        with decimal.localcontext(decimal.Context(prec=800)):
+            for a in doubles.tolist():
+                midpoint = (decimal.Decimal(a) + decimal.Decimal(np.nextafter(a, np.inf))) / 2
+                tokens += [f"{midpoint:.16e}", f"{midpoint:.17e}"]
+        expected = np.array([float(token) for token in tokens])
+        assert _read_csv("\n".join(tokens).encode("ascii")).reshape(-1).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [".5", "5.", "+1", "1e5", "1E5", "-0", "-0.0e7", "0e999", "1.e5", "-.5E-3", "1,2\n3,4", "1,2\r\n3,4\r\n"]
+        + [" 1, -2e5 \n\t3 ,4\t\n", "1 ,\t 2  \r\n", "\n\n1,2\n\n\n3,4\n\n", "\r\n1,2\r\n \t\r\n3,4"],
+    )
+    def test_plain_grammar_read_by_numpy(self, text):
+        """Every spelling of the plain grammar, blanks around tokens, empty
+        lines, and a file with no final line break, are read by the numpy
+        reader itself, to float()'s bits."""
+        expected = line_parse(text).tobytes()
+        assert _read_csv(text.encode("ascii")).tobytes() == expected
+        assert read_text(text).tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1-2", "1e", "e5", "1e+", "1.2.3", "1e5e5", "--1", "1e+-5", ".", "+", "1e5.0"]
+        + ["1,,2", "1\n2,3", "1,2,3\n4\n5\n", "1,2\r3,4\n", "1 2,3\n", "1,-\t2\n", "1, ,2\n"],
+    )
+    def test_tokens_outside_the_grammar_go_to_the_line_parser(self, text):
+        """The numpy reader refuses what is not a float literal, an empty
+        field, a blank inside a token and ragged rows; the line parser then
+        decides."""
+        assert _read_csv(text.encode("ascii")) is None
+        assert parse_outcome(read_text, text) == parse_outcome(line_parse, text)
+
+    @pytest.mark.parametrize("shape", [(3000, 3), (3, 3000), (1, 4000), (4000, 1)])
+    def test_read_does_not_depend_on_block_size(self, shape, monkeypatch):
+        """One line per block, the default, and one block for the whole
+        text give the same bits, float() fallbacks included."""
+        rng = np.random.default_rng(list(shape))
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        buf = io.BytesIO()
+        write_matrix(buf, M)
+        data = buf.getvalue()
+        assert len(data) > spectral._READ_BLOCK or shape[0] == 1
+        default = read_matrix(io.BytesIO(data))
+        assert default.tobytes() == M.tobytes()
+        for block in (1, len(data) + 1):
+            monkeypatch.setattr(spectral, "_READ_BLOCK", block)
+            assert read_matrix(io.BytesIO(data)).tobytes() == default.tobytes()
+
+    @IO_SETTINGS
+    @given(formatted_matrices())
+    def test_read_matches_line_parser_across_blocks(self, text):
+        """Blocks of 16 bytes put the rows of every matrix in several."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_READ_BLOCK", 16)
+            assert parse_outcome(read_text, text) == parse_outcome(line_parse, text)
+
+    def test_binary_streams(self, tmp_path):
+        """A binary stream is read as a file's bytes are, and receives the
+        same bytes as a path; a text stream receives the same text."""
+        assert read_matrix(io.BytesIO(b"1,2\n3,4\n")).tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+        with pytest.raises(MatrixParseError, match="<stream>: line 2: byte 0xe9 is not ASCII"):
+            read_matrix(io.BytesIO(b"1,2\n3,\xe94\n"))
+        rng = np.random.default_rng(22)
+        M = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-30, 30, size=(40, 30))
+        binary, text, path = io.BytesIO(), io.StringIO(), tmp_path / "m.csv"
+        for target in (binary, text, path):
+            write_matrix(target, M)
+        assert binary.getvalue() == path.read_bytes() == text.getvalue().encode("ascii")
+        assert read_matrix(io.BytesIO(binary.getvalue())).tobytes() == M.tobytes()

@@ -773,6 +773,21 @@ class TestOverflow:
         # divergence takes no sigma, so only the spectrum half applies.
         assert np.isfinite(divergence(factors.S, Svst(1.0), factors.shape))
 
+    def test_tiny_spectrum_raises(self):
+        """Squares near the subnormal range leave gaps whose reciprocals
+        overflow: every entry point raises before the gap sums are formed,
+        where NaN, a numpy warning or a solver failure came before."""
+        Y = 3e-155 * np.random.default_rng(73).standard_normal((6, 5))
+        problem, factors = DenoiseProblem(Y, 3e-155), svd(Y)
+        for call in (
+            lambda: sure(problem, factors, Identity()),
+            lambda: tune_grid(problem, factors, "svst"),
+            lambda: divergence(factors.S, Identity(), factors.shape),
+            lambda: solve_svlet(problem, factors, K=2, C=10.0),
+        ):
+            with pytest.raises(DegenerateSpectrumError, match="gap sums .* rescale Y and sigma together"):
+                call()
+
     def test_overflowing_normal_system_raises(self):
         """Every y^2 is finite, but their sum in the normal matrix is not."""
         problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)

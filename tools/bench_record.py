@@ -19,7 +19,10 @@ from (SOURCES), the environment perfbench reports and whether every run
 pinned BLAS to one thread before numpy was loaded.  A tree id is the one
 `git rev-parse <commit>:src` prints once the measured files are committed,
 so a record made from a dirty tree can be matched to the commit that holds
-its code.  Standard library only.
+its code.  Under "stages" it also holds the median and quartiles of the
+read, fit and write seconds that `svshrink denoise --method opt-shrink`
+prints for one seeded 1000x1000 CSV, over STAGE_RUNS runs of the command,
+each in a fresh process with BLAS on one thread.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -53,6 +57,40 @@ def working_tree_id(path: str) -> str:
         git("read-tree", "HEAD", env=env)
         git("add", "--all", "--", path, env=env)
         return git("write-tree", f"--prefix={path}/", env=env)
+
+
+# The stage record: one seeded CSV of standard normal entries, denoised
+# with sigma 1 by the checkout's CLI.
+STAGE_SHAPE = (1000, 1000)
+STAGE_SEED = 27
+STAGE_RUNS = 5
+STAGE_METHOD = "opt-shrink"
+
+
+def stage_record(checkout: str) -> dict:
+    """Median and quartiles of the stage seconds of STAGE_RUNS runs of
+    `svshrink denoise` on one seeded STAGE_SHAPE CSV."""
+    rows, cols = STAGE_SHAPE
+    draw = random.Random(STAGE_SEED)
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OPENBLAS_NUM_THREADS": "1"}
+    stages = {}
+    with tempfile.TemporaryDirectory(prefix="bench-record-stages-") as scratch:
+        path = os.path.join(scratch, "Y.csv")
+        with open(path, "w") as stream:
+            for _ in range(rows):
+                stream.write(",".join("%.17g" % draw.gauss(0.0, 1.0) for _ in range(cols)) + "\n")
+        command = [sys.executable, "-m", "svshrink.cli", "denoise", path, "--sigma", "1",
+                   "--method", STAGE_METHOD, "--output", os.path.join(scratch, "X.csv")]
+        for _ in range(STAGE_RUNS):
+            done = subprocess.run(command, cwd=checkout, env=env, check=True, capture_output=True, text=True)
+            for stage, seconds in json.loads(done.stdout.strip().splitlines()[-1])["stages"].items():
+                stages.setdefault(stage, []).append(seconds)
+    record = {"command": f"svshrink denoise --sigma 1 --method {STAGE_METHOD}",
+              "shape": list(STAGE_SHAPE), "seed": STAGE_SEED, "runs": STAGE_RUNS}
+    for stage, values in stages.items():
+        q1, median, q3 = quartiles(values)
+        record[stage] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
+    return record
 
 
 def workload_record(runs: list, metrics: list) -> dict:
@@ -99,6 +137,7 @@ def main(argv=None) -> int:
                 runs[workload].append(run)
                 print(f"{workload} seed {seed}: failed {run['failed']} of {run['attempted']} ops",
                       file=sys.stderr, flush=True)
+        stages = stage_record(checkout)
     finally:
         if args.revision:
             shutil.rmtree(checkout, ignore_errors=True)
@@ -115,6 +154,7 @@ def main(argv=None) -> int:
         "environment": environment,
         "workloads": {name: workload_record(workload_runs, benchmark["end_to_end"])
                       for name, workload_runs in runs.items()},
+        "stages": stages,
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as stream:
