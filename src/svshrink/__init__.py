@@ -82,7 +82,6 @@ from .sure import (
     divergence,
     solve_svlet,
     sure,
-    svlet_clamp_gap,
     tune_grid,
 )
 
@@ -138,7 +137,6 @@ __all__ = [
     "spike_location",
     "sure",
     "svd",
-    "svlet_clamp_gap",
     "tune_grid",
     "verify_laws",
     "write_matrix",

@@ -13,6 +13,10 @@ estimate are
     div  = sum_i eta'(y_i) + sum_i eta(y_i) * w_i,
     SURE = -n*m*sigma^2 + sum_i (y_i - eta(y_i))^2 + 2*sigma^2 * div.
 
+Every term is homogeneous in (y, eta, sigma), and scaling by a power of two
+is exact, so the risk is computed on the spectrum scaled to y_1 in [0.5, 1)
+and SURE is scaled back: raw squares never overflow or underflow.
+
 Because SURE is quadratic in the coefficients of a linear expansion of
 fixed shrinkage atoms, the risk-optimal expansion solves a K-by-K normal
 system in closed form; that solve, plus grid tuning for the classical
@@ -134,32 +138,26 @@ class SvletSolve:
     report: SureReport
 
 
-def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | None = None) -> tuple:
-    """Check a spectrum for the closed-form risk and, when sigma is given,
-    the noise level too, then compute what every rule's risk shares:
-    (y, 1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2)).
-    Both scales must square without overflow, and the gap sums must be
-    finite, or every risk formed from them would be inf or NaN."""
+def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
+    """Check a spectrum for the closed-form risk, then compute what every
+    rule's risk shares on the spectrum scaled by a power of two: (s, e, y,
+    1-based rank indices, gap row sums sum_{j != i} 1 / (y_i^2 - y_j^2)),
+    with s the checked spectrum, e the binary exponent of its top value and
+    y = s * 2^-e, so that y_1 lies in [0.5, 1).  Past the tie check no
+    squared gap of y is below GAP_TOL_FACTOR / 4, so the gap sums are
+    finite at every scale of s."""
     s = _check_spectrum(spectrum)
     if s.shape[0] != shape.L:
         raise ContractError(f"spectrum length {s.shape[0]} does not match min(n, m) = {shape.L}")
-    # Products of Python floats overflow to inf without a numpy warning.
-    y1 = float(s[0])
-    if not math.isfinite(y1 * y1):
+    e = math.frexp(float(s[0]))[1]
+    y = np.ldexp(s, -e)
+    if y[-1] == 0.0:
+        k = int(np.argmax(y == 0.0))
         raise DegenerateSpectrumError(
-            f"the top singular value {y1!r} overflows when squared; rescale Y and sigma together"
-        )
-    if sigma is not None and not math.isfinite(shape.n * shape.m * sigma * sigma):
-        raise DegenerateSpectrumError(
-            f"n*m*sigma^2 overflows for sigma = {sigma!r}; rescale Y and sigma together"
-        )
-    if s[-1] == 0.0:
-        k = int(np.argmax(s == 0.0))
-        raise DegenerateSpectrumError(
-            f"singular value #{k + 1} is not strictly positive ({s[k]!r}); "
+            f"singular value #{k + 1} ({float(s[k])!r}) is zero at the scale of y_1 = {float(s[0])!r}; "
             "the closed-form divergence requires a strictly positive spectrum"
         )
-    sq = s * s
+    sq = y * y
     if s.shape[0] > 1:
         gaps = sq[:-1] - sq[1:]
         tol = GAP_TOL_FACTOR * sq[0]
@@ -167,36 +165,32 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape, sigma: float | No
         if gaps[k] <= tol:
             raise DegenerateSpectrumError(
                 f"singular values #{k + 1} and #{k + 2} are numerically tied "
-                f"(squared gap {gaps[k]:.3e} <= {tol:.3e}); the divergence formula "
-                "requires a simple spectrum"
-            )
-        # No |y_i^2 - y_j^2| is below the least adjacent gap, so each gap sum
-        # is below L / gaps[k] in size; a Python float overflows to inf
-        # without a numpy warning.
-        if not math.isfinite(s.shape[0] / float(gaps[k])):
-            raise DegenerateSpectrumError(
-                f"the gap sums 1/(y_i^2 - y_j^2) overflow for y_1 = {float(s[0])!r}; rescale Y and sigma together"
+                f"(squared gap {gaps[k] / sq[0]:.3e} * y_1^2 <= {GAP_TOL_FACTOR:.0e} * y_1^2); "
+                "the divergence formula requires a simple spectrum"
             )
     diff = sq[:, None] - sq[None, :]
     # 1 / inf = 0 drops the diagonal from each row sum.
     np.fill_diagonal(diff, np.inf)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return s, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
+    return s, e, y, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
 
 
-def _scored_spectrum(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
-    """(shape, y, idx, rowsums) for scoring rules on a problem.  A rule's
-    residual sum of squares reaches L * y_1^2 when it zeroes the spectrum,
-    so that bound must not overflow either."""
-    shape = _check_matching(problem, factors)
-    s, idx, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
-    # Python floats overflow to inf without a numpy warning.
-    y1 = float(s[0])
-    if not math.isfinite(shape.L * y1 * y1):
-        raise DegenerateSpectrumError(
-            f"L*y_1^2 overflows for L = {shape.L} and y_1 = {y1!r}; rescale Y and sigma together"
-        )
-    return shape, s, idx, rowsums
+def _ldexp(x: float, k: int) -> float:
+    """x * 2^k as a Python float: inf past the double range, where
+    math.ldexp raises."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _scaled_formula(rule: ShrinkageRule, s: np.ndarray, e: int, idx: np.ndarray) -> tuple:
+    """A checked rule's (eta, eta') on the spectrum s in the problem's
+    units, with eta scaled by 2^-e like y; eta' has no unit.  An eta too
+    large for the scaled units reads inf, which fails where it is scored."""
+    vals, ders = _evaluate(rule, s, idx)
+    with np.errstate(over="ignore"):
+        return np.ldexp(vals, -e), ders
 
 
 def _divergences(vals, ders, s, rowsums, shape: MatrixShape, work=None) -> np.ndarray:
@@ -229,22 +223,25 @@ def _scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float, work=None)
     return -shape.n * shape.m * sigma2 + resid + 2.0 * sigma2 * div, resid, div
 
 
-def _rule_scores(vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> tuple:
-    """_scores of one rule's formula values and derivatives, as floats.  A
-    finite eta far above the spectrum can still square past the double
-    range, and that residual has no finite risk, so it fails here before
-    numpy warns about the overflow."""
+def _report(rule, vals, ders, y, rowsums, shape: MatrixShape, sigma: float, e: int) -> SureReport:
+    """SURE report of one rule from its formula's values and derivatives on
+    the scaled spectrum y, with eta and sigma scaled like y; SURE and the
+    residual come back in the problem's units, times 2^2e.  A finite eta
+    far above the spectrum can still square past the double range, and
+    that residual has no finite risk, so it fails here before numpy warns
+    about the overflow.  This is also the one place where a risk that
+    leaves the double range in the problem's units fails."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value, resid, div = _scores(vals, ders, s, rowsums, shape, sigma)
+        value, resid, div = _scores(vals, ders, y, rowsums, shape, sigma)
     if not math.isfinite(resid):
         raise ContractError("the rule's residual sum_i (y_i - eta(y_i))^2 overflows")
-    return float(value), float(resid), float(div)
-
-
-def _report(rule, vals, ders, s, rowsums, shape: MatrixShape, sigma: float) -> SureReport:
-    """SURE report of one rule from its formula's values and derivatives."""
-    value, resid, div = _rule_scores(vals, ders, s, rowsums, shape, sigma)
-    return SureReport(rule=rule, sure=value, residual=resid, divergence=div)
+    value, resid = _ldexp(float(value), 2 * e), _ldexp(float(resid), 2 * e)
+    if not (math.isfinite(value) and math.isfinite(resid)):
+        raise DegenerateSpectrumError(
+            f"SURE leaves the double range for y_1 = {math.ldexp(float(y[0]), e)!r} and sigma = "
+            f"{math.ldexp(sigma, e)!r}"
+        )
+    return SureReport(rule=rule, sure=value, residual=resid, divergence=float(div))
 
 
 def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) -> float:
@@ -254,13 +251,13 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     unclamped linear form, matching how the SURE objective is defined.  An
     eta' or y * eta past the double range fails here, before numpy warns.
     """
-    s, idx, rowsums = _spectral_pieces(spectrum, shape)
+    s, e, y, idx, rowsums = _spectral_pieces(spectrum, shape)
     _check_rule(rule)
+    vals, ders = _scaled_formula(rule, s, e, idx)
     # No residual is formed: its squares may overflow where the divergence
     # does not.
-    vals, ders = _evaluate(rule, s, idx)
     with np.errstate(over="ignore", invalid="ignore"):
-        div = float(_divergences(vals, ders, s, rowsums, shape))
+        div = float(_divergences(vals, ders, y, rowsums, shape))
     if not math.isfinite(div):
         raise ContractError("the rule's divergence is not finite")
     return div
@@ -274,38 +271,18 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
-    shape, s, idx, rowsums = _scored_spectrum(problem, factors)
-    _check_rule(rule)
-    return _report(rule, *_evaluate(rule, s, idx), s, rowsums, shape, problem.sigma)
-
-
-def svlet_clamp_gap(problem: DenoiseProblem, factors: SvdFactors, rule: Svlet) -> dict:
-    """Difference between clamped and unclamped spectral residuals.
-
-    The solve works with the unclamped expansion while application clamps
-    negatives to zero; this reports how much the two residual terms differ
-    on a given spectrum (verbose diagnostics).
-    """
-    if not isinstance(rule, Svlet):
-        raise ContractError("clamp gap is defined for solved expansion rules only")
     shape = _check_matching(problem, factors)
-    s, idx, rowsums = _spectral_pieces(factors.S, shape)
-    raw, ders = _evaluate(rule, s, idx)
-    # Only the residuals are read.
-    r_raw = _rule_scores(raw, ders, s, rowsums, shape, problem.sigma)[1]
-    r_clamped = _rule_scores(np.maximum(raw, 0.0), ders, s, rowsums, shape, problem.sigma)[1]
-    return {
-        "residual_unclamped": r_raw,
-        "residual_clamped": r_clamped,
-        "gap": abs(r_clamped - r_raw),
-    }
+    s, e, y, idx, rowsums = _spectral_pieces(factors.S, shape)
+    _check_rule(rule)
+    sigma = _ldexp(problem.sigma, -e)
+    return _report(rule, *_scaled_formula(rule, s, e, idx), y, rowsums, shape, sigma, e)
 
 
 def _solve_normal_system(M: np.ndarray, c: np.ndarray, K: int) -> tuple[np.ndarray, float, float]:
     # The K-by-K entries are checked as Python floats, which is faster than
     # numpy calls on arrays this small.
     if not all(map(math.isfinite, M.ravel().tolist() + c.tolist())):
-        raise SolverFailureError("normal system has non-finite entries; rescale Y and sigma together")
+        raise SolverFailureError("normal system has non-finite entries; sigma is far above the spectrum")
     sv = np.linalg.svd(M, compute_uv=False)
     top, low = float(sv[0]), float(sv[-1])
     cond = float("inf") if low <= 0.0 else top / low
@@ -349,8 +326,8 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     K = _count(K, "K", 1)
     T = _positive(T, "T")
     sigma2 = float(sigma) * float(sigma)
-    # Values near the top of the double range can overflow here; the solve
-    # rejects the non-finite system that results.
+    # A sigma far above the spectrum can overflow here; the solve rejects
+    # the non-finite system that results.
     with np.errstate(over="ignore", invalid="ignore"):
         g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
         phi, phid = _dog_atoms(s, K, T)
@@ -371,17 +348,23 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     C = _positive(C, "C")
     shape = _check_matching(problem, factors)
     T = C * problem.sigma
-    s, _, rowsums = _spectral_pieces(factors.S, shape, problem.sigma)
+    _, e, y, _, rowsums = _spectral_pieces(factors.S, shape)
+    sigma = _ldexp(problem.sigma, -e)
+    # Fitting on the scaled spectrum, sigma and width leaves a as it is;
     # _fit_expansion validates K.
-    phi, phid, M, c, a, cond, ridge = _fit_expansion(s, rowsums, shape, problem.sigma, K, T)
+    phi, phid, M, c, a, cond, ridge = _fit_expansion(y, rowsums, shape, sigma, K, _ldexp(T, -e))
     rule = Svlet(K=K, T=T, a=a)
-    report = _report(rule, phi @ a, phid @ a, s, rowsums, shape, problem.sigma)
+    report = _report(rule, phi @ a, phid @ a, y, rowsums, shape, sigma, e)
+    # M, c and the ridge have the units of SURE; an entry past the double
+    # range reads inf.
+    with np.errstate(over="ignore"):
+        M, c = np.ldexp(M, 2 * e), np.ldexp(c, 2 * e)
     return SvletSolve(
         M=M,
         c=c,
         a=a,
         condition_estimate=cond,
-        ridge_used=ridge,
+        ridge_used=_ldexp(ridge, 2 * e),
         rule=rule,
         report=report,
     )
@@ -404,6 +387,11 @@ def _upper_half_grid(y1: float, count: int) -> np.ndarray:
     return 0.5 * y1 * np.arange(1, count + 1, dtype=float) / count
 
 
+# A sigma far above the spectrum makes grid scores inf or NaN, and a SURE
+# scaled back past the double range reads inf in the trace; the winner's
+# report fails on either, so numpy need not warn.  One errstate per call
+# costs less than one per block.
+@np.errstate(over="ignore", invalid="ignore")
 def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float = SVLT_P1) -> SureReport:
     """Exhaustive SURE minimization over a fixed parameter grid.
 
@@ -419,33 +407,36 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     (at least one gamma), and svst scores its 100 thresholds as one block.
     The budget sits below the size at which glibc was measured to return
     freed blocks to the OS and fault them back (see its comment).  Each
-    block is scored against the spectrum tiled once per call, in one
-    scratch buffer the call reuses, and every row is reduced on its own,
-    so each trace value has the same bits as sure() of its candidate's
-    rule whatever the block size.  Only the winner is built as a rule.
+    block is scored against the scaled spectrum tiled once per call, with
+    thresholds and offsets built from its top value, in one scratch buffer
+    the call reuses, and every row is reduced on its own; the trace's axes
+    and SUREs are scaled back, so each trace value has the same bits as
+    sure() of its candidate's rule whatever the block size.  Only the winner is built as a rule.
     Ties are broken toward the lexicographically smallest parameter tuple.
     The winning report carries the (params, sure) pairs as a GridTrace,
     which builds them on access; tuple(report.trace) lists them.
     """
     name = _family_name(family)
-    shape, s, idx, rowsums = _scored_spectrum(problem, factors)
+    shape = _check_matching(problem, factors)
+    s, e, y, idx, rowsums = _spectral_pieces(factors.S, shape)
+    sigma = _ldexp(problem.sigma, -e)
     L = shape.L
     rows = max(1, BLOCK_ELEMENTS // L)
     gammas = [float(g) for g in range(1, 21)]
     per = min(len(gammas), max(1, rows // GRID_THRESHOLDS))
-    # With s tiled, no formula or score broadcasts s against every row.  No
+    # With y tiled, no formula or score broadcasts y against every row.  No
     # block is longer than its grid.
     block_rows = {"svst": GRID_THRESHOLDS, "atn": per * GRID_THRESHOLDS, "svlt": min(rows, L * 50)}[name]
-    tiled = np.tile(s, (block_rows, 1))
+    tiled = np.tile(y, (block_rows, 1))
     work = np.empty_like(tiled)
 
     def score(formula: tuple) -> np.ndarray:
-        # SURE of each row of a block's (eta, eta').
+        # SURE of each row of a block's (eta, eta'), in the scaled units.
         count = formula[0].shape[0]
-        return _scores(*formula, tiled[:count], rowsums, shape, problem.sigma, work[:count])[0]
+        return _scores(*formula, tiled[:count], rowsums, shape, sigma, work[:count])[0]
 
     if name == "svlt":
-        p3 = _upper_half_grid(float(s[0]), 50)
+        p3 = _upper_half_grid(float(y[0]), 50)
         # Every p2 and p3 is valid, so building the first candidate checks p1.
         p1 = Svlt(p1=p1, p2=1.0, p3=float(p3[0])).p1
         # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
@@ -461,13 +452,13 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             return score(Svlt._formula(tiled[: w.shape[0]], w, p3[p3_col[k : k + rows], None]))
 
         sures = np.concatenate([block(k) for k in range(0, p2_row.shape[0], rows)])
-        axes = ([p1], idx.tolist(), p3.tolist())
+        axes = ([p1], idx.tolist(), np.ldexp(p3, e).tolist())
     else:
-        thresholds = _upper_half_grid(float(s[0]), GRID_THRESHOLDS)
+        thresholds = _upper_half_grid(float(y[0]), GRID_THRESHOLDS)
         spectra = tiled[:GRID_THRESHOLDS]
         if name == "svst":
             sures = score(Svst._formula(spectra, thresholds[:, None]))
-            axes = (thresholds.tolist(),)
+            axes = (np.ldexp(thresholds, e).tolist(),)
         else:
             # Each gamma is a Python float, as in a rule, so ** takes the same
             # path as sure() does.  The thresholds find the entries at or
@@ -486,11 +477,14 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
             # The blocks run gamma by gamma; the trace runs over (tau, gamma),
             # gamma fastest.
             sures = np.concatenate(blocks).reshape(len(gammas), GRID_THRESHOLDS).T.ravel()
-            axes = (thresholds.tolist(), gammas)
+            axes = (np.ldexp(thresholds, e).tolist(), gammas)
 
     # Candidates are in lexicographic parameter order and argmin takes the
-    # first minimum, so ties go to the smallest tuple.
-    trace = GridTrace(axes, sures)
-    winner = _FAMILIES[name](*trace[int(np.argmin(sures))][0])
-    report = _report(winner, *_evaluate(winner, s, idx), s, rowsums, shape, problem.sigma)
+    # first minimum, so ties go to the smallest tuple.  It compares the
+    # scaled SUREs, which no overflow or underflow has rounded; scaled
+    # back, a SURE past the double range reads inf in the trace.
+    best = int(np.argmin(sures))
+    trace = GridTrace(axes, np.ldexp(sures, 2 * e))
+    winner = _FAMILIES[name](*trace[best][0])
+    report = _report(winner, *_scaled_formula(winner, s, e, idx), y, rowsums, shape, sigma, e)
     return replace(report, trace=trace)

@@ -7,6 +7,7 @@ the fitted expansion converges to the closed-form optimal bulk shrinker
 result is a pure function of the arguments.  This module holds no tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,13 @@ def verify_asymptotic_optimality(
                 skipped += 1
                 continue
             T = float(np.mean(spectrum[:r_star]))
-            s, _, rowsums = _spectral_pieces(spectrum, shape)
-            phi, _, _, _, a, _, _ = _fit_expansion(s[:r_star], rowsums[:r_star], shape, sigma, r_star, T)
-            fitted = phi @ a
+            # The fit runs on the spectrum y = s * 2^-e, with sigma and T
+            # scaled alike; phi has the units of y.
+            _, e, y, _, rowsums = _spectral_pieces(spectrum, shape)
+            phi, _, _, _, a, _, _ = _fit_expansion(
+                y[:r_star], rowsums[:r_star], shape, math.ldexp(sigma, -e), r_star, math.ldexp(T, -e)
+            )
+            fitted = np.ldexp(phi @ a, e)
             target = scale * apply(rule, spectrum / scale)[:r_star]
             compare = min(r_star, int(r))  # extra near-edge detections are fit, not scored
             gaps = np.abs(fitted[:compare] - target[:compare]) / target[:compare]

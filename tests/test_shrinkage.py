@@ -454,6 +454,14 @@ class TestAtnEdgeBits:
     SPECTRUM = np.array([4.0, 2.7, 1.0, 0.77, 0.5, 1e-200])
 
     @staticmethod
+    def pieces(factors, shape):
+        """The checked spectrum and its gap sums in the problem's units: the
+        gap sums of the scaled spectrum y = s * 2^-e, times 2^-2e.  Scores
+        formed from them have the bits of the risk engine's scaled ones."""
+        s, e, _, _, rowsums = _spectral_pieces(factors.S, shape)
+        return s, np.ldexp(rowsums, -2 * e)
+
+    @staticmethod
     def problem(n, m):
         rng = np.random.default_rng([64, n, m])
         S = TestAtnEdgeBits.SPECTRUM
@@ -478,7 +486,7 @@ class TestAtnEdgeBits:
     @pytest.mark.parametrize("n, m", [(6, 6), (9, 6), (6, 11)])
     def test_sure_and_divergence(self, n, m, tau, gamma):
         problem, factors = self.problem(n, m)
-        s, _, rowsums = _spectral_pieces(factors.S, problem.shape)
+        s, rowsums = self.pieces(factors, problem.shape)
         vals, ders = masked_atn(s, tau, gamma)
         expected = _scores(vals, ders, s, rowsums, problem.shape, problem.sigma)
         with warnings.catch_warnings():
@@ -491,7 +499,7 @@ class TestAtnEdgeBits:
     @pytest.mark.parametrize("n, m", [(6, 6), (9, 6), (6, 11)])
     def test_tune_grid_trace(self, n, m):
         problem, factors = self.problem(n, m)
-        s, _, rowsums = _spectral_pieces(factors.S, problem.shape)
+        s, rowsums = self.pieces(factors, problem.shape)
         thresholds = _upper_half_grid(4.0, 100)
         assert thresholds[49] == 1.0 and thresholds[24] == 0.5
         expected = [

@@ -14,6 +14,7 @@ grid tuning (the tuner must return the argmin of its own trace).
 
 import gc
 import importlib
+import math
 import re
 import tracemalloc
 import warnings
@@ -47,7 +48,6 @@ from svshrink import (
     solve_svlet,
     sure,
     svd,
-    svlet_clamp_gap,
     tune_grid,
 )
 from svshrink.sure import (
@@ -194,7 +194,7 @@ class TestBatchedDivergence:
     def test_batch_equals_row_dots_bitwise(self, n, m, rows):
         rng = np.random.default_rng([90, n, m, rows])
         shape = MatrixShape(n, m)
-        s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
+        _, _, s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
         # Values of both signs and exact zeros, as clamped and unclamped rules give.
         vals = s * rng.uniform(-0.5, 1.0, size=(rows, s.shape[0]))
         vals[rng.random(vals.shape) < 0.3] = 0.0
@@ -220,7 +220,7 @@ class TestBatchedDivergence:
         alone, as sure() scores one rule."""
         rng = np.random.default_rng([91, n, m, rows])
         shape = MatrixShape(n, m)
-        s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
+        _, _, s, _, rowsums = _spectral_pieces(svd(rng.standard_normal((n, m))).S, shape)
         tiled = np.tile(s, (100, 1))
         work = np.full_like(tiled, np.nan)
         sigma = 0.7
@@ -276,8 +276,8 @@ class TestSureReports:
             self.assert_report_identity(sure(problem, factors, rule), problem)
 
     def test_rejects_mismatched_factors(self):
-        """sure, solve_svlet, tune_grid, svlet_clamp_gap and every
-        asymptotic_denoise variant name both shapes."""
+        """sure, solve_svlet, tune_grid and every asymptotic_denoise variant
+        name both shapes."""
         rng = np.random.default_rng(36)
         problem, _ = random_problem(rng, 5, 5)
         other = svd(rng.standard_normal((6, 5)))
@@ -299,26 +299,9 @@ class TestSureReports:
         ):
             with pytest.raises(ContractError, match=message97):
                 call()
-        rule = Svlet(K=2, T=4.0, a=np.array([0.9, -0.1]))
-        with pytest.raises(ContractError, match=message):
-            svlet_clamp_gap(problem, other, rule)
         for variant in ASYMPTOTIC_VARIANTS:
             with pytest.raises(ContractError, match=message):
                 asymptotic_denoise(problem, other, variant)
-
-    def test_clamp_gap_checks_factors(self):
-        """A 5x5 problem with 9x7 factors, an unusable spectrum, or a rule
-        that is not a solved expansion raises."""
-        rng = np.random.default_rng(48)
-        problem, factors = random_problem(rng, 5, 5)
-        rule = Svlet(K=2, T=4.0, a=np.array([0.9, -0.1]))
-        with pytest.raises(ContractError):
-            svlet_clamp_gap(problem, svd(rng.standard_normal((9, 7))), rule)
-        zeroed = SvdFactors(U=factors.U, S=np.zeros(5), V=factors.V)
-        with pytest.raises(DegenerateSpectrumError):
-            svlet_clamp_gap(problem, zeroed, rule)
-        with pytest.raises(ContractError, match="solved expansion rules only"):
-            svlet_clamp_gap(problem, factors, Svst(1.0))
 
     def test_svlet_residual_uses_unclamped_form(self):
         """The risk engine scores the raw expansion, not the clamped apply."""
@@ -326,10 +309,13 @@ class TestSureReports:
         problem, factors = random_problem(rng, 6, 6, sigma=1.0)
         rule = Svlet(K=2, T=0.5, a=np.array([0.05, -3.0]))
         report = sure(problem, factors, rule)
-        gap = svlet_clamp_gap(problem, factors, rule)
-        np.testing.assert_allclose(report.residual, gap["residual_unclamped"], rtol=1e-12)
-        assert gap["gap"] > 0.0  # the clamp genuinely bites on this rule
-        assert gap["residual_clamped"] != gap["residual_unclamped"]
+        raw = dog_basis(factors.S, rule.K, rule.T) @ rule.a
+        unclamped = float(np.sum((factors.S - raw) ** 2))
+        clamped = float(np.sum((factors.S - apply(rule, factors.S)) ** 2))
+        np.testing.assert_allclose(report.residual, unclamped, rtol=1e-12)
+        # The clamp genuinely bites on this rule.
+        assert np.any(raw < 0.0)
+        assert clamped != unclamped
 
 
 class TestSolveSvlet:
@@ -445,9 +431,13 @@ class TestSolveSvlet:
         rng = np.random.default_rng(46)
         problem, factors = random_problem(rng, 12, 12, sigma=0.5)
         shape = factors.shape
-        s, _, rowsums = _spectral_pieces(factors.S, shape)
-        M_full = _fit_expansion(s[:12], rowsums[:12], shape, 0.5, 2, 5.0)[2]
-        M_top = _fit_expansion(s[:3], rowsums[:3], shape, 0.5, 2, 5.0)[2]
+        # The fit runs on the scaled spectrum, sigma and width; M has the
+        # units of y^2.
+        _, e, y, _, rowsums = _spectral_pieces(factors.S, shape)
+        sigma, T = math.ldexp(0.5, -e), math.ldexp(5.0, -e)
+        M_full, M_top = (
+            np.ldexp(_fit_expansion(y[:t], rowsums[:t], shape, sigma, 2, T)[2], 2 * e) for t in (12, 3)
+        )
         phi = dog_basis(factors.S, 2, 5.0)
         np.testing.assert_allclose(M_top, phi[:3].T @ phi[:3], rtol=1e-12)
         assert not np.allclose(M_full, M_top)
@@ -739,12 +729,141 @@ def diagonal_problem(values, n, sigma):
     return DenoiseProblem(Y, sigma), svd(Y)
 
 
+def scaled_problem(problem, factors, k):
+    """(2^k Y, 2^k sigma) with the factors of 2^k Y scaled exactly: LAPACK
+    scales internally, so svd(2^k Y).S need not be ldexp(S, k)."""
+    return (
+        DenoiseProblem(np.ldexp(problem.Y, k), math.ldexp(problem.sigma, k)),
+        SvdFactors(U=factors.U, S=np.ldexp(factors.S, k), V=factors.V),
+    )
+
+
+def times(x, k):
+    """x * 2^k entrywise, inf past the double range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.asarray(x, dtype=float), k)
+
+
+def homogeneous_rules(y1, k):
+    """Rules whose eta scales with the spectrum: each parameter with the
+    units of y is a fraction of y1 scaled by 2^k."""
+    u = lambda x: math.ldexp(x, k)  # noqa: E731
+    return [
+        Identity(),
+        Zero(),
+        Svst(u(0.3 * y1)),
+        Svht(u(0.4 * y1)),
+        Atn(tau=u(0.25 * y1), gamma=3.0),
+        Svlt(p1=2.0, p2=2.0, p3=u(0.05 * y1)),
+        Svlet(K=2, T=u(0.5 * y1), a=np.array([0.9, -0.3])),
+    ]
+
+
+# Which grid axes have the units of y.
+GRID_UNITS = {"svst": (1,), "atn": (1, 0), "svlt": (0, 0, 1)}
+
+
+def assert_report_scaled(got, ref, k):
+    """got is ref on the data scaled by 2^k: SURE and residual times 2^2k,
+    the divergence unchanged, bit for bit."""
+    expected = [*times([ref.sure, ref.residual], 2 * k), ref.divergence]
+    assert np.array([got.sure, got.residual, got.divergence]).tobytes() == np.array(expected).tobytes()
+
+
+def assert_scale_law(problem, factors, k, rules=True, families=tuple(GRID_UNITS), Ks=(1, 2, 3)):
+    """Every result on (2^k Y, 2^k sigma), with its factors and each rule's
+    parameters scaled exactly, has the bits of the result on (Y, sigma):
+    eta and grid thresholds times 2^k, SURE, residual, M, c and the ridge
+    times 2^2k, and the divergence, a and the condition estimate unchanged.
+    Where a SURE or residual times 2^2k leaves the double range, the call
+    raises the one typed error instead."""
+    big, big_factors = scaled_problem(problem, factors, k)
+    shape, y1 = factors.shape, float(factors.S[0])
+
+    def check(got_call, ref, compare):
+        if np.isfinite(times([ref.sure, ref.residual], 2 * k)).all():
+            compare(got_call())
+        else:
+            with pytest.raises(DegenerateSpectrumError, match="SURE leaves the double range"):
+                got_call()
+
+    for small_rule, big_rule in zip(homogeneous_rules(y1, 0), homogeneous_rules(y1, k)) if rules else ():
+        got_div = divergence(big_factors.S, big_rule, shape)
+        assert np.float64(got_div).tobytes() == np.float64(divergence(factors.S, small_rule, shape)).tobytes()
+        ref = sure(problem, factors, small_rule)
+        check(lambda: sure(big, big_factors, big_rule), ref, lambda got: assert_report_scaled(got, ref, k))
+    for family in families:
+        ref = tune_grid(problem, factors, family)
+        ref_params = [params for params, _ in ref.trace]
+        ref_sures = [value for _, value in ref.trace]
+        params = [tuple(math.ldexp(v, k * unit) for v, unit in zip(p, GRID_UNITS[family])) for p in ref_params]
+        best = int(np.argmin(ref_sures))
+        assert ref.rule == type(ref.rule)(*ref_params[best])
+
+        def compare(got):
+            assert [p for p, _ in got.trace] == params
+            assert np.array([v for _, v in got.trace]).tobytes() == times(ref_sures, 2 * k).tobytes()
+            assert got.rule == type(ref.rule)(*params[best])
+            assert_report_scaled(got, ref, k)
+
+        check(lambda: tune_grid(big, big_factors, family), ref, compare)
+    for K in Ks:
+        ref = solve_svlet(problem, factors, K=K, C=10.0)
+
+        def compare(got):
+            assert got.a.tobytes() == ref.a.tobytes()
+            assert got.rule.T == math.ldexp(ref.rule.T, k)
+            assert got.M.tobytes() == times(ref.M, 2 * k).tobytes()
+            assert got.c.tobytes() == times(ref.c, 2 * k).tobytes()
+            assert np.float64(got.ridge_used).tobytes() == times(ref.ridge_used, 2 * k).tobytes()
+            assert got.condition_estimate == ref.condition_estimate
+            assert_report_scaled(got.report, ref.report, k)
+
+        check(lambda: solve_svlet(big, big_factors, K=K, C=10.0), ref.report, compare)
+
+
+class TestScaleLaw:
+    """SURE is homogeneous: scaling Y, sigma and every parameter with the
+    units of y by 2^k scales SURE by 2^2k and leaves the divergence and
+    the expansion coefficients as they are.  The risk engine works on the
+    spectrum scaled by a power of two, so the law holds bit for bit even
+    where the raw squares would leave the double range."""
+
+    @pytest.mark.parametrize("n, m", [(12, 7), (7, 12), (9, 9)])
+    @pytest.mark.parametrize("k", [500, -500])
+    def test_every_result_scales_exactly(self, n, m, k):
+        rng = np.random.default_rng([2028, n, m])
+        problem, factors = random_problem(rng, n, m, sigma=0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_scale_law(problem, factors, k)
+
+    @pytest.mark.parametrize("n, m", [(12, 7), (7, 12), (9, 9)])
+    @pytest.mark.parametrize("k", [1000, -1000])
+    def test_divergence_scales_exactly_to_the_range_ends(self, n, m, k):
+        """At 2^1000 every y^2 overflows and at 2^-1000 every gap of the
+        squares underflows, but the divergence keeps its bits.  The
+        expansion is left out: its eta squares y."""
+        rng = np.random.default_rng([2028, n, m])
+        _, factors = random_problem(rng, n, m)
+        y1 = float(factors.S[0])
+        big = np.ldexp(factors.S, k)
+        for small_rule, big_rule in zip(homogeneous_rules(y1, 0)[:-1], homogeneous_rules(y1, k)[:-1]):
+            got, ref = divergence(big, big_rule, factors.shape), divergence(factors.S, small_rule, factors.shape)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
 class TestOverflow:
-    """Scales whose squares leave the double range raise typed numerical
-    errors instead of returning NaN; the suite turns any numpy
-    RuntimeWarning into an error, so none may be emitted on the way."""
+    """Scales at the ends of the double range.  The risk engine scales the
+    spectrum by a power of two, so these inputs compute and follow the
+    scale law; what still leaves the double range in the problem's units
+    raises one typed error.  The suite turns any numpy RuntimeWarning into
+    an error, so none may be emitted on the way."""
 
     def test_scaled_input_raises(self):
+        """At 1e200 every SURE leaves the double range: the scoring entry
+        points raise the one typed error, while the divergence, which has
+        no unit, is finite."""
         rng = np.random.default_rng(70)
         Y = 1e200 * rng.standard_normal((6, 5))
         problem, factors = DenoiseProblem(Y, 1e200), svd(Y)
@@ -754,71 +873,76 @@ class TestOverflow:
             lambda: tune_grid(problem, factors, "atn"),
             lambda: tune_grid(problem, factors, "svlt"),
             lambda: solve_svlet(problem, factors, K=2, C=10.0),
-            lambda: divergence(factors.S, Identity(), factors.shape),
         )
         for call in calls:
-            with pytest.raises(DegenerateSpectrumError, match="overflows when squared"):
+            with pytest.raises(DegenerateSpectrumError, match="SURE leaves the double range"):
                 call()
+        assert np.isfinite(divergence(factors.S, Identity(), factors.shape))
 
     def test_huge_sigma_raises(self):
+        """n*m*sigma^2 leaves the double range: sure and tune_grid raise
+        the one typed error.  The expansion's normal system, formed on the
+        scaled spectrum, has non-finite entries first, and the solve fails
+        on them.  divergence takes no sigma and is finite."""
         rng = np.random.default_rng(71)
         problem, factors = random_problem(rng, 6, 5, sigma=1e160)
         for call in (
             lambda: sure(problem, factors, Svst(1.0)),
             lambda: tune_grid(problem, factors, "svst"),
-            lambda: solve_svlet(problem, factors, K=2, C=10.0),
         ):
-            with pytest.raises(DegenerateSpectrumError, match=r"n\*m\*sigma\^2 overflows"):
-                call()
-        # divergence takes no sigma, so only the spectrum half applies.
-        assert np.isfinite(divergence(factors.S, Svst(1.0), factors.shape))
-
-    def test_tiny_spectrum_raises(self):
-        """Squares near the subnormal range leave gaps whose reciprocals
-        overflow: every entry point raises before the gap sums are formed,
-        where NaN, a numpy warning or a solver failure came before."""
-        Y = 3e-155 * np.random.default_rng(73).standard_normal((6, 5))
-        problem, factors = DenoiseProblem(Y, 3e-155), svd(Y)
-        for call in (
-            lambda: sure(problem, factors, Identity()),
-            lambda: tune_grid(problem, factors, "svst"),
-            lambda: divergence(factors.S, Identity(), factors.shape),
-            lambda: solve_svlet(problem, factors, K=2, C=10.0),
-        ):
-            with pytest.raises(DegenerateSpectrumError, match="gap sums .* rescale Y and sigma together"):
-                call()
-
-    def test_overflowing_normal_system_raises(self):
-        """Every y^2 is finite, but their sum in the normal matrix is not."""
-        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
-        for K in (1, 2, 3):
-            with pytest.raises(SolverFailureError, match="non-finite entries"):
-                solve_svlet(problem, factors, K=K, C=10.0)
-
-    def test_residual_bound_overflow_raises(self):
-        """Every y^2 is finite, but L * y_1^2, which bounds the residual
-        sum of squares, is not: scoring a rule raises before any sum
-        overflows, while the expansion solve still fails in its own check."""
-        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
-        for call in (
-            lambda: sure(problem, factors, Zero()),
-            lambda: sure(problem, factors, Identity()),
-            lambda: tune_grid(problem, factors, "svst"),
-            lambda: tune_grid(problem, factors, "atn"),
-            lambda: tune_grid(problem, factors, "svlt"),
-        ):
-            with pytest.raises(DegenerateSpectrumError, match=r"L\*y_1\^2 overflows"):
+            with pytest.raises(DegenerateSpectrumError, match="SURE leaves the double range"):
                 call()
         with pytest.raises(SolverFailureError, match="non-finite entries"):
             solve_svlet(problem, factors, K=2, C=10.0)
+        assert np.isfinite(divergence(factors.S, Svst(1.0), factors.shape))
+
+    def test_tiny_spectrum_raises(self):
+        """Squares near the subnormal range used to leave gaps whose
+        reciprocals overflow, and every entry point refused the spectrum.
+        On the scaled spectrum the divergence of the identity is n*m, and
+        every result is the one of the same data scaled up by 2^512, scaled
+        back."""
+        Y = 3e-155 * np.random.default_rng(73).standard_normal((6, 5))
+        problem, factors = DenoiseProblem(Y, 3e-155), svd(Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(divergence(factors.S, Identity(), factors.shape), 30.0, rtol=1e-12)
+            assert_scale_law(*scaled_problem(problem, factors, 512), -512)
+
+    def test_overflowing_normal_system_raises(self):
+        """Every y^2 is finite, but their sum in the normal matrix is not.
+        The solve runs on the scaled spectrum and gives the bits of the
+        same data scaled down by 2^512; M and c scaled back read inf
+        where they leave the double range."""
+        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
+        small = scaled_problem(problem, factors, -512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_scale_law(*small, 512, rules=False, families=())
+            assert not np.isfinite(solve_svlet(problem, factors, K=1, C=10.0).M).all()
+
+    def test_residual_bound_overflow_raises(self):
+        """Every y^2 is finite, but L * y_1^2, which bounds the residual
+        sum of squares, is not.  Zeroing the spectrum has a residual past
+        the double range, and scoring it raises the one typed error; the
+        identity and the grid searches compute, with the bits of the same
+        data scaled down by 2^512 scaled back."""
+        problem, factors = diagonal_problem([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154], 6, 1.0)
+        with pytest.raises(DegenerateSpectrumError, match="SURE leaves the double range"):
+            sure(problem, factors, Zero())
+        small = scaled_problem(problem, factors, -512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_scale_law(*small, 512, Ks=())
+            assert np.isfinite(sure(problem, factors, Identity()).sure)
 
     @pytest.mark.parametrize("a", [[1e308], [1e308, -1e308], [-1e308]])
     def test_non_finite_eta_raises(self, a):
         """An eta that overflows (to inf, to -inf, or to inf - inf = NaN)
         has neither a clamped value nor a finite risk: sure() and
-        divergence() fail as apply(), derivative() and svlet_clamp_gap()
-        do, before numpy warns about the overflow.  A clamp applied first
-        would turn -inf into 0."""
+        divergence() fail as apply() and derivative() do, before numpy
+        warns about the overflow.  A clamp applied first would turn -inf
+        into 0."""
         Y = np.random.default_rng(73).standard_normal((6, 5))
         problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
         rule = Svlet(K=len(a), T=1.0, a=a)
@@ -827,7 +951,6 @@ class TestOverflow:
             lambda: divergence(factors.S, rule, factors.shape),
             lambda: apply(rule, factors.S),
             lambda: derivative(rule, factors.S[0]),
-            lambda: svlet_clamp_gap(problem, factors, rule),
         ):
             with pytest.raises(ContractError, match="rule produced non-finite output"):
                 call()
@@ -840,33 +963,35 @@ class TestOverflow:
         Y = np.random.default_rng(73).standard_normal((6, 5))
         problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
         rule = Svlet(K=1, T=1.0, a=[1e200])
-        for call in (
-            lambda: sure(problem, factors, rule),
-            lambda: svlet_clamp_gap(problem, factors, rule),
-        ):
-            with pytest.raises(ContractError, match="residual"):
-                call()
+        with pytest.raises(ContractError, match="residual"):
+            sure(problem, factors, rule)
         assert divergence(factors.S, rule, factors.shape) == 2.9999999999999986e201
 
     def test_non_finite_divergence_raises(self):
-        """eta is finite but a divergence term is not: in the first rule
-        y * eta overflows, in the second eta' does.  divergence() and
-        derivative() fail with a typed error before numpy warns; apply()
-        still returns the second rule's finite values, and sure() fails on
-        the residual, which overflows first."""
+        """eta is finite but a divergence term is not: eta' overflows.
+        divergence() and derivative() fail with a typed error before numpy
+        warns; apply() still returns the rule's finite values, and sure()
+        fails on the residual, which overflows first.  For a rule on 1e5
+        times the data, y * eta overflows but its scaled form does not:
+        the divergence has the bits of the data and width scaled down by
+        2^17, and only sure() fails, on its residual."""
         draw = np.random.default_rng(73).standard_normal((6, 5))
-        cases = (
-            (1e5 * draw, Svlet(K=1, T=1e9, a=[1e300])),
-            (0.1 * draw, Svlet(K=2, T=1.0, a=[1e308, 1e308])),
-        )
-        for Y, rule in cases:
-            factors = svd(Y)
-            with pytest.raises(ContractError, match="^the rule's divergence is not finite$"):
-                divergence(factors.S, rule, factors.shape)
-            with pytest.raises(ContractError, match="residual"):
-                sure(DenoiseProblem(Y, 0.5), factors, rule)
-        Y, rule = cases[1]
+        factors = svd(1e5 * draw)
+        rule = Svlet(K=1, T=1e9, a=[1e300])
+        small_rule = Svlet(K=1, T=math.ldexp(1e9, -17), a=[1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            div = divergence(factors.S, rule, factors.shape)
+            small = divergence(np.ldexp(factors.S, -17), small_rule, factors.shape)
+        assert np.isfinite(div) and np.float64(div).tobytes() == np.float64(small).tobytes()
+        with pytest.raises(ContractError, match="residual"):
+            sure(DenoiseProblem(1e5 * draw, 0.5), factors, rule)
+        Y, rule = 0.1 * draw, Svlet(K=2, T=1.0, a=[1e308, 1e308])
         factors = svd(Y)
+        with pytest.raises(ContractError, match="^the rule's divergence is not finite$"):
+            divergence(factors.S, rule, factors.shape)
+        with pytest.raises(ContractError, match="residual"):
+            sure(DenoiseProblem(Y, 0.5), factors, rule)
         with pytest.raises(ContractError, match="^rule produced a non-finite derivative$"):
             derivative(rule, factors.S[0])
         assert np.isfinite(apply(rule, factors.S)).all()
