@@ -75,6 +75,12 @@ BLOCK_ELEMENTS = 10_000
 # Thresholds in the svst and atn grids; each is one row of their blocks,
 # and svst's 100 are always one block.
 GRID_THRESHOLDS = 100
+# The largest sigma / y_1 the risk engine accepts.  In the scaled units
+# (y_1 in [0.5, 1)) sigma is then below 2^128, so the expansion's normal
+# system, which squares terms in sigma^2, and SURE's n*m*sigma^2 stay far
+# inside the double range.  From about 2^256 on the normal system leaves
+# it; such a sigma lies far above any noise level the spectrum allows.
+SIGMA_RATIO_LIMIT = 2.0**128
 
 
 class GridTrace(Sequence):
@@ -175,6 +181,22 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
     return s, e, y, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
 
 
+def _problem_pieces(problem: DenoiseProblem, factors: SvdFactors) -> tuple:
+    """What sure, tune_grid and solve_svlet share: (shape, s, e, y, idx,
+    rowsums) as in _spectral_pieces and sigma * 2^-e, the noise level in
+    the units of y.  A sigma above SIGMA_RATIO_LIMIT * y_1 fails here, once
+    and before numpy can warn."""
+    shape = _check_matching(problem, factors)
+    s, e, y, idx, rowsums = _spectral_pieces(factors.S, shape)
+    sigma = _ldexp(problem.sigma, -e)
+    if not sigma <= SIGMA_RATIO_LIMIT * y[0]:
+        raise ContractError(
+            f"sigma = {problem.sigma!r} is more than 2^128 times y_1 = {float(s[0])!r}; "
+            "the risk is computed for sigma <= 2^128 * y_1"
+        )
+    return shape, s, e, y, idx, rowsums, sigma
+
+
 def _ldexp(x: float, k: int) -> float:
     """x * 2^k as a Python float: inf past the double range, where
     math.ldexp raises."""
@@ -271,10 +293,8 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     The report satisfies sure = -n*m*sigma^2 + residual + 2*sigma^2*divergence
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
-    shape = _check_matching(problem, factors)
-    s, e, y, idx, rowsums = _spectral_pieces(factors.S, shape)
+    shape, s, e, y, idx, rowsums, sigma = _problem_pieces(problem, factors)
     _check_rule(rule)
-    sigma = _ldexp(problem.sigma, -e)
     return _report(rule, *_scaled_formula(rule, s, e, idx), y, rowsums, shape, sigma, e)
 
 
@@ -346,10 +366,8 @@ def solve_svlet(problem: DenoiseProblem, factors: SvdFactors, K: int, C: float) 
     and coefficients.
     """
     C = _positive(C, "C")
-    shape = _check_matching(problem, factors)
+    shape, _, e, y, _, rowsums, sigma = _problem_pieces(problem, factors)
     T = C * problem.sigma
-    _, e, y, _, rowsums = _spectral_pieces(factors.S, shape)
-    sigma = _ldexp(problem.sigma, -e)
     # Fitting on the scaled spectrum, sigma and width leaves a as it is;
     # _fit_expansion validates K.
     phi, phid, M, c, a, cond, ridge = _fit_expansion(y, rowsums, shape, sigma, K, _ldexp(T, -e))
@@ -417,9 +435,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
     which builds them on access; tuple(report.trace) lists them.
     """
     name = _family_name(family)
-    shape = _check_matching(problem, factors)
-    s, e, y, idx, rowsums = _spectral_pieces(factors.S, shape)
-    sigma = _ldexp(problem.sigma, -e)
+    shape, s, e, y, idx, rowsums, sigma = _problem_pieces(problem, factors)
     L = shape.L
     rows = max(1, BLOCK_ELEMENTS // L)
     gammas = [float(g) for g in range(1, 21)]

@@ -344,9 +344,9 @@ class TestDenoise:
         """Every y^2 is finite but L * y_1^2 and the sum in the normal matrix
         are not.  The risk engine works on the spectrum scaled by a power of
         two, so the fit succeeds, and the output is the one for the data and
-        sigma scaled down by 2^512, times 2^512.  The SVD of the huge matrix
-        is scaled inside LAPACK by a factor that is not a power of two, so
-        the two agree to rounding, not bit for bit."""
+        sigma scaled down by 2^512, times 2^512, bit for bit: svd hands
+        LAPACK the matrix scaled by a power of two, so LAPACK's own rescaling
+        by a factor that is not one never runs."""
         Y = np.vstack([np.diag([1.3e154, 1.2e154, 1.1e154, 1.0e154, 0.9e154]), np.zeros((1, 5))])
         outputs = []
         for k in (0, -512):
@@ -357,7 +357,7 @@ class TestDenoise:
             assert (code, err) == (0, "")
             outputs.append(read_matrix(out_path))
         assert np.isfinite(outputs[0]).all()
-        np.testing.assert_allclose(outputs[0], np.ldexp(outputs[1], 512), rtol=1e-14, atol=0.0)
+        assert outputs[0].tobytes() == np.ldexp(outputs[1], 512).tobytes()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, out, err = run_cli(

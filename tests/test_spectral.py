@@ -13,6 +13,7 @@ Known values:
 import builtins
 import decimal
 import io
+import math
 import re
 
 import numpy as np
@@ -700,6 +701,36 @@ class TestMatrixIO:
         decides."""
         assert _read_csv(text.encode("ascii")) is None
         assert parse_outcome(read_text, text) == parse_outcome(line_parse, text)
+
+    @pytest.mark.parametrize("shape", [(1200, 7), (7, 1200), (1, _FORMAT_BLOCK + 9), (_FORMAT_BLOCK + 9, 1)])
+    def test_write_does_not_depend_on_block_size(self, shape, monkeypatch):
+        """Blocks of 1 and 7 values, the default, and one block for the
+        whole array give the same bytes, those of "%.17g", on values from
+        1e-320 to 1e300 with signed zeros, subnormals, exact ties at the
+        18th digit and near-ties among them.  Ties and near-ties go to
+        "%.17g" in whichever block holds them.  A near-tie is m * 2^-69 in
+        [1e-5, 1.1e-5) with m * 5^21 = 2^47 + d (mod 2^48), 0 < |d| < 16:
+        its x * 10^21 lies within 2^-44 of a half-integer, and is none."""
+        rng = np.random.default_rng([29, *shape])
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        ties = np.floor(rng.uniform(2.0**50, 2.0**51, size=40)) + rng.choice([0.25, 0.75], size=40)
+        inverse = pow(5**21, -1, 2**48)
+        near = []
+        for d in (rng.integers(1, 16, size=40) * rng.choice([-1, 1], size=40)).tolist():
+            m = (2**47 + d) * inverse % 2**48
+            near.append(math.ldexp(m + ((6 * 10**15 - m) // 2**48 + 1) * 2**48, -69))
+        special = np.concatenate([[0.0, -0.0, 5e-324, -1e-320], ties, -ties, near, -np.array(near)])
+        M.reshape(-1)[rng.choice(M.size, special.size, replace=False)] = special
+        buf = io.BytesIO()
+        write_matrix(buf, M)
+        default = buf.getvalue()
+        assert M.size > spectral._FORMAT_BLOCK
+        assert default == reference_csv(M).encode("ascii")
+        for block in (1, 7, M.size):
+            monkeypatch.setattr(spectral, "_FORMAT_BLOCK", block)
+            buf = io.BytesIO()
+            write_matrix(buf, M)
+            assert buf.getvalue() == default
 
     @pytest.mark.parametrize("shape", [(3000, 3), (3, 3000), (1, 4000), (4000, 1)])
     def test_read_does_not_depend_on_block_size(self, shape, monkeypatch):

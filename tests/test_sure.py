@@ -52,6 +52,7 @@ from svshrink import (
 )
 from svshrink.sure import (
     CONDITION_LIMIT,
+    SIGMA_RATIO_LIMIT,
     SOLVE_RESIDUAL_RTOL,
     _divergences,
     _scores,
@@ -880,21 +881,56 @@ class TestOverflow:
         assert np.isfinite(divergence(factors.S, Identity(), factors.shape))
 
     def test_huge_sigma_raises(self):
-        """n*m*sigma^2 leaves the double range: sure and tune_grid raise
-        the one typed error.  The expansion's normal system, formed on the
-        scaled spectrum, has non-finite entries first, and the solve fails
-        on them.  divergence takes no sigma and is finite."""
+        """n*m*sigma^2 leaves the double range, and sigma is far more than
+        SIGMA_RATIO_LIMIT times y_1: every entry point that takes sigma
+        raises the one ContractError that names the limit.  divergence
+        takes no sigma and is finite."""
         rng = np.random.default_rng(71)
         problem, factors = random_problem(rng, 6, 5, sigma=1e160)
         for call in (
             lambda: sure(problem, factors, Svst(1.0)),
             lambda: tune_grid(problem, factors, "svst"),
+            lambda: solve_svlet(problem, factors, K=2, C=10.0),
         ):
-            with pytest.raises(DegenerateSpectrumError, match="SURE leaves the double range"):
+            with pytest.raises(ContractError, match=r"is more than 2\^128 times y_1"):
                 call()
-        with pytest.raises(SolverFailureError, match="non-finite entries"):
-            solve_svlet(problem, factors, K=2, C=10.0)
         assert np.isfinite(divergence(factors.S, Svst(1.0), factors.shape))
+
+    @pytest.mark.parametrize("j", [256, 512])
+    def test_sigma_far_above_spectrum_raises_one_error(self, j):
+        """A sigma 2^j times the top power of two of the spectrum (e the
+        binary exponent of y_1) used to leak numpy's overflow warning from
+        the normal system (j = 256) or fail as a SURE past the double range
+        that in truth fits (j = 512).  Every entry point now raises one
+        ContractError naming sigma, y_1 and the supported ratio, before
+        numpy can warn; just below the limit every one computes."""
+        Y = np.ldexp(np.random.default_rng(73).standard_normal((6, 5)), -100)
+        factors = svd(Y)
+        y1 = float(factors.S[0])
+        e = math.frexp(y1)[1]
+        assert e == -98
+
+        def calls(problem):
+            return (
+                lambda: sure(problem, factors, Svst(y1 / 2)),
+                lambda: tune_grid(problem, factors, "svst"),
+                lambda: tune_grid(problem, factors, "atn"),
+                lambda: tune_grid(problem, factors, "svlt"),
+                lambda: solve_svlet(problem, factors, K=1, C=10.0),
+            )
+
+        sigma = math.ldexp(1.0, e + j)
+        message = (
+            f"sigma = {sigma!r} is more than 2^128 times y_1 = {y1!r}; "
+            "the risk is computed for sigma <= 2^128 * y_1"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls(DenoiseProblem(Y, sigma)):
+                with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                    call()
+            for call in calls(DenoiseProblem(Y, SIGMA_RATIO_LIMIT * y1)):
+                call()
 
     def test_tiny_spectrum_raises(self):
         """Squares near the subnormal range used to leave gaps whose

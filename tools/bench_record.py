@@ -22,7 +22,11 @@ so a record made from a dirty tree can be matched to the commit that holds
 its code.  Under "stages" it also holds the median and quartiles of the
 read, fit and write seconds that `svshrink denoise --method opt-shrink`
 prints for one seeded 1000x1000 CSV, over STAGE_RUNS runs of the command,
-each in a fresh process with BLAS on one thread.  Standard library only.
+each in a fresh process with BLAS on one thread, and beside them each
+run's minor page faults and system CPU seconds, read from
+`getrusage(RUSAGE_CHILDREN)` around the run as pairs.py reads them: a
+block size that makes the allocator return memory to the OS and fault it
+back shows there.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import argparse
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -68,8 +73,9 @@ STAGE_METHOD = "opt-shrink"
 
 
 def stage_record(checkout: str) -> dict:
-    """Median and quartiles of the stage seconds of STAGE_RUNS runs of
-    `svshrink denoise` on one seeded STAGE_SHAPE CSV."""
+    """Median and quartiles of the stage seconds, minor faults and system
+    CPU seconds of STAGE_RUNS runs of `svshrink denoise` on one seeded
+    STAGE_SHAPE CSV."""
     rows, cols = STAGE_SHAPE
     draw = random.Random(STAGE_SEED)
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OPENBLAS_NUM_THREADS": "1"}
@@ -82,14 +88,18 @@ def stage_record(checkout: str) -> dict:
         command = [sys.executable, "-m", "svshrink.cli", "denoise", path, "--sigma", "1",
                    "--method", STAGE_METHOD, "--output", os.path.join(scratch, "X.csv")]
         for _ in range(STAGE_RUNS):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             done = subprocess.run(command, cwd=checkout, env=env, check=True, capture_output=True, text=True)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
             for stage, seconds in json.loads(done.stdout.strip().splitlines()[-1])["stages"].items():
-                stages.setdefault(stage, []).append(seconds)
+                stages.setdefault((stage, "s"), []).append(seconds)
+            stages.setdefault(("minor_faults", "1/run"), []).append(after.ru_minflt - before.ru_minflt)
+            stages.setdefault(("sys_cpu_s", "s"), []).append(after.ru_stime - before.ru_stime)
     record = {"command": f"svshrink denoise --sigma 1 --method {STAGE_METHOD}",
               "shape": list(STAGE_SHAPE), "seed": STAGE_SEED, "runs": STAGE_RUNS}
-    for stage, values in stages.items():
+    for (stage, unit), values in stages.items():
         q1, median, q3 = quartiles(values)
-        record[stage] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
+        record[stage] = {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
     return record
 
 
