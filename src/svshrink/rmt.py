@@ -12,6 +12,7 @@ the spike-counting rank estimate implemented below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +41,17 @@ class AspectRatio:
             beta = float(self.beta)
         except (TypeError, ValueError):
             beta = float("nan")  # not a number: fails the check below
-        if not np.isfinite(beta) or not (0.0 < beta <= 1.0):
+        if not 0.0 < beta <= 1.0:  # False for a NaN
             raise ContractError(f"beta must lie in (0, 1], got {self.beta!r}")
         object.__setattr__(self, "beta", beta)
 
     @property
     def edge_low(self) -> float:
-        return 1.0 - np.sqrt(self.beta)
+        return 1.0 - math.sqrt(self.beta)
 
     @property
     def edge_high(self) -> float:
-        return 1.0 + np.sqrt(self.beta)
+        return 1.0 + math.sqrt(self.beta)
 
     @property
     def transition(self) -> float:
@@ -167,7 +168,7 @@ def calibration_scale(shape: MatrixShape, sigma: float) -> float:
     shape and a matrix and its transpose calibrate alike (Gavish & Donoho
     2014).  Every calibrated rule and rank count divides by this one value.
     """
-    return float(np.sqrt(max(shape.n, shape.m)) * _positive(sigma, "sigma"))
+    return math.sqrt(max(shape.n, shape.m)) * _positive(sigma, "sigma")
 
 
 def estimate_rank(spectrum: np.ndarray, shape: MatrixShape, sigma: float) -> RankEstimate:

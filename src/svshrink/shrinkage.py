@@ -3,12 +3,13 @@
 Each rule maps an observed singular value y_i (and, for the logistic rule,
 its 1-based rank index i) to a replacement value, leaving the singular
 vectors untouched.  Rules are frozen dataclasses validated at construction.
-Each rule's one `_eval(y, idx)` returns its formula and that formula's
-analytic d(eta)/dy at fixed index, (eta, eta'), which is what the risk
-engine scores.  Every entry point evaluates a rule through `_evaluate`,
-which rejects an eta that is not finite; `apply` evaluates it on a whole
-spectrum and `derivative` at one point, both with the non-negativity
-clamp.  The grid-tuned families
+Each rule's one `_eval(y, idx, slope)` returns its formula and that
+formula's analytic d(eta)/dy at fixed index, (eta, eta'), which is what the
+risk engine scores; `apply` passes slope=False, and Svlet and RmtOptimal
+then skip eta' (None or zeros).  Every entry point evaluates a rule
+through `_evaluate`, which rejects an eta that is not finite; `apply`
+evaluates it on a whole spectrum and `derivative` at one point, both with
+the non-negativity clamp.  The grid-tuned families
 (Svst, Atn, Svlt) evaluate through static formulas whose parameters
 broadcast, so the risk engine can score a column of candidate parameters as
 a batch of rows.
@@ -26,20 +27,20 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError
-from .spectral import _check_spectrum, _count, _positive
+from .spectral import _all, _check_spectrum, _count, _positive
 
 # Hard cap on the ATN exponent; beyond this the rule is indistinguishable
 # from a hard threshold at double precision anyway.
 GAMMA_MAX = 64.0
 
 
-def _dog_atoms(y: np.ndarray, K: int, T: float) -> tuple:
+def _dog_atoms(y: np.ndarray, K: int, T: float, slope: bool = True) -> tuple:
     """dog_basis and dog_basis_deriv of a float spectrum, sharing one
-    exponential."""
+    exponential; None for the second without slope."""
     ysq = (y * y)[:, None] * np.arange(K, dtype=float)
     # Dividing by -2T^2 gives the bits of negating ysq / 2T^2, in one call.
     decay = np.exp(ysq / (-2.0 * T * T))
-    return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay
+    return y[:, None] * decay, (1.0 - ysq / (T * T)) * decay if slope else None
 
 
 def dog_basis(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
@@ -50,7 +51,7 @@ def dog_basis(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
     larger y is, so the span can keep strong components while pulling the
     noise bulk toward zero.
     """
-    return _dog_atoms(np.asarray(spectrum, dtype=float), K, T)[0]
+    return _dog_atoms(np.asarray(spectrum, dtype=float), K, T, slope=False)[0]
 
 
 def dog_basis_deriv(spectrum: np.ndarray, K: int, T: float) -> np.ndarray:
@@ -93,7 +94,7 @@ def _finite_scalar(x, name: str) -> float:
 class Identity:
     """Keep every singular value: eta(y) = y."""
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         return y.copy(), np.ones_like(y)
 
 
@@ -101,7 +102,7 @@ class Identity:
 class Zero:
     """Discard every singular value: eta(y) = 0."""
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         return np.zeros_like(y), np.zeros_like(y)
 
 
@@ -114,7 +115,7 @@ class Svht:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", _positive(self.mu, "mu"))
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         return np.where(y > self.mu, y, 0.0), np.where(y >= self.mu, 1.0, 0.0)
 
 
@@ -134,7 +135,7 @@ class Svst:
         scores one row per threshold."""
         return np.maximum(y - lam, 0.0), np.where(y >= lam, 1.0, 0.0)
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         return self._formula(y, self.lam)
 
 
@@ -184,7 +185,7 @@ class Atn:
         ders.ravel()[reached] = 1.0 + (gamma - 1.0) * ratio
         return vals, ders
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         out = (np.zeros(y.shape), np.zeros(y.shape))
         return self._powered(self._thresholded(y, self.tau), self.gamma, out)
 
@@ -214,7 +215,7 @@ class Svlt:
         tapered = y * w - p3
         return np.maximum(tapered, 0.0), np.where(tapered >= 0.0, w, 0.0)
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         return self._formula(y, _logistic_weights(idx, self.p1, self.p2), self.p3)
 
 
@@ -243,9 +244,9 @@ class Svlet:
         _require(all(map(math.isfinite, a.tolist())), "a contains non-finite entries")
         object.__setattr__(self, "a", a)
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
-        phi, phid = _dog_atoms(y, self.K, self.T)
-        return phi @ self.a, phid @ self.a
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
+        phi, phid = _dog_atoms(y, self.K, self.T, slope)
+        return phi @ self.a, phid @ self.a if slope else None
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,9 @@ class RmtOptimal:
 
     @property
     def edge(self) -> float:
-        return 1.0 + np.sqrt(self.beta)
+        return 1.0 + math.sqrt(self.beta)
 
-    def _eval(self, y: np.ndarray, idx: np.ndarray) -> tuple:
+    def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
         vals, ders = np.zeros_like(y), np.zeros_like(y)
         above = y > self.edge
         ya = y[above]
@@ -278,27 +279,30 @@ class RmtOptimal:
         vals[above] = rad / ya
         # The right-derivative diverges at the edge itself (square-root
         # onset); the edge point uses the bulk branch, which is 0.
-        with np.errstate(divide="ignore"):
-            ders[above] = 2.0 * b / rad - rad / (ya * ya)
+        if slope:
+            with np.errstate(divide="ignore"):
+                ders[above] = 2.0 * b / rad - rad / (ya * ya)
         return vals, ders
 
 
-ShrinkageRule = Union[Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal]
+_RULES = (Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal)
+ShrinkageRule = Union[_RULES]
 
 
 def _check_rule(rule) -> None:
-    if not isinstance(rule, ShrinkageRule):
+    if not isinstance(rule, _RULES):
         raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
 
 
-def _evaluate(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray) -> tuple:
+def _evaluate(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
     """A checked rule's (eta, eta') on a checked spectrum, the one evaluation
-    every entry point runs.  An eta that is not finite has neither a clamped
-    value nor a finite risk, so it fails here, before numpy warns about the
-    overflow it came from."""
+    every entry point runs (eta' left out without slope, see the module
+    docstring).  An eta that is not finite has neither a clamped value nor
+    a finite risk, so it fails here, before numpy warns about the overflow
+    it came from."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, ders = rule._eval(s, idx)
-    if not np.isfinite(vals).all():
+        vals, ders = rule._eval(s, idx, slope)
+    if not _all(np.isfinite(vals)):
         raise ContractError("rule produced non-finite output")
     return vals, ders
 
@@ -314,7 +318,7 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     _check_rule(rule)
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
-    return np.maximum(_evaluate(rule, s, idx)[0], 0.0)
+    return np.maximum(_evaluate(rule, s, idx, slope=False)[0], 0.0)
 
 
 def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:

@@ -67,6 +67,7 @@ stays at 64 KiB.  In-process `svshrink denoise` ops on 400x200 CSVs took
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -105,8 +106,7 @@ _QUAD_SCALE = np.uint64(1 + (10000 << 32))
 # of its mantissa, with 16, 8 and 0 of its digits after them.
 _WORD_ENDS = np.array([[-16], [-8], [0]])
 _DIGITS_AFTER_WORD = np.array([[16], [8], [0]])
-# ndarray.all() and .any() in the block loops without their Python-level
-# wrapper (see the module docstring); the loops pass them 1-D arrays only.
+# ndarray.all() and .any() without their Python-level wrapper (see the module docstring); 2-D needs axis=None.
 _all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 
@@ -158,10 +158,13 @@ def _positive(x, name: str) -> float:
 
 def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
     """A spectrum as a float array that is 1-D, non-empty, finite,
-    non-negative and descending."""
+    non-negative and descending: s_1 finite, s_L >= 0 and each s_i >= s_i+1
+    (False for a NaN) say so at once; the rest only chooses the message."""
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1 or s.shape[0] < 1:
         raise ContractError(f"spectrum must be 1-D and non-empty, got shape {s.shape}")
+    if math.isfinite(s[0]) and s[-1] >= 0.0 and _all(s[:-1] >= s[1:]):
+        return s
     if not np.isfinite(s).all():
         raise ContractError("spectrum contains non-finite entries")
     if (s < 0.0).any():
@@ -191,22 +194,19 @@ class SvdFactors:
 
 @dataclass(frozen=True, eq=False)
 class DenoiseProblem:
-    """An observed matrix together with the known noise level sigma > 0."""
+    """An observed matrix, its shape (stored when checked) and the known noise level sigma > 0."""
 
     Y: np.ndarray
     sigma: float
+    shape: MatrixShape = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         Y = np.asarray(self.Y, dtype=float)
-        MatrixShape.of(Y)
-        if not np.all(np.isfinite(Y)):
+        object.__setattr__(self, "shape", MatrixShape.of(Y))
+        if not _all(np.isfinite(Y), axis=None):
             raise ContractError("Y contains non-finite entries")
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "sigma", _positive(self.sigma, "sigma"))
-
-    @property
-    def shape(self) -> MatrixShape:
-        return MatrixShape.of(self.Y)
 
 
 def _check_matching(problem: DenoiseProblem, factors: SvdFactors) -> MatrixShape:
@@ -247,43 +247,60 @@ def svd(Y: np.ndarray) -> SvdFactors:
     if not (math.isfinite(largest) and math.isfinite(smallest)):
         raise ContractError("matrix contains non-finite entries")
     e = math.frexp(max(largest, -smallest))[1]
+    # Multiplying by 2^-e and 2^e rounds as np.ldexp does, in one pass, where they are doubles.  S <= sqrt(n * m)
+    # < 2^32 in between, so S * 2^e overflows (to inf, which fails below) only for e > 990.
     try:
-        U, S, Vh = np.linalg.svd(np.ldexp(Y, -e), full_matrices=False)
+        U, S, Vh = np.linalg.svd(Y * 2.0**-e if e >= -1023 else np.ldexp(Y, -e), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
-    with np.errstate(over="ignore"):  # an S past the double range fails below
-        S = np.ldexp(S, e)
-    # A column's largest magnitude is its max or minus its min; the sign
-    # of the larger one is the sign of its lead entry.
+    with np.errstate(over="ignore") if e > 990 else contextlib.nullcontext():
+        S = S * 2.0**e if e <= 1023 else np.ldexp(S, e)
     top, bottom = U.max(axis=0), U.min(axis=0)
-    flip = top < -bottom
-    tied = np.flatnonzero(top == -bottom)
-    if tied.size:
+    finite = math.isfinite(top.max()) and math.isfinite(bottom.min())  # any NaN or inf in U shows here
+    if not (finite and _all(np.isfinite(S)) and _all(np.isfinite(Vh), axis=None)):
+        raise FactorizationError("SVD produced non-finite factors")
+    # A column's largest magnitude is its max or minus its min; the sign
+    # of the larger one, that of max + min (exactly 0 at a tie), is the
+    # sign of its lead entry.
+    balance = top + bottom
+    sign = np.copysign(1.0, balance)
+    if np.count_nonzero(balance) < balance.shape[0]:
         # Both signs reach the largest magnitude (or the column is zero):
         # np.argmax returns the first maximizer, the lowest row index.
+        tied = np.flatnonzero(balance == 0.0)
         cols = U[:, tied]
-        flip[tied] = cols[np.argmax(np.abs(cols), axis=0), np.arange(tied.size)] < 0.0
-    sign = np.where(flip, -1.0, 1.0)
+        sign[tied] = np.where(cols[np.argmax(np.abs(cols), axis=0), np.arange(tied.size)] < 0.0, -1.0, 1.0)
     # V first, then a new U: writing LAPACK's U in place, or building U
     # first, raised the peak RSS of a 400x200 CLI denoise by 0.6-1.3 MB.
     V = np.multiply(Vh.T, sign, order="C")
     U = U * sign
-    if not (np.isfinite(U).all() and np.isfinite(S).all() and np.isfinite(V).all()):
-        raise FactorizationError("SVD produced non-finite factors")
     return SvdFactors(U=U, S=S, V=V)
 
 
 def reconstruct(factors: SvdFactors, s_new: np.ndarray) -> np.ndarray:
-    """Rebuild a matrix from the factors using replacement singular values."""
+    """Rebuild a matrix from the factors using replacement singular values:
+    (U * s_new) @ V.T, bit for bit.
+
+    Zero columns after the last non-zero value add exact zeros, so they
+    are left out, but BLAS sums in unrolled steps and blocks of columns, and
+    a product ending inside a step or past the full one's first block
+    rounds differently (OpenBLAS 0.3.31: odd cuts at m >= 300, cuts past
+    200 at L > 384).  So the product ends at a multiple of 8 columns, and
+    keeps all L past 128, within half of a 256-column block.
+    """
     s_new = np.asarray(s_new, dtype=float)
     L = factors.S.shape[0]
     if s_new.ndim != 1 or s_new.shape[0] != L:
         raise ContractError(f"s_new must be a length-{L} vector, got shape {s_new.shape}")
-    if not np.isfinite(s_new).all():
-        raise ContractError("s_new contains non-finite entries")
-    if (s_new < 0.0).any():
+    if not (s_new.min() >= 0.0 and s_new.max() < math.inf):  # False for a NaN
+        if not np.isfinite(s_new).all():
+            raise ContractError("s_new contains non-finite entries")
         raise ContractError("s_new contains negative entries")
-    return (factors.U * s_new) @ factors.V.T
+    nonzero = s_new.nonzero()[0]
+    k = (int(nonzero[-1]) // 8 + 1) * 8 if nonzero.size else 0
+    if k > 128:
+        k = L
+    return (factors.U[:, :k] * s_new[:k]) @ factors.V[:, :k].T
 
 
 def truncated_spectrum(S: np.ndarray, r: int) -> np.ndarray:

@@ -25,6 +25,7 @@ parametric rules, lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -176,7 +177,7 @@ def _spectral_pieces(spectrum: np.ndarray, shape: MatrixShape) -> tuple:
             )
     diff = sq[:, None] - sq[None, :]
     # 1 / inf = 0 drops the diagonal from each row sum.
-    np.fill_diagonal(diff, np.inf)
+    diff.ravel()[:: s.shape[0] + 1] = np.inf
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
     return s, e, y, idx, np.divide(1.0, diff, out=diff).sum(axis=1)
 
@@ -405,6 +406,14 @@ def _upper_half_grid(y1: float, count: int) -> np.ndarray:
     return 0.5 * y1 * np.arange(1, count + 1, dtype=float) / count
 
 
+@functools.lru_cache(maxsize=8)
+def _svlt_weight_table(L: int, p1: float) -> np.ndarray:
+    """tune_grid's read-only svlt weights at p1 * k, k in [1 - L, L - 1]."""
+    table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
+    table.setflags(write=False)
+    return table
+
+
 # A sigma far above the spectrum makes grid scores inf or NaN, and a SURE
 # scaled back past the double range reads inf in the trace; the winner's
 # report fails on either, so numpy need not warn.  One errstate per call
@@ -459,8 +468,7 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
         # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
         # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run
         # in blocks, and each block gathers only its own weight rows.
-        table = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
-        weights = sliding_window_view(table, L)[::-1]
+        weights = sliding_window_view(_svlt_weight_table(L, p1), L)[::-1]
         p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
 
         def block(k: int) -> np.ndarray:

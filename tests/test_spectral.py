@@ -22,19 +22,29 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from svshrink import (
+    Atn,
     ContractError,
     DenoiseProblem,
+    FactorizationError,
     MatrixParseError,
     MatrixShape,
+    RmtOptimal,
+    Svht,
+    Svlet,
+    Svlt,
+    Svst,
     SvdFactors,
+    apply,
+    calibration_scale,
     eym_truncate,
     read_matrix,
     reconstruct,
+    solve_svlet,
     svd,
     write_matrix,
 )
 from svshrink import spectral
-from svshrink.spectral import _FORMAT_BLOCK, _parse_lines, _read_csv, truncated_spectrum
+from svshrink.spectral import _FORMAT_BLOCK, _check_spectrum, _count, _parse_lines, _read_csv, truncated_spectrum
 
 # A fixed example sequence and no example database, so every run on every
 # machine tests the same inputs.
@@ -294,8 +304,172 @@ class TestSvd:
             svd(np.zeros((0, 3)))
 
 
+class TestScaleLaw:
+    """svd scales Y by 2^-e with one multiply where 2^-e is a double and
+    with np.ldexp past that, and S back the same way; both round as
+    np.ldexp does, so the scale law holds bit for bit at every magnitude."""
+
+    # Small integers stay exact at every scale here, subnormal included.
+    Y = np.random.default_rng(84).integers(-7, 8, size=(7, 5)).astype(float)
+
+    @pytest.mark.parametrize("k", [500, -500, 1016, -1070], ids=["2^500", "2^-500", "near-max", "subnormal"])
+    def test_scaled_input_scales_only_s(self, k):
+        base, scaled = svd(self.Y), svd(np.ldexp(self.Y, k))
+        assert scaled.U.tobytes() == base.U.tobytes()
+        assert scaled.V.tobytes() == base.V.tobytes()
+        assert scaled.S.tobytes() == np.ldexp(base.S, k).tobytes()
+
+    def test_subnormal_entries_round_as_ldexp(self):
+        """Entries 2^-1060 below max|Y| become subnormal when Y is scaled,
+        and the multiply rounds them as np.ldexp does: the factors are
+        LAPACK's on np.ldexp(Y, -e), with the sign rule applied."""
+        Y = np.random.default_rng(85).standard_normal((6, 5)) * 2.0**-60
+        Y[0, 0] = 2.0**1000
+        e = math.frexp(float(np.abs(Y).max()))[1]
+        U, S, Vh = np.linalg.svd(np.ldexp(Y, -e), full_matrices=False)
+        flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0.0
+        sign = np.where(flip, -1.0, 1.0)
+        factors = svd(Y)
+        assert factors.U.tobytes() == (U * sign).tobytes()
+        assert factors.V.tobytes() == np.multiply(Vh.T, sign, order="C").tobytes()
+        assert factors.S.tobytes() == np.ldexp(S, e).tobytes()
+
+    @pytest.mark.parametrize("entry", [1.7e308, 0.9 * 2.0**1023], ids=["e=1024", "e=1023"])
+    def test_singular_values_past_the_double_range_fail_typed(self, entry):
+        """S * 2^e overflows: a typed error, and no numpy warning (warnings
+        are errors in this suite)."""
+        with pytest.raises(FactorizationError, match="^SVD produced non-finite factors$"):
+            svd(np.full((3, 3), entry))
+
+
+def check_spectrum_reference(s):
+    """The message of the first of the three checks a spectrum fails, run
+    alone as before the one-pass test, or None when it passes them all."""
+    if not np.isfinite(s).all():
+        return "spectrum contains non-finite entries"
+    if (s < 0.0).any():
+        return "spectrum contains negative entries"
+    if (s[1:] > s[:-1]).any():
+        return "spectrum must be sorted in descending order"
+    return None
+
+
+class TestCheckSpectrum:
+    """_check_spectrum accepts a spectrum in one pass and runs its three
+    checks only to choose the message: it accepts and rejects exactly as
+    they do, with the same message."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([3.0, np.nan, 1.0], "spectrum contains non-finite entries"),
+            ([np.inf, 2.0, 1.0], "spectrum contains non-finite entries"),
+            ([3.0, 2.0, -np.inf], "spectrum contains non-finite entries"),
+            ([np.nan], "spectrum contains non-finite entries"),
+            ([3.0, 2.0, -1.0], "spectrum contains negative entries"),
+            ([-1.0], "spectrum contains negative entries"),
+            ([3.0, 1.0, 2.0], "spectrum must be sorted in descending order"),
+            ([1.0, 2.0], "spectrum must be sorted in descending order"),
+            ([2.0, 1.0, -0.0], None),
+            ([-0.0], None),
+            ([5.0], None),
+            ([2.0, 2.0, 0.0, 0.0], None),
+        ],
+        ids=["nan-middle", "inf-first", "minus-inf-last", "nan-alone", "negative-last", "negative-alone",
+             "ascending-pair-inside", "ascending-pair", "minus-zero-last", "minus-zero-alone", "single", "ties"],
+    )
+    def test_named_cases(self, values, message):
+        s = np.array(values)
+        assert check_spectrum_reference(s) == message
+        if message is None:
+            assert _check_spectrum(s).tobytes() == s.tobytes()
+        else:
+            with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                _check_spectrum(s)
+
+    def test_random_spectra_decide_as_the_three_checks(self):
+        """Seeded short spectra of special values, sorted or not."""
+        rng = np.random.default_rng(86)
+        pool = np.array([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, 2.0, 3.0, 1.7e308])
+        for _ in range(3000):
+            s = rng.choice(pool, size=rng.integers(1, 6))
+            if rng.random() < 0.5:
+                s = -np.sort(-s)  # descending, NaN last
+            message = check_spectrum_reference(s)
+            if message is None:
+                assert _check_spectrum(s).tobytes() == s.tobytes()
+            else:
+                with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+                    _check_spectrum(s)
+
+
+class TestCount:
+    """_count takes its fast path for a Python int and keeps every other
+    case as it was."""
+
+    @pytest.mark.parametrize("x", [True, False, 2.0, "3", np.float64(3.0), np.bool_(True), None])
+    def test_rejects_what_is_not_an_integer(self, x):
+        with pytest.raises(ContractError, match=f"^k must be an integer >= 0, got {re.escape(repr(x))}$"):
+            _count(x, "k", 0)
+
+    @pytest.mark.parametrize("x", [3, np.int64(3), np.int8(3), np.uint16(3)])
+    def test_accepts_integers_as_python_ints(self, x):
+        got = _count(x, "k", 0, 3)
+        assert got == 3 and type(got) is int
+
+    def test_bounds(self):
+        with pytest.raises(ContractError, match=r"^k must be an integer in \[0, 2\], got 3$"):
+            _count(3, "k", 0, 2)
+        with pytest.raises(ContractError, match=r"^k must be an integer >= 1, got np\.int64\(-1\)$"):
+            _count(np.int64(-1), "k", 1)
+
+    def test_shape_dimensions_are_python_ints(self):
+        shape = MatrixShape(np.int64(6), 4)
+        assert (shape.n, shape.m) == (6, 4) and type(shape.n) is int
+        for n, m in [(0, 4), (True, 4), (6, 2.0)]:
+            with pytest.raises(ContractError, match="must be an integer >= 1"):
+                MatrixShape(n, m)
+
+
 class TestReconstruct:
     """Synthesis from factors with replacement singular values."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(50, 50), (40, 80), (30, 20), (400, 200), (200, 400), (33, 301), (411, 500)]
+    )
+    def test_equals_the_full_product_bitwise(self, n, m):
+        """reconstruct leaves out zero columns only where the bits stay:
+        it equals (U * s) @ V.T for the spectra of every rule family, an
+        all-zero one, svlet expansions whose zeros lie at the top or the
+        bottom, and tails zeroed from every kind of column, on square,
+        tall and wide shapes.  With OpenBLAS 0.3.31, a product cut at an
+        odd column moved the last bit at m >= 300 (33x301 here), and one cut
+        past 200 columns did at L > 384 (411x500 here)."""
+        rng = np.random.default_rng([30, n, m])
+        L = min(n, m)
+        X = rng.standard_normal((n, 5)) @ rng.standard_normal((5, m)) * (3.0 / math.sqrt(max(n, m)))
+        sigma = 1.0 / math.sqrt(max(n, m))
+        problem = DenoiseProblem(Y=X + sigma * rng.standard_normal((n, m)), sigma=sigma)
+        factors = svd(problem.Y)
+        S = factors.S
+        scale = calibration_scale(problem.shape, problem.sigma)
+        median = float(np.median(S))
+        spectra = [
+            scale * apply(RmtOptimal(beta=L / max(n, m)), S / scale),
+            apply(Svht(mu=S[3]), S),
+            apply(Svst(lam=median), S),
+            apply(Atn(tau=median, gamma=3.0), S),
+            apply(Svlt(p1=2.0, p2=4.0, p3=0.1 * median), S),
+            apply(solve_svlet(problem, factors, K=2, C=10.0).rule, S),
+            apply(Svlet(K=2, T=median, a=np.array([1.0, -1.5])), S),  # zeros at the bottom
+            apply(Svlet(K=2, T=median, a=np.array([-0.1, 1.5])), S),  # zeros at the top
+            np.zeros(L),
+        ]
+        cuts = (1, 2, 3, 5, 7, 8, 9, 17, 63, 128, 129, 211, 300, L - 1, L)
+        spectra += [truncated_spectrum(S, k) for k in cuts if k <= L]
+        for s_new in spectra:
+            want = (factors.U * s_new) @ factors.V.T
+            assert reconstruct(factors, s_new).tobytes() == want.tobytes()
 
     def test_identity_replacement_reproduces_input(self):
         rng = np.random.default_rng(5)

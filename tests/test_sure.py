@@ -50,6 +50,7 @@ from svshrink import (
     svd,
     tune_grid,
 )
+from svshrink.shrinkage import _logistic_weights
 from svshrink.sure import (
     CONDITION_LIMIT,
     SIGMA_RATIO_LIMIT,
@@ -57,6 +58,7 @@ from svshrink.sure import (
     _divergences,
     _scores,
     _spectral_pieces,
+    _svlt_weight_table,
     _upper_half_grid,
 )
 
@@ -640,6 +642,21 @@ class TestTuneGrid:
             assert report.trace == eager and eager == report.trace
             assert report.trace != eager[:-1] and report.trace != list(eager)
             assert report.trace == tune_grid(problem, factors, family, **options).trace
+
+    @pytest.mark.parametrize("L, p1", [(1, 100.0), (50, 100.0), (40, 0.75), (7, 0.0)])
+    def test_svlt_weight_table_is_built_once_and_read_only(self, L, p1):
+        """The svlt grid's weight table depends on (L, p1) alone: it is
+        built once per pair, cannot be written, and holds the bits of a
+        fresh build; a grid call leaves it as it was."""
+        fresh = _logistic_weights(np.arange(1 - L, L, dtype=float), p1, 0.0)
+        table = _svlt_weight_table(L, p1)
+        assert table is _svlt_weight_table(L, p1)
+        assert not table.flags.writeable
+        assert table.tobytes() == fresh.tobytes()
+        rng = np.random.default_rng([31, L])
+        problem, factors = random_problem(rng, L, L + 3, sigma=0.3)
+        tune_grid(problem, factors, "svlt", p1=p1)
+        assert _svlt_weight_table(L, p1).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("n, m", [(6, 6), (9, 5), (5, 9), (1, 4), (4, 1), (2, 7), (7, 2)])
     def test_trace_does_not_depend_on_block_size(self, n, m, monkeypatch):

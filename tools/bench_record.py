@@ -26,7 +26,15 @@ each in a fresh process with BLAS on one thread, and beside them each
 run's minor page faults and system CPU seconds, read from
 `getrusage(RUSAGE_CHILDREN)` around the run as pairs.py reads them: a
 block size that makes the allocator return memory to the OS and fault it
-back shows there.  Standard library only.
+back shows there.  Under "shell" it holds, for each method of the
+`paper-closed-form` workload, the median time of a 50x50 op with the SVD
+computed once and left out (the problem's checks, the fit, the rule and
+the rebuild), beside the median times of `np.linalg.svd` and of
+`svshrink.svd` on the same matrices: one fresh process per run, SHELL_RUNS
+runs, each value a process's median over the workload's 200 cells, each
+cell's time the fastest of SHELL_REPEATS calls.  "previous" names the
+highest-numbered BENCH file below <n> that the checkout holds, the record
+this one is compared with.  Standard library only.
 """
 
 from __future__ import annotations
@@ -103,6 +111,77 @@ def stage_record(checkout: str) -> dict:
     return record
 
 
+# The shell record: the paper-closed-form workload's 50x50 cells and
+# methods, drawn as perfbench draws them (seed, rank index, SNR index,
+# trial 0), timed in a fresh process that imports the checkout's svshrink.
+SHELL_METHODS = ("svlet(C=10,K=2)", "opt-shrink", "svht-4sqrt3", "svst-bulk")
+SHELL_SNRS = (0.5, 1.0, 2.0, 4.0)
+SHELL_SEED = 30
+SHELL_RUNS = 5
+SHELL_REPEATS = 3
+SHELL_CODE = """
+import json, statistics, sys
+from time import perf_counter
+import numpy as np
+from svshrink import DenoiseProblem, svd
+from svshrink.bench import METHOD_RUNNERS, generate_problem, parse_method
+
+methods, snrs, seed, repeats = json.loads(sys.argv[1])
+specs = [parse_method(label) for label in methods]
+
+
+def fastest(call):
+    times = []
+    for _ in range(repeats):
+        started = perf_counter()
+        call()
+        times.append(perf_counter() - started)
+    return min(times)
+
+
+samples = {name: [] for name in ("np.linalg.svd", "svd", *methods)}
+for r_idx, rank in enumerate(range(1, 51)):
+    for s_idx, snr in enumerate(snrs):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r_idx, s_idx, 0]))
+        problem = generate_problem(50, 50, rank, snr, rng)[1]
+        Y, sigma = problem.Y, problem.sigma
+        samples["np.linalg.svd"].append(fastest(lambda: np.linalg.svd(Y, full_matrices=False)))
+        samples["svd"].append(fastest(lambda: svd(Y)))
+        factors = svd(Y)
+        for label, spec in zip(methods, specs):
+            run = METHOD_RUNNERS[spec.family]
+            samples[label].append(fastest(lambda: run(DenoiseProblem(Y=Y, sigma=sigma), factors, spec, rank)))
+print(json.dumps({name: statistics.median(values) for name, values in samples.items()}))
+"""
+
+
+def shell_record(checkout: str) -> dict:
+    """Median and quartiles over SHELL_RUNS fresh processes of the median
+    50x50 op time without the SVD per method, and of the SVD's."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OPENBLAS_NUM_THREADS": "1"}
+    argument = json.dumps([SHELL_METHODS, SHELL_SNRS, SHELL_SEED, SHELL_REPEATS])
+    runs = []
+    for _ in range(SHELL_RUNS):
+        done = subprocess.run([sys.executable, "-c", SHELL_CODE, argument], cwd=checkout, env=env, check=True,
+                              capture_output=True, text=True)
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    record = {"shape": [50, 50], "methods": list(SHELL_METHODS), "snrs": list(SHELL_SNRS), "seed": SHELL_SEED,
+              "runs": SHELL_RUNS, "repeats": SHELL_REPEATS}
+    for name in runs[0]:
+        values = [run[name] for run in runs]
+        q1, median, q3 = quartiles(values)
+        record[name] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
+    return record
+
+
+def previous_record(number: int) -> str | None:
+    """The highest-numbered BENCH_<k>.json below number in the checkout."""
+    numbers = [int(name[6:-5]) for name in os.listdir(ROOT)
+               if name.startswith("BENCH_") and name.endswith(".json") and name[6:-5].isdigit()]
+    below = [k for k in numbers if k < number]
+    return f"BENCH_{max(below)}.json" if below else None
+
+
 def workload_record(runs: list, metrics: list) -> dict:
     """The medians, quartiles and values of one workload's runs."""
     record = {
@@ -148,6 +227,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: failed {run['failed']} of {run['attempted']} ops",
                       file=sys.stderr, flush=True)
         stages = stage_record(checkout)
+        shell = shell_record(checkout)
     finally:
         if args.revision:
             shutil.rmtree(checkout, ignore_errors=True)
@@ -165,6 +245,8 @@ def main(argv=None) -> int:
         "workloads": {name: workload_record(workload_runs, benchmark["end_to_end"])
                       for name, workload_runs in runs.items()},
         "stages": stages,
+        "shell": shell,
+        "previous": previous_record(args.number),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w") as stream:
