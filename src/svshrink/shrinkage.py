@@ -210,8 +210,8 @@ class Svlt:
 
     @staticmethod
     def _formula(y: np.ndarray, w: np.ndarray, p3) -> tuple:
-        """(eta, eta') on y with weight row w; p3 broadcasts, so one (p1, p2)
-        scores a column of offsets."""
+        """(eta, eta') on y with weight row w; w and p3 broadcast, so k rows
+        w of shape (k, 1, L) and m offsets p3 of shape (m, 1) score k*m rows."""
         tapered = y * w - p3
         return np.maximum(tapered, 0.0), np.where(tapered >= 0.0, w, 0.0)
 

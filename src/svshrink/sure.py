@@ -59,9 +59,8 @@ SVLT_P1 = 100.0
 # svlet's width multiplier C (T = C * sigma) and order K when none are given.
 DEFAULT_C = 10.0
 DEFAULT_K = 2
-# Values per array in one block of svlt or atn grid candidates: svlt's
-# blocks have max(1, BLOCK_ELEMENTS // L) rows, and an atn block holds the
-# 100 thresholds of as many gammas as fit (at least one).  Larger blocks
+# Values per array in one block of grid candidates: a block holds as many
+# whole outer values of its grid as fit, and at least one.  Larger blocks
 # issue fewer numpy calls per grid, until the allocator starts to return
 # the freed blocks to the OS and to fault them back.  The value is set by
 # that cliff as measured with glibc 2.36 on a 2-CPU Xeon VM, in alternated
@@ -73,8 +72,7 @@ DEFAULT_K = 2
 # elsewhere.  Every row is reduced on its own, so the block size never
 # changes a bit of any score.
 BLOCK_ELEMENTS = 10_000
-# Thresholds in the svst and atn grids; each is one row of their blocks,
-# and svst's 100 are always one block.
+# Thresholds in the svst and atn grids, their inner column.
 GRID_THRESHOLDS = 100
 # The largest sigma / y_1 the risk engine accepts.  In the scaled units
 # (y_1 in [0.5, 1)) sigma is then below 2^128, so the expansion's normal
@@ -427,88 +425,75 @@ def tune_grid(problem: DenoiseProblem, factors: SvdFactors, family, *, p1: float
       atn:  the same 100 thresholds crossed with integer gamma in [1, 20]
       svlt: steepness p1 held fixed, integer p2 in [1, L], 50 offsets in (0, 0.5*y1]
 
-    Candidates are scored as rows of formula values, one row per
-    candidate, in blocks sized by BLOCK_ELEMENTS values per array: svlt
-    cuts its (p2, p3) rows into blocks of max(1, BLOCK_ELEMENTS // L) rows,
-    atn scores the 100 thresholds of as many gammas as fit in one block
-    (at least one gamma), and svst scores its 100 thresholds as one block.
-    The budget sits below the size at which glibc was measured to return
-    freed blocks to the OS and fault them back (see its comment).  Each
-    block is scored against the scaled spectrum tiled once per call, with
-    thresholds and offsets built from its top value, in one scratch buffer
-    the call reuses, and every row is reduced on its own; the trace's axes
-    and SUREs are scaled back, so each trace value has the same bits as
-    sure() of its candidate's rule whatever the block size.  Only the winner is built as a rule.
-    Ties are broken toward the lexicographically smallest parameter tuple.
-    The winning report carries the (params, sure) pairs as a GridTrace,
-    which builds them on access; tuple(report.trace) lists them.
+    Each grid is an outer axis times an inner column: svst's one value
+    times its thresholds, atn's gammas times the thresholds, svlt's weight
+    rows (one per p2) times its offsets.  One loop scores the candidates,
+    one row of formula values each, in blocks of as many whole outer
+    values as fit in BLOCK_ELEMENTS values per array, and at least one.
+    Every row is reduced on its own and the trace's axes and SUREs are
+    scaled back, so each trace value has the same bits as sure() of its
+    candidate's rule whatever the block size.  Only the winner is built as
+    a rule; ties go to the lexicographically smallest parameter tuple.  The
+    winning report carries the (params, sure) pairs as a GridTrace, which
+    builds them on access; tuple(report.trace) lists them.
     """
     name = _family_name(family)
     shape, s, e, y, idx, rowsums, sigma = _problem_pieces(problem, factors)
     L = shape.L
-    rows = max(1, BLOCK_ELEMENTS // L)
-    gammas = [float(g) for g in range(1, 21)]
-    per = min(len(gammas), max(1, rows // GRID_THRESHOLDS))
-    # With y tiled, no formula or score broadcasts y against every row.  No
-    # block is longer than its grid.
-    block_rows = {"svst": GRID_THRESHOLDS, "atn": per * GRID_THRESHOLDS, "svlt": min(rows, L * 50)}[name]
-    tiled = np.tile(y, (block_rows, 1))
+    inner = _upper_half_grid(float(y[0]), 50 if name == "svlt" else GRID_THRESHOLDS)
+    per = max(1, BLOCK_ELEMENTS // (inner.shape[0] * L))
+    axes = (np.ldexp(inner, e).tolist(),)
+    if name == "svlt":
+        # Every p2 and p3 is valid, so building the first candidate checks p1.
+        p1 = Svlt(p1=p1, p2=1.0, p3=float(inner[0])).p1
+        # On the integer grid p1*(i - p2) is p1*k, k in [1 - L, L - 1], so one
+        # table holds every weight row: p2's is table[L - p2 : 2L - p2], row p2 - 1
+        # of the reversed length-L windows, broadcast against the offset column.
+        outer = sliding_window_view(_svlt_weight_table(L, p1), L)[::-1]
+        axes = ([p1], idx.tolist()) + axes
+
+        def formula(w: np.ndarray) -> tuple:
+            return Svlt._formula(y, w[:, None], inner[:, None])
+
+    elif name == "atn":
+        # Each gamma is a Python float, as in a rule, so ** takes the same path
+        # as sure() does.  The entries at or above tau, and tau / y there, are
+        # found once for all 20 gammas; each gamma of a block writes its (eta,
+        # eta') into its own 100 rows of one zeroed pair, and as every gamma
+        # writes the same entries, the pair serves every block.
+        outer = [float(g) for g in range(1, 21)]
+        axes += (outer,)
+        thresholded = Atn._thresholded(np.tile(y, (GRID_THRESHOLDS, 1)), inner[:, None])
+        vals, ders = (np.zeros((min(per, len(outer)), GRID_THRESHOLDS, L)) for _ in range(2))
+
+        def formula(gammas: list) -> tuple:
+            for r, g in enumerate(gammas):
+                Atn._powered(thresholded, g, (vals[r], ders[r]))
+            return vals[: len(gammas)], ders[: len(gammas)]
+
+    else:
+        outer, formula = [None], lambda _: Svst._formula(y, inner[None, :, None])
+
+    # With y tiled, no score broadcasts y against every row; no block outgrows its grid.
+    tiled = np.tile(y, (min(per, len(outer)), inner.shape[0], 1))
     work = np.empty_like(tiled)
 
-    def score(formula: tuple) -> np.ndarray:
-        # SURE of each row of a block's (eta, eta'), in the scaled units.
-        count = formula[0].shape[0]
-        return _scores(*formula, tiled[:count], rowsums, shape, sigma, work[:count])[0]
+    def score(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+        # One row of SUREs per outer value.  A block's arrays die with this call;
+        # kept into the next block, they made glibc trim and refault the heap.
+        return _scores(vals, ders, tiled[: len(vals)], rowsums, shape, sigma, work[: len(vals)])[0]
 
-    if name == "svlt":
-        p3 = _upper_half_grid(float(y[0]), 50)
-        # Every p2 and p3 is valid, so building the first candidate checks p1.
-        p1 = Svlt(p1=p1, p2=1.0, p3=float(p3[0])).p1
-        # On the integer grid p1*(i - p2) is p1*k for some k in [1 - L, L - 1],
-        # so one table of weights holds every row: p2's is table[L - p2 : 2L - p2],
-        # row p2 - 1 of the reversed length-L windows.  The (p2, p3) rows run
-        # in blocks, and each block gathers only its own weight rows.
-        weights = sliding_window_view(_svlt_weight_table(L, p1), L)[::-1]
-        p2_row, p3_col = np.divmod(np.arange(L * p3.shape[0]), p3.shape[0])
-
-        def block(k: int) -> np.ndarray:
-            w = weights[p2_row[k : k + rows]]
-            return score(Svlt._formula(tiled[: w.shape[0]], w, p3[p3_col[k : k + rows], None]))
-
-        sures = np.concatenate([block(k) for k in range(0, p2_row.shape[0], rows)])
-        axes = ([p1], idx.tolist(), np.ldexp(p3, e).tolist())
-    else:
-        thresholds = _upper_half_grid(float(y[0]), GRID_THRESHOLDS)
-        spectra = tiled[:GRID_THRESHOLDS]
-        if name == "svst":
-            sures = score(Svst._formula(spectra, thresholds[:, None]))
-            axes = (np.ldexp(thresholds, e).tolist(),)
-        else:
-            # Each gamma is a Python float, as in a rule, so ** takes the same
-            # path as sure() does.  The thresholds find the entries at or
-            # above tau, and tau / y there, once for all 20 gammas.  Each
-            # gamma of a block writes its (eta, eta') into its own 100 rows
-            # of one zeroed pair; every gamma writes the same entries, so the
-            # pair serves every block.
-            thresholded = Atn._thresholded(spectra, thresholds[:, None])
-            vals, ders = (np.zeros((per, GRID_THRESHOLDS, L)) for _ in range(2))
-            blocks = []
-            for j in range(0, len(gammas), per):
-                group = gammas[j : j + per]
-                for r, g in enumerate(group):
-                    Atn._powered(thresholded, g, (vals[r], ders[r]))
-                blocks.append(score((vals[: len(group)].reshape(-1, L), ders[: len(group)].reshape(-1, L))))
-            # The blocks run gamma by gamma; the trace runs over (tau, gamma),
-            # gamma fastest.
-            sures = np.concatenate(blocks).reshape(len(gammas), GRID_THRESHOLDS).T.ravel()
-            axes = (np.ldexp(thresholds, e).tolist(), gammas)
+    sures = np.concatenate([score(*formula(outer[j : j + per])) for j in range(0, len(outer), per)])
+    if name == "atn":
+        # The blocks run gamma by gamma, the trace over (tau, gamma), gamma fastest.
+        sures = sures.T
 
     # Candidates are in lexicographic parameter order and argmin takes the
     # first minimum, so ties go to the smallest tuple.  It compares the
     # scaled SUREs, which no overflow or underflow has rounded; scaled
     # back, a SURE past the double range reads inf in the trace.
     best = int(np.argmin(sures))
-    trace = GridTrace(axes, np.ldexp(sures, 2 * e))
+    trace = GridTrace(axes, np.ldexp(sures, 2 * e).ravel())
     winner = _FAMILIES[name](*trace[best][0])
     report = _report(winner, *_scaled_formula(winner, s, e, idx), y, rowsums, shape, sigma, e)
     return replace(report, trace=trace)

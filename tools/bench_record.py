@@ -34,7 +34,8 @@ the rebuild), beside the median times of `np.linalg.svd` and of
 runs, each value a process's median over the workload's 200 cells, each
 cell's time the fastest of SHELL_REPEATS calls.  "previous" names the
 highest-numbered BENCH file below <n> that the checkout holds, the record
-this one is compared with.  Standard library only.
+this one is compared with.  "src_lines" is the measured tree's source line
+count, the total `wc -l src/svshrink/*.py` prints.  Standard library only.
 """
 
 from __future__ import annotations
@@ -174,6 +175,17 @@ def shell_record(checkout: str) -> dict:
     return record
 
 
+def src_lines(checkout: str) -> int:
+    """The newlines in the checkout's src/svshrink/*.py, which wc -l counts."""
+    package = os.path.join(checkout, "src", "svshrink")
+    total = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as stream:
+                total += stream.read().count(b"\n")
+    return total
+
+
 def previous_record(number: int) -> str | None:
     """The highest-numbered BENCH_<k>.json below number in the checkout."""
     numbers = [int(name[6:-5]) for name in os.listdir(ROOT)
@@ -228,6 +240,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         stages = stage_record(checkout)
         shell = shell_record(checkout)
+        lines = src_lines(checkout)
     finally:
         if args.revision:
             shutil.rmtree(checkout, ignore_errors=True)
@@ -246,6 +259,7 @@ def main(argv=None) -> int:
                       for name, workload_runs in runs.items()},
         "stages": stages,
         "shell": shell,
+        "src_lines": lines,
         "previous": previous_record(args.number),
     }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
