@@ -26,8 +26,7 @@ or read, not at import.
 
 read_matrix runs the same steps backwards (Clinger 1990), a block of whole
 lines at a time, on text in the plain grammar: ASCII digits, ".", "e", "E",
-"+", "-", "," and line breaks (LF, or CR LF), with spaces and tabs allowed
-around a token and empty lines anywhere; both are deleted first.
+"+", "-", "," and line breaks (LF, or CR LF); empty lines only at the ends.
 One scan finds every byte that is not a digit and checks that each token is
 a float literal: an optional sign, digits with at most one point, and an
 optional exponent with an optional sign.  With the points deleted, the
@@ -46,7 +45,8 @@ it is normal.  The other tokens go to ``float(token)``: a tail that close
 to a rounding boundary, a result that is not above the least normal double
 or is infinite, a power of ten outside the table, more than 18 significant
 digits, more than 24 mantissa digits or more than 8 exponent digits.  Text
-outside the grammar, ragged rows and empty fields go to the line-by-line
+outside the grammar (a blank around a token and an empty line inside the
+text among it), ragged rows and empty fields go to the line-by-line
 ``float()`` parser, which also raises every MatrixParseError.
 
 Both directions work a block at a time: _FORMAT_BLOCK = 8,192 values per
@@ -106,8 +106,8 @@ _QUAD_SCALE = np.uint64(1 + (10000 << 32))
 # of its mantissa, with 16, 8 and 0 of its digits after them.
 _WORD_ENDS = np.array([[-16], [-8], [0]])
 _DIGITS_AFTER_WORD = np.array([[16], [8], [0]])
-# ndarray.all() and .any() without their Python-level wrapper (see the module docstring); 2-D needs axis=None.
-_all, _any = np.logical_and.reduce, np.logical_or.reduce
+# ndarray.all() without its Python-level wrapper (see the module docstring); 2-D needs axis=None.
+_all = np.logical_and.reduce
 
 
 def _count(x, name: str, lo: int, hi: int | None = None) -> int:
@@ -532,9 +532,9 @@ def read_matrix(path: str | os.PathLike | io.IOBase) -> np.ndarray:
 @np.errstate(over="ignore", under="ignore")
 def _read_csv(data: bytes) -> np.ndarray | None:
     """The matrix of CSV bytes in the plain grammar, or None for anything
-    else: other bytes, a token that is no float literal, an empty field,
-    or rows of unequal length.  Empty lines are dropped, as the line parser
-    skips them."""
+    else: other bytes (a blank among them), a token that is no float
+    literal, an empty field or line, or rows of unequal length.  CR LF
+    turns into LF, and empty lines at either end are dropped first."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if data.startswith(b"\n") or not data.endswith(b"\n") or data.endswith(b"\n\n"):
@@ -557,9 +557,7 @@ def _read_csv(data: bytes) -> np.ndarray | None:
         if count is None:
             return None
         start, done = stop, done + count
-    if not done:
-        return None  # no value at all: the line parser says so
-    return M if done == M.size else M[: done // m].copy()  # empty lines dropped
+    return M
 
 
 class _Tokens(NamedTuple):
@@ -586,20 +584,7 @@ def _read_block(chunk: bytes, m: int, out: np.ndarray) -> int | None:
     a fresh process glibc handed each block's freed heap back to the system
     and faulted it in again for the next block: a 1000x1000 read took 62k
     page faults at the old peak and 11k at the new one."""
-    if b" " in chunk or b"\t" in chunk:
-        chunk = _unpadded(chunk)
-        if chunk is None:
-            return None
     tokens = _tokens(np.frombuffer(chunk, dtype=np.uint8), m)
-    if tokens is None and (chunk.startswith(b"\n") or b"\n\n" in chunk):
-        # Empty lines, which the line parser skips; looking for them in
-        # every block would cost a read a tenth of its time.
-        while b"\n\n" in chunk:
-            chunk = chunk.replace(b"\n\n", b"\n")
-        chunk = chunk.lstrip(b"\n")
-        if not chunk:
-            return 0
-        tokens = _tokens(np.frombuffer(chunk, dtype=np.uint8), m)
     if tokens is None:
         return None
     values = out[: tokens.ends.size]
@@ -607,23 +592,6 @@ def _read_block(chunk: bytes, m: int, out: np.ndarray) -> int | None:
     for i in slow.nonzero()[0].tolist():
         values[i] = float(chunk[tokens.starts[i] : tokens.ends[i]])
     return values.size
-
-
-def _unpadded(chunk: bytes) -> bytes | None:
-    """chunk without the spaces and tabs around its tokens, which float()
-    strips, or None when a run of them lies inside a token."""
-    text = np.frombuffer(chunk, dtype=np.uint8)
-    blank = (text == ord(" ")) | (text == ord("\t"))
-    turns = (blank[1:] != blank[:-1]).nonzero()[0] + 1
-    if blank[0]:
-        turns = np.concatenate(([0], turns))
-    # Runs of blanks start and end in turn, and each run needs a separator
-    # on one side; byte -1 is the chunk's last, a line break.
-    kinds = _format_tables().byte_kind
-    before, after = kinds.take(text.take(turns[0::2] - 1)), kinds.take(text.take(turns[1::2]))
-    if _any((before != _SEPARATOR) & (after != _SEPARATOR)):
-        return None
-    return chunk.translate(None, b" \t")
 
 
 def _tokens(text: np.ndarray, m: int) -> _Tokens | None:
@@ -761,8 +729,9 @@ def _nearest_doubles(Dh, Dl, p, slow, negative, out) -> np.ndarray:
 
 def _parse_lines(lines: list[str], name: str) -> np.ndarray:
     """Line-by-line float() parse of a CSV: the reader for text outside the
-    plain grammar (other whitespace, underscores in numbers, non-ASCII
-    text) and the only source of MatrixParseError messages."""
+    plain grammar (whitespace, empty lines inside the text, underscores
+    in numbers, non-ASCII text) and the only source of MatrixParseError
+    messages."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -4,8 +4,10 @@
     python3 tools/bench_record.py --number 25 --revision HEAD~1 --seeds 2801-2805
 
 The script measures the checkout it lives in: the working tree as it is,
-uncommitted changes included, or with --revision that revision's committed
-files, exported as tools/pairs.py exports its base.  For each workload of
+uncommitted changes and untracked files that .gitignore does not name
+included, or with --revision that revision's committed files.  Either is
+exported into a temporary directory as tools/pairs.py exports its two
+sides, so every record measures a fresh export.  For each workload of
 BENCHMARK.json, `perfbench/run.py --workload W --seed N --seconds S
 --trace 0` runs once per seed, through pairs.py's runner, with S the
 run_seconds of BENCHMARK.json, so every record's runs have the length the
@@ -35,7 +37,15 @@ runs, each value a process's median over the workload's 200 cells, each
 cell's time the fastest of SHELL_REPEATS calls.  "previous" names the
 highest-numbered BENCH file below <n> that the checkout holds, the record
 this one is compared with.  "src_lines" is the measured tree's source line
-count, the total `wc -l src/svshrink/*.py` prints.  Standard library only.
+count, the total `wc -l src/svshrink/*.py` prints.  "yardstick" times the
+machine with code that imports nothing from svshrink, so records made on
+different machines or under different load can be compared: over
+YARDSTICK_RUNS fresh processes with BLAS on one thread, the median,
+quartiles and values of perfbench's speed probe (`probe_seconds()` of
+perfbench/speed.py, imported without writing to perfbench/, its second
+call in the process) and of the fastest of YARDSTICK_REPEATS
+`np.linalg.svd` calls on one seeded YARDSTICK_SHAPE standard normal
+matrix, both in CPU seconds.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,27 +60,11 @@ import subprocess
 import sys
 import tempfile
 
-from pairs import ROOT, RUSAGE_METRICS, export, parse_seeds, quartiles, run_once, value
+from pairs import ROOT, RUSAGE_METRICS, export, git, parse_seeds, quartiles, run_once, value, working_tree_id
 
 
 # The directories whose files the benchmark's runs build and run.
 SOURCES = ("src", "perfbench")
-
-
-def git(*args: str, env: dict | None = None) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
-def working_tree_id(path: str) -> str:
-    """The git tree id of the working tree's `path`, untracked files that
-    .gitignore does not name included, built in a scratch index so the
-    repository's own index is left as it is."""
-    with tempfile.TemporaryDirectory(prefix="bench-record-index-") as scratch:
-        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(scratch, "index")}
-        git("read-tree", "HEAD", env=env)
-        git("add", "--all", "--", path, env=env)
-        return git("write-tree", f"--prefix={path}/", env=env)
 
 
 # The stage record: one seeded CSV of standard normal entries, denoised
@@ -175,6 +169,50 @@ def shell_record(checkout: str) -> dict:
     return record
 
 
+# The yardstick: perfbench's speed probe and one LAPACK SVD, each process
+# run with perfbench/ on its path and nothing of svshrink imported.
+YARDSTICK_RUNS = 5
+YARDSTICK_REPEATS = 3
+YARDSTICK_SHAPE = (1000, 1000)
+YARDSTICK_SEED = 33
+YARDSTICK_CODE = """
+import json, sys
+from time import process_time
+import numpy as np
+from speed import probe_seconds
+
+shape, seed, repeats = json.loads(sys.argv[1])
+Y = np.random.default_rng(seed).standard_normal(shape)
+probe_seconds()  # the first call also pays for one-time set-up
+probe = probe_seconds()
+times = []
+for _ in range(repeats):
+    started = process_time()
+    np.linalg.svd(Y, full_matrices=False)
+    times.append(process_time() - started)
+print(json.dumps({"probe_s": probe, "np.linalg.svd_s": min(times)}))
+"""
+
+
+def yardstick_record(checkout: str) -> dict:
+    """Median, quartiles and values over YARDSTICK_RUNS fresh processes of
+    the speed probe's CPU time and the fastest SVD's."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "perfbench"), "OPENBLAS_NUM_THREADS": "1"}
+    argument = json.dumps([YARDSTICK_SHAPE, YARDSTICK_SEED, YARDSTICK_REPEATS])
+    runs = []
+    for _ in range(YARDSTICK_RUNS):
+        done = subprocess.run([sys.executable, "-B", "-c", YARDSTICK_CODE, argument], cwd=checkout, env=env,
+                              check=True, capture_output=True, text=True)
+        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    record = {"shape": list(YARDSTICK_SHAPE), "seed": YARDSTICK_SEED, "runs": YARDSTICK_RUNS,
+              "repeats": YARDSTICK_REPEATS}
+    for name in runs[0]:
+        values = [run[name] for run in runs]
+        q1, median, q3 = quartiles(values)
+        record[name] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
+    return record
+
+
 def src_lines(checkout: str) -> int:
     """The newlines in the checkout's src/svshrink/*.py, which wc -l counts."""
     package = os.path.join(checkout, "src", "svshrink")
@@ -226,11 +264,10 @@ def main(argv=None) -> int:
     else:
         revision, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
         trees = {path: working_tree_id(path) for path in SOURCES}
-    checkout = tempfile.mkdtemp(prefix="bench-record-") if args.revision else ROOT
+    checkout = tempfile.mkdtemp(prefix="bench-record-")
     runs = {}
     try:
-        if args.revision:
-            export(revision, checkout)
+        export(revision if args.revision else working_tree_id(), checkout)
         for workload in (entry["name"] for entry in benchmark["workloads"]):
             runs[workload] = []
             for seed in args.seeds:
@@ -240,10 +277,10 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         stages = stage_record(checkout)
         shell = shell_record(checkout)
+        yardstick = yardstick_record(checkout)
         lines = src_lines(checkout)
     finally:
-        if args.revision:
-            shutil.rmtree(checkout, ignore_errors=True)
+        shutil.rmtree(checkout, ignore_errors=True)
     every = [run for workload_runs in runs.values() for run in workload_runs]
     environment = {key: item for key, item in every[0]["env"].items() if key != "seed"}
     record = {
@@ -259,6 +296,7 @@ def main(argv=None) -> int:
                       for name, workload_runs in runs.items()},
         "stages": stages,
         "shell": shell,
+        "yardstick": yardstick,
         "src_lines": lines,
         "previous": previous_record(args.number),
     }
