@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ContractError
-from .rmt import OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK
+from .rmt import ASYMPTOTIC_VARIANTS
 from .rmt import asymptotic_denoise as _asymptotic_denoise
 from .shrinkage import apply
 from .spectral import DenoiseProblem, MatrixShape, SvdFactors, _count, _positive, reconstruct, svd, truncated_spectrum
-from .sure import DEFAULT_C, DEFAULT_K, solve_svlet, tune_grid
+from .sure import DEFAULT_C, DEFAULT_K, _FAMILIES, solve_svlet, tune_grid
 
 DEFAULT_TRIALS = 10
 # timing_report times each method this many times per trial and keeps the
@@ -41,7 +41,7 @@ PAPER_SURE_SNRS = (0.5, 1.0, 1.5, 2.0)
 
 _SVLET_SPEC = re.compile(r"^svlet(?:\((?P<params>[^()]*)\))?$")
 
-TUNED_FAMILIES = ("svst-sure", "atn-sure", "svlt-sure")
+TUNED_FAMILIES = tuple(f"{family}-sure" for family in _FAMILIES)
 EYM_ORACLE = "eym-oracle"
 
 
@@ -188,12 +188,8 @@ def _run_eym_oracle(problem: DenoiseProblem, factors: SvdFactors, spec: MethodSp
 
 METHOD_RUNNERS = {
     "svlet": _run_svlet,
-    "svst-sure": _make_tuned_runner("svst"),
-    "atn-sure": _make_tuned_runner("atn"),
-    "svlt-sure": _make_tuned_runner("svlt"),
-    OPTIMAL_SHRINK: _make_asymptotic_runner(OPTIMAL_SHRINK),
-    SVHT_4SQRT3: _make_asymptotic_runner(SVHT_4SQRT3),
-    SVST_BULK: _make_asymptotic_runner(SVST_BULK),
+    **{method: _make_tuned_runner(family) for method, family in zip(TUNED_FAMILIES, _FAMILIES)},
+    **{variant: _make_asymptotic_runner(variant) for variant in ASYMPTOTIC_VARIANTS},
     EYM_ORACLE: _run_eym_oracle,
 }
 
@@ -496,12 +492,12 @@ def paper_preset(seed: int, *, trials: int = DEFAULT_TRIALS) -> dict:
     return {
         "asymptotic": ExperimentGrid(
             n=50, m=50, ranks=ranks, snrs=PAPER_ASYMPTOTIC_SNRS,
-            methods=("svlet(C=10,K=2)", OPTIMAL_SHRINK, SVHT_4SQRT3, SVST_BULK, EYM_ORACLE),
+            methods=("svlet(C=10,K=2)", *ASYMPTOTIC_VARIANTS, EYM_ORACLE),
             trials=trials, seed=seed,
         ),
         "sure": ExperimentGrid(
             n=50, m=50, ranks=ranks, snrs=PAPER_SURE_SNRS,
-            methods=("svlet(C=10,K=2)", "svst-sure", "atn-sure", "svlt-sure"),
+            methods=("svlet(C=10,K=2)", *TUNED_FAMILIES),
             trials=trials, seed=seed,
         ),
         "sensitivity": ExperimentGrid(
@@ -510,7 +506,7 @@ def paper_preset(seed: int, *, trials: int = DEFAULT_TRIALS) -> dict:
         ),
         "timing": ExperimentGrid(
             n=50, m=50, ranks=(25,), snrs=(1.0,),
-            methods=("svlet(C=10,K=2)", "svst-sure", "atn-sure", "svlt-sure"),
+            methods=("svlet(C=10,K=2)", *TUNED_FAMILIES),
             trials=trials, seed=seed,
         ),
     }

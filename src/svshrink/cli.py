@@ -18,7 +18,7 @@ from time import perf_counter
 from . import __version__
 from .errors import ContractError, NumericalError
 from .rmt import OPTIMAL_SHRINK, SVHT_COEFF, AspectRatio, asymptotic_denoise, calibration_scale, verify_laws
-from .shrinkage import Atn, Svht, Svlt, Svst, apply
+from .shrinkage import Svht, apply
 from .spectral import (
     DenoiseProblem,
     read_matrix,
@@ -27,7 +27,7 @@ from .spectral import (
     truncated_spectrum,
     write_matrix,
 )
-from .sure import DEFAULT_C, DEFAULT_K, SVLT_P1, solve_svlet, sure, tune_grid
+from .sure import DEFAULT_C, DEFAULT_K, SVLT_P1, _FAMILIES, solve_svlet, sure, tune_grid
 
 
 # ---------------------------------------------------------------------------
@@ -37,20 +37,18 @@ from .sure import DEFAULT_C, DEFAULT_K, SVLT_P1, solve_svlet, sure, tune_grid
 def _fixed_or_tuned(args, problem, factors):
     """Resolve the svst/atn/svlt rule: explicit parameters win, otherwise
     the default SURE grid search runs.  Returns (rule, sure_value)."""
-    family = args.method
-    if family == "svst":
-        rule = None if args.lam is None else Svst(lam=args.lam)
-    elif family == "atn":
-        given = (args.tau is not None, args.gamma is not None)
-        if any(given) and not all(given):
-            raise ContractError("atn needs both --tau and --gamma, or neither (grid search)")
-        rule = Atn(tau=args.tau, gamma=args.gamma) if all(given) else None
+    rule_class = _FAMILIES[args.method]
+    params = {field.name: getattr(args, field.name) for field in dataclasses.fields(rule_class)}
+    # The grid holds svlt's p1 fixed, so it always has a value; every other
+    # parameter is given or searched.
+    options = [name for name in params if name != "p1"]
+    given = [params[name] is not None for name in options]
+    if any(given) and not all(given):
+        raise ContractError(f"{args.method} needs both --{' and --'.join(options)}, or neither (grid search)")
+    if all(given):
+        report = sure(problem, factors, rule_class(**params))
     else:
-        given = (args.p2 is not None, args.p3 is not None)
-        if any(given) and not all(given):
-            raise ContractError("svlt needs both --p2 and --p3, or neither (grid search)")
-        rule = Svlt(p1=args.p1, p2=args.p2, p3=args.p3) if all(given) else None
-    report = tune_grid(problem, factors, family, p1=args.p1) if rule is None else sure(problem, factors, rule)
+        report = tune_grid(problem, factors, args.method, p1=args.p1)
     return report.rule, report.sure
 
 
@@ -67,7 +65,7 @@ def cmd_denoise(args) -> int:
         params = {"C": args.C, "K": args.K}
         sure_value = solved.report.sure
         Xhat = reconstruct(factors, apply(solved.rule, factors.S))
-    elif args.method in ("svst", "atn", "svlt"):
+    elif args.method in _FAMILIES:
         rule, sure_value = _fixed_or_tuned(args, problem, factors)
         params = dataclasses.asdict(rule)
         Xhat = reconstruct(factors, apply(rule, factors.S))
@@ -78,7 +76,7 @@ def cmd_denoise(args) -> int:
         rule = Svht(mu=mu)
         params = dataclasses.asdict(rule)
         Xhat = reconstruct(factors, apply(rule, factors.S))
-    elif args.method == "opt-shrink":
+    elif args.method == OPTIMAL_SHRINK:
         params = {"beta": AspectRatio.of(problem.shape).beta}
         Xhat = asymptotic_denoise(problem, factors, OPTIMAL_SHRINK)
     else:  # eym
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument(
         "--method",
         required=True,
-        choices=["svlet", "svst", "atn", "svlt", "svht", "opt-shrink", "eym"],
+        choices=["svlet", *_FAMILIES, "svht", OPTIMAL_SHRINK, "eym"],
     )
     den.add_argument("--C", type=float, default=DEFAULT_C, help="svlet width multiplier")
     den.add_argument("--K", type=int, default=DEFAULT_K, help="svlet expansion order")
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     tun = sub.add_parser("tune", help="print the SURE search trace or solved coefficients")
     tun.add_argument("input", help="path to the observed matrix CSV")
     tun.add_argument("--sigma", type=float, required=True, help="noise standard deviation (> 0)")
-    tun.add_argument("--family", required=True, choices=["svlet", "svst", "atn", "svlt"])
+    tun.add_argument("--family", required=True, choices=["svlet", *_FAMILIES])
     tun.add_argument("--C", type=float, default=DEFAULT_C, help="svlet width multiplier")
     tun.add_argument("--K", type=int, default=DEFAULT_K, help="svlet expansion order")
     tun.set_defaults(func=cmd_tune)

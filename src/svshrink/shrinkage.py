@@ -7,12 +7,12 @@ Each rule's one `_eval(y, idx, slope)` returns its formula and that
 formula's analytic d(eta)/dy at fixed index, (eta, eta'), which is what the
 risk engine scores; `apply` passes slope=False, and Svlet and RmtOptimal
 then skip eta' (None or zeros).  Every entry point evaluates a rule
-through `_evaluate`, which rejects an eta that is not finite; `apply`
-evaluates it on a whole spectrum and `derivative` at one point, both with
-the non-negativity clamp.  The grid-tuned families
-(Svst, Atn, Svlt) evaluate through static formulas whose parameters
-broadcast, so the risk engine can score a column of candidate parameters as
-a batch of rows.
+through `_evaluate`, which rejects an object that is not a rule and an eta
+that is not finite; `apply` evaluates it on a whole spectrum and
+`derivative` at one point, both with the non-negativity clamp.  The
+grid-tuned families (Svst, Atn, Svlt) evaluate through static formulas
+whose parameters broadcast, so the risk engine can score a column of
+candidate parameters as a batch of rows.
 
 Derivative convention at a threshold point: the one-sided value from the
 right (the branch the rule enters as y grows).
@@ -289,17 +289,14 @@ _RULES = (Identity, Zero, Svht, Svst, Atn, Svlt, Svlet, RmtOptimal)
 ShrinkageRule = Union[_RULES]
 
 
-def _check_rule(rule) -> None:
+def _evaluate(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
+    """A rule's (eta, eta') on a checked spectrum, the one evaluation every
+    entry point runs and the one place a rule's type is checked (eta' left
+    out without slope, see the module docstring).  An eta that is not
+    finite has neither a clamped value nor a finite risk, so it fails here,
+    before numpy warns about the overflow it came from."""
     if not isinstance(rule, _RULES):
         raise ContractError(f"unknown shrinkage rule: {type(rule).__name__}")
-
-
-def _evaluate(rule: ShrinkageRule, s: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:
-    """A checked rule's (eta, eta') on a checked spectrum, the one evaluation
-    every entry point runs (eta' left out without slope, see the module
-    docstring).  An eta that is not finite has neither a clamped value nor
-    a finite risk, so it fails here, before numpy warns about the overflow
-    it came from."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals, ders = rule._eval(s, idx, slope)
     if not _all(np.isfinite(vals)):
@@ -315,7 +312,6 @@ def apply(rule: ShrinkageRule, spectrum: np.ndarray) -> np.ndarray:
     output is non-negative and finite but need not be descending (the
     expansion rule in particular may reorder magnitudes).
     """
-    _check_rule(rule)
     s = _check_spectrum(spectrum)
     idx = np.arange(1, s.shape[0] + 1, dtype=float)
     return np.maximum(_evaluate(rule, s, idx, slope=False)[0], 0.0)
@@ -327,7 +323,6 @@ def derivative(rule: ShrinkageRule, y: float, i: int = 1) -> float:
     Where apply's non-negativity clamp is active the derivative is 0; a
     derivative that is not finite raises ContractError.
     """
-    _check_rule(rule)
     y = _positive(y, "y")
     i = _count(i, "index", 1)
     vals, ders = _evaluate(rule, np.asarray([y], dtype=float), np.asarray([float(i)]))

@@ -41,7 +41,6 @@ from .shrinkage import (
     Svlet,
     Svlt,
     Svst,
-    _check_rule,
     _dog_atoms,
     _evaluate,
     _logistic_weights,
@@ -206,9 +205,9 @@ def _ldexp(x: float, k: int) -> float:
 
 
 def _scaled_formula(rule: ShrinkageRule, s: np.ndarray, e: int, idx: np.ndarray) -> tuple:
-    """A checked rule's (eta, eta') on the spectrum s in the problem's
-    units, with eta scaled by 2^-e like y; eta' has no unit.  An eta too
-    large for the scaled units reads inf, which fails where it is scored."""
+    """A rule's (eta, eta') on the spectrum s in the problem's units, with
+    eta scaled by 2^-e like y; eta' has no unit.  An eta too large for the
+    scaled units reads inf, which fails where it is scored."""
     vals, ders = _evaluate(rule, s, idx)
     with np.errstate(over="ignore"):
         return np.ldexp(vals, -e), ders
@@ -273,7 +272,6 @@ def divergence(spectrum: np.ndarray, rule: ShrinkageRule, shape: MatrixShape) ->
     eta' or y * eta past the double range fails here, before numpy warns.
     """
     s, e, y, idx, rowsums = _spectral_pieces(spectrum, shape)
-    _check_rule(rule)
     vals, ders = _scaled_formula(rule, s, e, idx)
     # No residual is formed: its squares may overflow where the divergence
     # does not.
@@ -293,7 +291,6 @@ def sure(problem: DenoiseProblem, factors: SvdFactors, rule: ShrinkageRule) -> S
     by construction; residual is the spectral form sum_i (y_i - eta(y_i))^2.
     """
     shape, s, e, y, idx, rowsums, sigma = _problem_pieces(problem, factors)
-    _check_rule(rule)
     return _report(rule, *_scaled_formula(rule, s, e, idx), y, rowsums, shape, sigma, e)
 
 

@@ -42,10 +42,18 @@ machine with code that imports nothing from svshrink, so records made on
 different machines or under different load can be compared: over
 YARDSTICK_RUNS fresh processes with BLAS on one thread, the median,
 quartiles and values of perfbench's speed probe (`probe_seconds()` of
-perfbench/speed.py, imported without writing to perfbench/, its second
-call in the process) and of the fastest of YARDSTICK_REPEATS
-`np.linalg.svd` calls on one seeded YARDSTICK_SHAPE standard normal
-matrix, both in CPU seconds.  Standard library only.
+perfbench/speed.py, the median of YARDSTICK_PROBES calls after a first
+one that pays the process's set-up) and of the fastest of
+YARDSTICK_REPEATS `np.linalg.svd` calls on one seeded YARDSTICK_SHAPE
+standard normal matrix, both in CPU seconds.  "memory" holds, per
+workload, the median, quartiles and values over MEMORY_RUNS fresh
+processes of the peak resident set size (`ru_maxrss`) after MEMORY_OPS
+ops of the workload's pool for seed MEMORY_SEED, each op run on
+`library_calls()` and left unchecked, and of the `tracemalloc` peak of one
+more op, both in MB: a fixed count of ops, so the peak does not grow with
+the ops a faster tree completes.  The shell, yardstick and memory
+processes run with `-B`, so none writes into the export.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -153,38 +161,30 @@ print(json.dumps({name: statistics.median(values) for name, values in samples.it
 def shell_record(checkout: str) -> dict:
     """Median and quartiles over SHELL_RUNS fresh processes of the median
     50x50 op time without the SVD per method, and of the SVD's."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OPENBLAS_NUM_THREADS": "1"}
-    argument = json.dumps([SHELL_METHODS, SHELL_SNRS, SHELL_SEED, SHELL_REPEATS])
-    runs = []
-    for _ in range(SHELL_RUNS):
-        done = subprocess.run([sys.executable, "-c", SHELL_CODE, argument], cwd=checkout, env=env, check=True,
-                              capture_output=True, text=True)
-        runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+    runs = fresh_runs(checkout, ("src",), SHELL_CODE, [SHELL_METHODS, SHELL_SNRS, SHELL_SEED, SHELL_REPEATS],
+                      SHELL_RUNS)
     record = {"shape": [50, 50], "methods": list(SHELL_METHODS), "snrs": list(SHELL_SNRS), "seed": SHELL_SEED,
               "runs": SHELL_RUNS, "repeats": SHELL_REPEATS}
-    for name in runs[0]:
-        values = [run[name] for run in runs]
-        q1, median, q3 = quartiles(values)
-        record[name] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
-    return record
+    return {**record, **summarised(runs, "s")}
 
 
 # The yardstick: perfbench's speed probe and one LAPACK SVD, each process
 # run with perfbench/ on its path and nothing of svshrink imported.
 YARDSTICK_RUNS = 5
 YARDSTICK_REPEATS = 3
+YARDSTICK_PROBES = 9
 YARDSTICK_SHAPE = (1000, 1000)
 YARDSTICK_SEED = 33
 YARDSTICK_CODE = """
-import json, sys
+import json, statistics, sys
 from time import process_time
 import numpy as np
 from speed import probe_seconds
 
-shape, seed, repeats = json.loads(sys.argv[1])
+shape, seed, repeats, probes = json.loads(sys.argv[1])
 Y = np.random.default_rng(seed).standard_normal(shape)
 probe_seconds()  # the first call also pays for one-time set-up
-probe = probe_seconds()
+probe = statistics.median(probe_seconds() for _ in range(probes))
 times = []
 for _ in range(repeats):
     started = process_time()
@@ -197,19 +197,72 @@ print(json.dumps({"probe_s": probe, "np.linalg.svd_s": min(times)}))
 def yardstick_record(checkout: str) -> dict:
     """Median, quartiles and values over YARDSTICK_RUNS fresh processes of
     the speed probe's CPU time and the fastest SVD's."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "perfbench"), "OPENBLAS_NUM_THREADS": "1"}
-    argument = json.dumps([YARDSTICK_SHAPE, YARDSTICK_SEED, YARDSTICK_REPEATS])
+    runs = fresh_runs(checkout, ("perfbench",), YARDSTICK_CODE,
+                      [YARDSTICK_SHAPE, YARDSTICK_SEED, YARDSTICK_REPEATS, YARDSTICK_PROBES], YARDSTICK_RUNS)
+    record = {"shape": list(YARDSTICK_SHAPE), "seed": YARDSTICK_SEED, "runs": YARDSTICK_RUNS,
+              "repeats": YARDSTICK_REPEATS, "probes": YARDSTICK_PROBES}
+    return {**record, **summarised(runs, "s")}
+
+
+# The memory probe: a fixed count of a workload's ops in a fresh process, so
+# that, unlike perfbench's peak_rss_mb, the peak does not grow with the ops a
+# faster tree completes in a run.
+MEMORY_RUNS = 3
+MEMORY_OPS = 200
+MEMORY_SEED = 34
+MEMORY_CODE = """
+import json, os, resource, sys, tempfile, tracemalloc
+from contextlib import redirect_stdout
+import workloads
+
+name, seed, count = json.loads(sys.argv[1])
+lib = workloads.library_calls()
+# The CLI prints a JSON summary per op.
+with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink, redirect_stdout(sink):
+    ops = workloads.WORKLOADS[name].prepare(seed, workdir).ops
+    for index in range(count):
+        ops[index % len(ops)].run(lib)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    ops[count % len(ops)].run(lib)
+    traced = tracemalloc.get_traced_memory()[1] / 2.0**20
+    tracemalloc.stop()
+print(json.dumps({"peak_rss_mb": rss, "op_traced_peak_mb": traced}))
+"""
+
+
+def memory_record(checkout: str, names: list) -> dict:
+    """Per workload, median, quartiles and values over MEMORY_RUNS fresh
+    processes of the peak RSS after MEMORY_OPS ops and of the tracemalloc
+    peak of one more op."""
+    record = {"ops": MEMORY_OPS, "seed": MEMORY_SEED, "runs": MEMORY_RUNS}
+    for name in names:
+        runs = fresh_runs(checkout, SOURCES, MEMORY_CODE, [name, MEMORY_SEED, MEMORY_OPS], MEMORY_RUNS)
+        record[name] = summarised(runs, "MB")
+    return record
+
+
+def fresh_runs(checkout: str, paths: tuple, code: str, argument, count: int) -> list:
+    """The JSON last lines of count fresh `python -B -c code` processes in
+    the checkout, with its paths on PYTHONPATH, BLAS on one thread and the
+    argument as JSON in argv[1]."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(os.path.join(checkout, path) for path in paths),
+           "OPENBLAS_NUM_THREADS": "1"}
     runs = []
-    for _ in range(YARDSTICK_RUNS):
-        done = subprocess.run([sys.executable, "-B", "-c", YARDSTICK_CODE, argument], cwd=checkout, env=env,
+    for _ in range(count):
+        done = subprocess.run([sys.executable, "-B", "-c", code, json.dumps(argument)], cwd=checkout, env=env,
                               check=True, capture_output=True, text=True)
         runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
-    record = {"shape": list(YARDSTICK_SHAPE), "seed": YARDSTICK_SEED, "runs": YARDSTICK_RUNS,
-              "repeats": YARDSTICK_REPEATS}
+    return runs
+
+
+def summarised(runs: list, unit: str) -> dict:
+    """For each key of the runs' dicts, its median, quartiles and values."""
+    record = {}
     for name in runs[0]:
         values = [run[name] for run in runs]
         q1, median, q3 = quartiles(values)
-        record[name] = {"unit": "s", "median": median, "q1": q1, "q3": q3, "values": values}
+        record[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
     return record
 
 
@@ -278,6 +331,7 @@ def main(argv=None) -> int:
         stages = stage_record(checkout)
         shell = shell_record(checkout)
         yardstick = yardstick_record(checkout)
+        memory = memory_record(checkout, list(runs))
         lines = src_lines(checkout)
     finally:
         shutil.rmtree(checkout, ignore_errors=True)
@@ -297,6 +351,7 @@ def main(argv=None) -> int:
         "stages": stages,
         "shell": shell,
         "yardstick": yardstick,
+        "memory": memory,
         "src_lines": lines,
         "previous": previous_record(args.number),
     }
