@@ -67,7 +67,6 @@ stays at 64 KiB.  In-process `svshrink denoise` ops on 400x200 CSVs took
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import math
@@ -225,19 +224,16 @@ def svd(Y: np.ndarray) -> SvdFactors:
     In each left singular vector the entry of largest magnitude is made
     non-negative (ties broken toward the lowest row index); the flipped sign
     is absorbed into the matching right singular vector, so U S V^T is
-    unchanged.  The sign is read from each column's max and min, and only
-    a column where both reach the largest magnitude looks for its first
-    such entry; each factor then takes its signs in one multiply.  U and V
-    are C-ordered, and two calls on the same matrix return
-    bitwise-identical factors.
+    unchanged.  U and V are C-ordered, and two calls on the same matrix
+    return bitwise-identical factors.
 
-    LAPACK factors Y * 2^-e, with e the binary exponent of max|Y|, and S
-    is scaled back by 2^e.  Scaling by a power of two is exact, and with
-    max|Y| in [0.5, 1) LAPACK never rescales the matrix itself (it does so
-    outside about 1e-138..1e138, by a factor that is not a power of two),
-    so svd(Y * 2^k) has the factors of svd(Y) with S * 2^k, bit for bit,
-    wherever Y * 2^k and S * 2^k are exact (no entry leaves the normal
-    range).
+    LAPACK factors np.ldexp(Y, -e), with e the binary exponent of max|Y|,
+    and S is scaled back by np.ldexp(S, e).  Scaling by a power of two is
+    exact, and with max|Y| in [0.5, 1) LAPACK never rescales the matrix
+    itself (it does so outside about 1e-138..1e138, by a factor that is not
+    a power of two), so svd(Y * 2^k) has the factors of svd(Y) with
+    S * 2^k, bit for bit, wherever Y * 2^k and S * 2^k are exact (no entry
+    leaves the normal range).
     """
     Y = np.asarray(Y, dtype=float)
     MatrixShape.of(Y)
@@ -247,29 +243,21 @@ def svd(Y: np.ndarray) -> SvdFactors:
     if not (math.isfinite(largest) and math.isfinite(smallest)):
         raise ContractError("matrix contains non-finite entries")
     e = math.frexp(max(largest, -smallest))[1]
-    # Multiplying by 2^-e and 2^e rounds as np.ldexp does, in one pass, where they are doubles.  S <= sqrt(n * m)
-    # < 2^32 in between, so S * 2^e overflows (to inf, which fails below) only for e > 990.
     try:
-        U, S, Vh = np.linalg.svd(Y * 2.0**-e if e >= -1023 else np.ldexp(Y, -e), full_matrices=False)
+        U, S, Vh = np.linalg.svd(np.ldexp(Y, -e), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
-    with np.errstate(over="ignore") if e > 990 else contextlib.nullcontext():
-        S = S * 2.0**e if e <= 1023 else np.ldexp(S, e)
-    top, bottom = U.max(axis=0), U.min(axis=0)
-    finite = math.isfinite(top.max()) and math.isfinite(bottom.min())  # any NaN or inf in U shows here
-    if not (finite and _all(np.isfinite(S)) and _all(np.isfinite(Vh), axis=None)):
+    # S * 2^e can overflow to inf, which fails the check below.
+    with np.errstate(over="ignore"):
+        S = np.ldexp(S, e)
+    # |U| is held one row per column of U, which argmax reads in place, and
+    # freed before V and U are built (kept, it made a 400x200 CLI denoise
+    # fault about 870 pages back per op).
+    magnitude = np.abs(U.T, order="C")
+    if not (math.isfinite(magnitude.max()) and _all(np.isfinite(S)) and _all(np.isfinite(Vh), axis=None)):
         raise FactorizationError("SVD produced non-finite factors")
-    # A column's largest magnitude is its max or minus its min; the sign
-    # of the larger one, that of max + min (exactly 0 at a tie), is the
-    # sign of its lead entry.
-    balance = top + bottom
-    sign = np.copysign(1.0, balance)
-    if np.count_nonzero(balance) < balance.shape[0]:
-        # Both signs reach the largest magnitude (or the column is zero):
-        # np.argmax returns the first maximizer, the lowest row index.
-        tied = np.flatnonzero(balance == 0.0)
-        cols = U[:, tied]
-        sign[tied] = np.where(cols[np.argmax(np.abs(cols), axis=0), np.arange(tied.size)] < 0.0, -1.0, 1.0)
+    sign = np.where(U[magnitude.argmax(axis=1), np.arange(U.shape[1])] < 0.0, -1.0, 1.0)
+    del magnitude
     # V first, then a new U: writing LAPACK's U in place, or building U
     # first, raised the peak RSS of a 400x200 CLI denoise by 0.6-1.3 MB.
     V = np.multiply(Vh.T, sign, order="C")

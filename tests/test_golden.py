@@ -9,6 +9,11 @@ or the sensitivity CSV plus the printed JSON summary.
 One case pins `solve_svlet` alone on a seeded corpus of 200 problems: the
 bytes of every coefficient vector, normal system, conditioning diagnostic
 and SURE report, so a leaner solve must reproduce every bit of them.
+One case pins `svd` alone on a seeded corpus of twelve shapes, 1x1 to
+400x200 and 200x400, each as a standard normal, rank-1, rank-2, small
+integer, zero and three power-of-two scaled matrices, plus a tied-lead
+matrix and inputs that fail: the bytes of U, S and V, or the type and
+message of the error raised.
 Two cases pin the Monte Carlo harnesses of criteria 3 and 7: every float
 of `sure_unbiasedness` on two paired configurations, and every field of
 `verify_asymptotic_optimality` on two small sizes, whose fits run on the
@@ -29,16 +34,25 @@ calibration of non-square matrices is due to change on purpose.
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svshrink
 from svshrink import Identity, Svst, cli, solve_svlet, svd, write_matrix
 from svshrink.bench import generate_problem
+from svshrink.errors import ContractError, FactorizationError
 
 from montecarlo import sure_unbiasedness, verify_asymptotic_optimality
 
 SIGMA = "0.5"
+
+PACKAGE_PARENT = str(Path(svshrink.__file__).resolve().parent.parent)
+TESTS = str(Path(__file__).resolve().parent)
 
 SWEEP_CONFIG = """\
 run = sweep
@@ -86,6 +100,7 @@ EXPECTED = {
     "bench-sweep": "f9bece338623c6bd74c6b018ac3b8b2eac1fa544758a6f6edde6821655dafff2",
     "bench-sensitivity": "a60c27475b5eea1cf54e111b4db7675c2ae67ce9120c17c242c3784708f98c7b",
     "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
+    "svd-corpus": "33e0d4cf2745618d772ca565e19a0b9b21232e0a649b3638799758c6d53b30cf",
     "solve-svlet-corpus": "fd57373641e8fc4a89703b8b94ad0aaa79229b5944ac718b03a340b4eed75cc9",
     "sure-unbiasedness": "51d6612ced45af1cd14698935c5d8f42056cc29253d1eccfafd605e793953608",
     "asymptotic-optimality": "a6ea181d1f8140a3ff7a378e1d32e4db37852998ba6346deba057d6e0eabcf8f",
@@ -219,6 +234,57 @@ def test_solve_svlet_corpus_bytes():
         ridged += solved.ridge_used > 0.0
     assert ridged > 0
     assert _digest(*parts) == EXPECTED["solve-svlet-corpus"]
+
+
+SVD_SHAPES = ((1, 1), (1, 6), (6, 1), (2, 3), (7, 3), (3, 7), (8, 8), (12, 5), (50, 50), (40, 80), (400, 200),
+              (200, 400))
+# 2^-500 and 2^1016 keep every entry normal; 2^-1070 makes them subnormal.
+SVD_SCALES = (-500, 1016, -1070)
+# Non-finite entries, singular values past the double range, and shapes
+# MatrixShape rejects.
+SVD_FAILURES = (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 1.0]]), np.full((3, 3), 1.7e308),
+                np.zeros((0, 3)), np.ones(4))
+
+
+def _svd_corpus():
+    for n, m in SVD_SHAPES:
+        rng = np.random.default_rng([20261020, n, m])
+        gauss = rng.standard_normal((n, m))
+        yield gauss
+        yield np.outer(rng.standard_normal(n), rng.standard_normal(m))
+        yield rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
+        yield rng.integers(-3, 4, size=(n, m)).astype(float)
+        yield np.zeros((n, m))
+        for k in SVD_SCALES:
+            yield np.ldexp(gauss, k)
+    yield np.array([[3.0, 1.0], [-3.0, 1.0], [0.0, 0.0]])
+    yield from SVD_FAILURES
+
+
+def _svd_corpus_digest() -> str:
+    parts, failed = [], 0
+    for Y in _svd_corpus():
+        try:
+            factors = svd(Y)
+        except (ContractError, FactorizationError) as exc:
+            parts.append(f"{type(exc).__name__}: {exc}".encode())
+            failed += 1
+        else:
+            parts += [factors.U.tobytes(), factors.S.tobytes(), factors.V.tobytes()]
+    assert failed == len(SVD_FAILURES)
+    return _digest(*parts)
+
+
+def test_svd_corpus_bytes():
+    """LAPACK's factors of a 400x200 matrix change with the BLAS thread
+    count, so the corpus runs in a fresh interpreter on one thread, with
+    warnings as errors."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([PACKAGE_PARENT, TESTS]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-B", "-W", "error", "-c",
+                           "import test_golden; print(test_golden._svd_corpus_digest())"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == EXPECTED["svd-corpus"]
 
 
 def test_sure_unbiasedness_bytes():

@@ -45,7 +45,11 @@ quartiles and values of perfbench's speed probe (`probe_seconds()` of
 perfbench/speed.py, the median of YARDSTICK_PROBES calls after a first
 one that pays the process's set-up) and of the fastest of
 YARDSTICK_REPEATS `np.linalg.svd` calls on one seeded YARDSTICK_SHAPE
-standard normal matrix, both in CPU seconds.  "memory" holds, per
+standard normal matrix, both in CPU seconds.  Each workload's record
+also holds under "yardstick" the same two times from one such process
+run right after each of its seeds' runs, so the machine is timed in the
+state the workload met; the median, quartiles and values are over its
+seeds.  "memory" holds, per
 workload, the median, quartiles and values over MEMORY_RUNS fresh
 processes of the peak resident set size (`ru_maxrss`) after MEMORY_OPS
 ops of the workload's pool for seed MEMORY_SEED, each op run on
@@ -194,11 +198,17 @@ print(json.dumps({"probe_s": probe, "np.linalg.svd_s": min(times)}))
 """
 
 
+def yardstick_runs(checkout: str, count: int) -> list:
+    """The speed probe's and the fastest SVD's CPU times in each of count
+    fresh yardstick processes."""
+    return fresh_runs(checkout, ("perfbench",), YARDSTICK_CODE,
+                      [YARDSTICK_SHAPE, YARDSTICK_SEED, YARDSTICK_REPEATS, YARDSTICK_PROBES], count)
+
+
 def yardstick_record(checkout: str) -> dict:
     """Median, quartiles and values over YARDSTICK_RUNS fresh processes of
     the speed probe's CPU time and the fastest SVD's."""
-    runs = fresh_runs(checkout, ("perfbench",), YARDSTICK_CODE,
-                      [YARDSTICK_SHAPE, YARDSTICK_SEED, YARDSTICK_REPEATS, YARDSTICK_PROBES], YARDSTICK_RUNS)
+    runs = yardstick_runs(checkout, YARDSTICK_RUNS)
     record = {"shape": list(YARDSTICK_SHAPE), "seed": YARDSTICK_SEED, "runs": YARDSTICK_RUNS,
               "repeats": YARDSTICK_REPEATS, "probes": YARDSTICK_PROBES}
     return {**record, **summarised(runs, "s")}
@@ -285,12 +295,14 @@ def previous_record(number: int) -> str | None:
     return f"BENCH_{max(below)}.json" if below else None
 
 
-def workload_record(runs: list, metrics: list) -> dict:
-    """The medians, quartiles and values of one workload's runs."""
+def workload_record(runs: list, metrics: list, yardsticks: list) -> dict:
+    """The medians, quartiles and values of one workload's runs and of the
+    yardstick processes run beside them."""
     record = {
         "attempted": sum(run["attempted"] for run in runs),
         "failed": sum(run["failed"] for run in runs),
         "metrics": {},
+        "yardstick": summarised(yardsticks, "s"),
     }
     for metric in metrics + list(RUSAGE_METRICS):
         values = [value(run, metric["name"]) for run in runs]
@@ -318,14 +330,15 @@ def main(argv=None) -> int:
         revision, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
         trees = {path: working_tree_id(path) for path in SOURCES}
     checkout = tempfile.mkdtemp(prefix="bench-record-")
-    runs = {}
+    runs, yardsticks = {}, {}
     try:
         export(revision if args.revision else working_tree_id(), checkout)
         for workload in (entry["name"] for entry in benchmark["workloads"]):
-            runs[workload] = []
+            runs[workload], yardsticks[workload] = [], []
             for seed in args.seeds:
                 run = run_once(checkout, workload, seed, seconds, False)
                 runs[workload].append(run)
+                yardsticks[workload] += yardstick_runs(checkout, 1)
                 print(f"{workload} seed {seed}: failed {run['failed']} of {run['attempted']} ops",
                       file=sys.stderr, flush=True)
         stages = stage_record(checkout)
@@ -346,7 +359,7 @@ def main(argv=None) -> int:
         "blas_pinned": all(run["env"]["blas_threads"] == 1 and run["env"]["blas_pinned_before_numpy_import"]
                            for run in every),
         "environment": environment,
-        "workloads": {name: workload_record(workload_runs, benchmark["end_to_end"])
+        "workloads": {name: workload_record(workload_runs, benchmark["end_to_end"], yardsticks[name])
                       for name, workload_runs in runs.items()},
         "stages": stages,
         "shell": shell,
