@@ -34,7 +34,7 @@ class SureCheck:
     mean_sure: float
     mean_loss: float
     gap: float
-    combined_stderr: float
+    stderr: float
     passed: bool
 
 
@@ -43,7 +43,8 @@ def sure_unbiasedness(configs, draws: int, seed: int):
 
     Each config is (X, sigma, rule) with X held fixed; `draws` independent
     noise realizations are used for both averages (paired).  A config
-    passes when |mean SURE - mean loss| <= 3 combined standard errors.
+    passes when |mean SURE - mean loss| <= 3 standard errors of the paired
+    differences SURE - loss.
     """
     if not isinstance(draws, (int, np.integer)) or draws < 2:
         raise ContractError(f"draws must be an integer >= 2, got {draws!r}")
@@ -64,15 +65,15 @@ def sure_unbiasedness(configs, draws: int, seed: int):
             sures[d] = report.sure
             losses[d] = float(np.sum((Xhat - X) ** 2))
         gap = float(np.mean(sures) - np.mean(losses))
-        combined = float(np.sqrt(np.var(sures, ddof=1) / draws + np.var(losses, ddof=1) / draws))
+        stderr = float(np.std(sures - losses, ddof=1) / math.sqrt(draws))
         checks.append(
             SureCheck(
                 rule_label=type(rule).__name__,
                 mean_sure=float(np.mean(sures)),
                 mean_loss=float(np.mean(losses)),
                 gap=gap,
-                combined_stderr=combined,
-                passed=bool(abs(gap) <= 3.0 * combined),
+                stderr=stderr,
+                passed=bool(abs(gap) <= 3.0 * stderr),
             )
         )
     return tuple(checks)

@@ -506,7 +506,7 @@ class TestSureUnbiasednessHarness:
         assert len(checks) == 2
         for check in checks:
             assert check.passed, check
-            assert abs(check.gap) <= 3.0 * check.combined_stderr
+            assert abs(check.gap) <= 3.0 * check.stderr
 
     def test_identity_rule_sure_is_constant(self):
         """SURE(Identity) = n*m*sigma^2 on every draw, so mean_sure hits it

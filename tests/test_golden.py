@@ -102,7 +102,7 @@ EXPECTED = {
     "write-mixed-300x300": "3729b3edbacfdd0b959be31d17cca6221b5d77bcd7553770c2feebf02e46fd87",
     "svd-corpus": "33e0d4cf2745618d772ca565e19a0b9b21232e0a649b3638799758c6d53b30cf",
     "solve-svlet-corpus": "fd57373641e8fc4a89703b8b94ad0aaa79229b5944ac718b03a340b4eed75cc9",
-    "sure-unbiasedness": "51d6612ced45af1cd14698935c5d8f42056cc29253d1eccfafd605e793953608",
+    "sure-unbiasedness": "210908eb0eed31dfa0b2f56a5cf92db812e8af37c8a66be138bc1b1edc5e5959",
     "asymptotic-optimality": "a6ea181d1f8140a3ff7a378e1d32e4db37852998ba6346deba057d6e0eabcf8f",
     "rmt-check-150": "78444e2badcc78dd907ecc53a8da8553337556d40b15678f61a29728e736f68c",
 }
@@ -291,7 +291,7 @@ def test_sure_unbiasedness_bytes():
     rng = np.random.default_rng(79)
     X = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
     checks = sure_unbiasedness([(X, 0.5, Identity()), (X, 0.5, Svst(1.0))], draws=120, seed=80)
-    parts = [np.array([c.mean_sure, c.mean_loss, c.gap, c.combined_stderr]).tobytes() for c in checks]
+    parts = [np.array([c.mean_sure, c.mean_loss, c.gap, c.stderr]).tobytes() for c in checks]
     assert _digest(*parts) == EXPECTED["sure-unbiasedness"]
 
 

@@ -305,9 +305,8 @@ class TestSvd:
 
 
 class TestScaleLaw:
-    """svd scales Y by 2^-e with one multiply where 2^-e is a double and
-    with np.ldexp past that, and S back the same way; both round as
-    np.ldexp does, so the scale law holds bit for bit at every magnitude."""
+    """svd scales Y by 2^-e and S back by 2^e, both with np.ldexp, so the
+    scale law holds bit for bit at every magnitude."""
 
     # Small integers stay exact at every scale here, subnormal included.
     Y = np.random.default_rng(84).integers(-7, 8, size=(7, 5)).astype(float)
@@ -320,9 +319,9 @@ class TestScaleLaw:
         assert scaled.S.tobytes() == np.ldexp(base.S, k).tobytes()
 
     def test_subnormal_entries_round_as_ldexp(self):
-        """Entries 2^-1060 below max|Y| become subnormal when Y is scaled,
-        and the multiply rounds them as np.ldexp does: the factors are
-        LAPACK's on np.ldexp(Y, -e), with the sign rule applied."""
+        """Entries 2^-1060 below max|Y| become subnormal when svd scales Y
+        with np.ldexp: the factors are LAPACK's on np.ldexp(Y, -e), with
+        the sign rule applied."""
         Y = np.random.default_rng(85).standard_normal((6, 5)) * 2.0**-60
         Y[0, 0] = 2.0**1000
         e = math.frexp(float(np.abs(Y).max()))[1]

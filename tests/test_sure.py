@@ -9,10 +9,9 @@ Ground truth: a brute-force double-loop evaluation of the divergence
 the algebraic identity div(Identity) = n*m (paired cross terms sum to 1,
 so L + |n-m|L + L(L-1) = n*m), the closed-form K=1 solution
 a_1 = 1 - n*m*sigma^2 / sum(y_i^2), and exhaustive trace inspection for
-grid tuning (the tuner must return the argmin of its own trace).  An
-independent oracle, the central-difference trace of the Jacobian of
-Y -> U * eta(S) * V^T, checks the divergence formula itself, and Monte
-Carlo draws check that SURE is unbiased on tall and wide shapes.
+grid tuning (the tuner must return the argmin of its own trace).  The
+oracles that share no formula with the divergence, and SURE's
+unbiasedness off the square, are in test_divergence_oracle.py.
 """
 
 import gc
@@ -64,8 +63,6 @@ from svshrink.sure import (
     _svlt_weight_table,
     _upper_half_grid,
 )
-
-from montecarlo import sure_unbiasedness
 
 
 # The module, not the function the package exports under the same name.
@@ -184,99 +181,6 @@ class TestDivergence:
     def test_rejects_malformed_spectrum(self, spectrum, message):
         with pytest.raises(ContractError, match=message):
             divergence(spectrum, Identity(), MatrixShape(3, 3))
-
-
-def estimator(Y, rule):
-    """U * eta(S) * V^T from numpy's own SVD, with eta the formula the
-    divergence scores (the unclamped expansion for Svlet)."""
-    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-    return (U * scored_formula(rule, s)[0]) @ Vt
-
-
-def jacobian_trace(Y, rule):
-    """Central-difference trace of the Jacobian of Y -> estimator(Y, rule),
-    one coordinate at a time, with h = 1e-6 * max|Y|."""
-    h = 1e-6 * float(np.max(np.abs(Y)))
-    total = 0.0
-    for i, j in np.ndindex(Y.shape):
-        step = np.zeros_like(Y)
-        step[i, j] = h
-        total += (estimator(Y + step, rule)[i, j] - estimator(Y - step, rule)[i, j]) / (2.0 * h)
-    return total
-
-
-def midway(values, k):
-    """The midpoint between the k-th and (k+1)-th largest of values."""
-    ordered = np.sort(values)[::-1]
-    return 0.5 * float(ordered[k] + ordered[k + 1])
-
-
-def kinked_off_spectrum(Y):
-    """(matrix, rule) pairs for every rule family on Y, with each kink
-    midway between two singular values (for svlt, between two of the
-    tapered values y_i * w_i), so no difference quotient straddles it;
-    RmtOptimal's edge is placed there by scaling Y."""
-    s = np.linalg.svd(Y, compute_uv=False)
-    L = s.shape[0]
-    k = (L - 1) // 2
-    p1, p2 = 0.8, 2.3
-    tapered = s * _logistic_weights(np.arange(1.0, L + 1.0), p1, p2)
-    beta = L / max(Y.shape)
-    return [
-        (Y, Identity()),
-        (Y, Svst(midway(s, k))),
-        (Y, Atn(tau=midway(s, k), gamma=2.5)),
-        (Y, Svlt(p1=p1, p2=p2, p3=midway(tapered, k))),
-        (Y, Svlet(K=2, T=float(np.median(s)), a=np.array([0.7, -0.2]))),
-        ((1.0 + math.sqrt(beta)) / midway(s, k) * Y, RmtOptimal(beta)),
-    ]
-
-
-class TestDivergenceOracle:
-    """The closed-form divergence against an oracle that shares none of
-    its algebra: the trace of the estimator's Jacobian by central
-    differences.  Non-square shapes test the |n - m| * eta / y term.  Over
-    60 seeds of these draws the worst gap was 3.9e-10 relative to
-    max(1, |div|)."""
-
-    @pytest.mark.parametrize("n, m", [(7, 4), (4, 7), (6, 6), (9, 3), (12, 5)])
-    def test_matches_jacobian_trace(self, n, m):
-        rng = np.random.default_rng([71, n, m])
-        for _ in range(4):
-            for Y, rule in kinked_off_spectrum(rng.standard_normal((n, m))):
-                div = divergence(np.linalg.svd(Y, compute_uv=False), rule, MatrixShape(n, m))
-                oracle = jacobian_trace(Y, rule)
-                assert abs(div - oracle) <= 1e-8 * max(1.0, abs(div)), (rule, div, oracle)
-
-
-class TestSureUnbiasedNonSquare:
-    """Mean SURE tracks the mean loss on tall and wide shapes, where the
-    divergence's |n - m| * eta / y term is not zero: 300 paired draws per
-    configuration, every rule family at 30x10 and at 10x30.  All 20 seeds
-    0-19 passed the 3-standard-error check (largest |gap| / 3 SE 0.97)."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_mean_sure_tracks_mean_loss(self, seed):
-        rng = np.random.default_rng(seed)
-        configs = []
-        for n, m in [(30, 10), (10, 30)]:
-
-            def signal(r, scale):
-                return scale * (rng.standard_normal((n, r)) @ rng.standard_normal((r, m)))
-
-            configs += [
-                (signal(2, 1.0), 0.5, Identity()),
-                (signal(3, 1.0), 1.0, Svst(lam=4.0)),
-                (signal(1, 2.0), 0.5, Atn(tau=3.0, gamma=4.0)),
-                (signal(4, 1.0), 0.7, Svlt(p1=0.5, p2=3.0, p3=0.4)),
-                (signal(2, 1.0), 0.3, Svlet(K=2, T=3.0, a=(0.9, -0.2))),
-                # sigma = 1 / sqrt(max(n, m)) puts the raw spectrum on the
-                # calibrated scale, with the bulk edge at 1 + sqrt(1/3).
-                (signal(2, 0.6), 1.0 / math.sqrt(30.0), RmtOptimal(1.0 / 3.0)),
-            ]
-        checks = sure_unbiasedness(configs, draws=300, seed=seed)
-        for check in checks:
-            assert check.passed, check
 
 
 def row_dot_divergences(vals, ders, s, rowsums, shape):
