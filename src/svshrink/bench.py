@@ -3,8 +3,8 @@
 Random number streams are derived per (seed, cell index, trial index)
 with SeedSequence, so a table's NMSE values come out identical across runs
 and platforms for the same build.  Only the clock readings differ from run
-to run: timing_report's medians, each row's median_time_s, and the CSV
-timestamp.
+to run: the medians of timing_report, the harness's one timer, and the CSV
+timestamp; run_sweep and sensitivity_sweep read no clock.
 Method failures inside a sweep are downgraded to error rows instead of
 aborting, so a long grid survives isolated degenerate cells.
 """
@@ -232,7 +232,6 @@ class NmseRow:
     trials: int
     nmse: float
     nmse_stderr: float
-    median_time_s: float
     status: str
 
 
@@ -244,12 +243,12 @@ class NmseTable:
     m: int
     trials: int
 
-    def write_csv(self, dest, *, include_timing: bool = False, timestamp: str = None) -> None:
+    def write_csv(self, dest, *, timestamp: str = None) -> None:
         """Emit the table: '#' metadata comments, header, one row per cell.
 
-        median_time_s is left empty unless include_timing is set, so that
-        two runs of the same seeded grid produce byte-identical files; the
-        measured times stay available on the rows and via timing_report.
+        The median_time_s column is always empty: a sweep reads no clock, so
+        two runs of the same seeded grid produce byte-identical files.  Per
+        cell times come from timing_report.
         """
         if timestamp is None:
             timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -260,7 +259,7 @@ class NmseTable:
         rows = (
             (
                 row.method, row.n, row.m, row.r, _number(row.snr), row.trials, _number(row.nmse),
-                _number(row.nmse_stderr), _number(row.median_time_s if include_timing else None), row.status,
+                _number(row.nmse_stderr), "", row.status,
             )
             for row in self.rows
         )
@@ -281,22 +280,10 @@ def _draw(grid: ExperimentGrid, r_idx: int, s_idx: int, trial: int) -> tuple:
     return generate_problem(grid.n, grid.m, grid.ranks[r_idx], grid.snrs[s_idx], rng)
 
 
-def _warm_up(grid: ExperimentGrid) -> None:
-    """Run each method once, untimed, on the grid's first problem, so
-    first-call costs such as cold caches land in no timing."""
-    _, problem = _draw(grid, 0, 0, 0)
-    for spec in grid.methods:
-        try:
-            METHOD_RUNNERS[spec.family](problem, svd(problem.Y), spec, grid.ranks[0])
-        except Exception:  # a failing method gets its error rows from the timed runs
-            pass
-
-
 def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
     r = grid.ranks[r_idx]
     snr = grid.snrs[s_idx]
     ratios = {spec.label: [] for spec in grid.methods}
-    times = {spec.label: [] for spec in grid.methods}
     failures = {}
     for trial in range(grid.trials):
         X, problem = _draw(grid, r_idx, s_idx, trial)
@@ -306,13 +293,11 @@ def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
             label = spec.label
             if label in failures:
                 continue
-            started = perf_counter()
             try:
                 Xhat = METHOD_RUNNERS[spec.family](problem, factors, spec, r)
             except Exception as exc:  # error rows must never abort the sweep
                 failures[label] = type(exc).__name__
                 continue
-            times[label].append(perf_counter() - started)
             ratios[label].append(float(np.sum((Xhat - X) ** 2)) / x_energy)
     rows = []
     for spec in grid.methods:
@@ -321,8 +306,7 @@ def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
             rows.append(
                 NmseRow(
                     method=label, n=grid.n, m=grid.m, r=r, snr=snr, trials=grid.trials,
-                    nmse=None, nmse_stderr=None, median_time_s=None,
-                    status=f"error:{failures[label]}",
+                    nmse=None, nmse_stderr=None, status=f"error:{failures[label]}",
                 )
             )
             continue
@@ -332,9 +316,7 @@ def _cell_rows(grid: ExperimentGrid, r_idx: int, s_idx: int) -> list:
         rows.append(
             NmseRow(
                 method=label, n=grid.n, m=grid.m, r=r, snr=snr, trials=grid.trials,
-                nmse=mean, nmse_stderr=stderr,
-                median_time_s=float(statistics.median(times[label])),
-                status="ok",
+                nmse=mean, nmse_stderr=stderr, status="ok",
             )
         )
     return rows
@@ -346,7 +328,6 @@ def run_sweep(grid: ExperimentGrid) -> NmseTable:
     Cells run one after another, each from its own seeded draws; rows are
     sorted by (method, r, snr) before emission.
     """
-    _warm_up(grid)
     rows = [
         row
         for ri in range(len(grid.ranks))
@@ -618,7 +599,7 @@ def load_config(path, seed: int) -> BenchJob:
     return BenchJob(run, ExperimentGrid(**{**grid, **fields}, seed=seed), out, **sweep)
 
 
-def run_jobs(jobs, outdir, *, include_timing: bool = False) -> dict:
+def run_jobs(jobs, outdir) -> dict:
     """Run each job into its CSV under outdir and return the summary: a
     sensitivity run's best (C, K) and its NMSE, and the files `written`."""
     outdir = Path(outdir)
@@ -636,10 +617,10 @@ def run_jobs(jobs, outdir, *, include_timing: bool = False) -> dict:
             if job.run == "timing":
                 write_timing_csv(path, timing_report(job.grid), job.grid.seed)
             elif job.run == "sweep":
-                run_sweep(job.grid).write_csv(path, include_timing=include_timing)
+                run_sweep(job.grid).write_csv(path)
             else:
                 report = sensitivity_sweep(job.grid, job.c_values, job.k_values)
-                report.table.write_csv(path, include_timing=include_timing)
+                report.table.write_csv(path)
                 summary.update(best_C=report.best.C, best_K=report.best.K, best_nmse=report.best.mean_nmse)
             written.append(str(path))
     except OSError as exc:

@@ -152,7 +152,7 @@ def cmd_bench(args) -> int:
         raise ContractError("--trials applies to --preset only; set the config's `trials` key")
     else:
         jobs = [bench.load_config(args.config, args.seed)]
-    print(json.dumps(bench.run_jobs(jobs, args.output_dir, include_timing=args.include_timing)))
+    print(json.dumps(bench.run_jobs(jobs, args.output_dir)))
     return 0
 
 
@@ -220,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
     ben.add_argument("--trials", type=int, help="realizations per cell of --preset (default 10)")
     ben.add_argument("--output-dir", default=".", help="directory for CSV outputs")
-    ben.add_argument(
-        "--include-timing",
-        action="store_true",
-        help="fill median_time_s in sweep CSVs (breaks cross-run byte identity)",
-    )
     ben.set_defaults(func=cmd_bench)
 
     rmt = sub.add_parser("rmt-check", help="Monte Carlo verification of the spectral laws")

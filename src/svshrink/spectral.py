@@ -80,7 +80,6 @@ import numpy as np
 from .errors import ContractError, FactorizationError, MatrixParseError
 
 IO_ROUNDTRIP_TOL = 1e-15
-IO_SIGNIFICANT_DIGITS = 17
 
 # The fast 17-digit formatter and reader (see the module docstring).
 _FORMAT_BLOCK = 8192  # values formatted per block
@@ -473,7 +472,7 @@ def _format_block(x: np.ndarray, seps: np.ndarray) -> bytes:
     row.reshape(-1)[point * 48 + 5 + 2 * whole_digits.take(point)] = ord(".")
     slow = slow.nonzero()[0]
     if slow.size:
-        text = np.array([f"%.{IO_SIGNIFICANT_DIGITS}g" % v for v in x.take(slow).tolist()], dtype="S45")
+        text = np.array(["%.17g" % v for v in x.take(slow).tolist()], dtype="S45")
         row[slow, :45] = text.view(np.uint8).reshape(-1, 45)
     return row.tobytes().translate(None, b"\0")
 

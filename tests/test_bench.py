@@ -251,7 +251,7 @@ class TestRunSweep:
         assert all(r.nmse is None and r.nmse_stderr is None for r in svlet_rows)
         assert all(r.status == "ok" for r in other_rows)
 
-    @pytest.mark.parametrize("harness", [run_sweep, timing_report])
+    @pytest.mark.parametrize("harness", [timing_report])
     def test_first_timed_call_follows_untimed_warm_up(self, monkeypatch, harness):
         """Each method runs once before the first clock read, so first-call
         costs such as cold caches are timed in no cell."""
@@ -269,13 +269,23 @@ class TestRunSweep:
         monkeypatch.setattr(bench, "perf_counter", clock)
         harness(small_grid(methods=("svlet(C=10,K=2)",), trials=1))
         assert events[:4] == ["run", "clock", "run", "clock"]
-        if harness is run_sweep:
-            assert events.count("run") == 1 + 2 * 2
-        else:
-            # In each of the 2 x 2 cells an untimed run comes before the
-            # timed runs.
-            timed = ["clock", "run", "clock"] * bench.TIMED_RUNS
-            assert events == (["run"] + timed) * (2 * 2)
+        # In each of the 2 x 2 cells an untimed run comes before the timed
+        # runs.
+        timed = ["clock", "run", "clock"] * bench.TIMED_RUNS
+        assert events == (["run"] + timed) * (2 * 2)
+
+    def test_sweeps_read_no_clock(self, monkeypatch):
+        """run_sweep and sensitivity_sweep only score the methods;
+        timing_report is the harness's one timer."""
+
+        def clock():
+            raise AssertionError("a sweep read the clock")
+
+        monkeypatch.setattr(bench, "perf_counter", clock)
+        table = run_sweep(small_grid())
+        assert all(row.status == "ok" for row in table.rows)
+        report = sensitivity_sweep(small_grid(), c_values=(5.0, 10.0), k_values=(2,))
+        assert all(row.status == "ok" for row in report.table.rows)
 
     def test_stderr_zero_for_single_trial(self):
         table = run_sweep(small_grid(trials=1))
@@ -341,12 +351,6 @@ class TestCsvOutput:
         for line in self.render(table, timestamp="t").splitlines()[7:]:
             fields = line.rsplit(",", 2)
             assert fields[1] == ""  # median_time_s slot
-
-    def test_timing_column_opt_in(self):
-        table = run_sweep(small_grid())
-        text = self.render(table, include_timing=True, timestamp="t")
-        row = table.cell("eym-oracle", 1, 1.0)
-        assert repr(float(row.median_time_s)) in text
 
     def test_byte_identical_across_runs(self):
         a = self.render(run_sweep(small_grid()), timestamp="fixed")

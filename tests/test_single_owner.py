@@ -1,4 +1,4 @@
-"""Two facts have one owner each under src/.
+"""Three facts have one owner each under src/.
 
 - Whether an object is a shrinkage rule: shrinkage._evaluate is the only
   place that tests a value against shrinkage._RULES and the only caller of
@@ -8,6 +8,9 @@
   rmt.ASYMPTOTIC_VARIANTS the calibrated variants.  The benchmark harness
   and the CLI take their names from there and spell none of them, nor a
   grid family's "-sure" method, as a string of their own.
+- The benchmark harness's clock: bench.timing_report is the only function
+  of bench.py that calls perf_counter, so run_sweep and sensitivity_sweep
+  score the methods without timing them.
 
 The checks parse each module with the standard library's ast module.
 Docstrings and help texts that mention a name are not exact matches and
@@ -23,25 +26,41 @@ from svshrink.sure import _FAMILIES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "svshrink"
 RULE_OWNER, EVALUATION = "shrinkage.py", "_evaluate"
+HARNESS, TIMER = "bench.py", "timing_report"
 NAME_USERS = ("bench.py", "cli.py")
 METHOD_NAMES = {*_FAMILIES, *TUNED_FAMILIES, *ASYMPTOTIC_VARIANTS}
+
+
+def calls(source: str):
+    """(enclosing module-level function or None, node) of each call."""
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield where, node
 
 
 def rule_checks(source: str) -> list:
     """(line, enclosing module-level function or None, what) of each
     isinstance test against _RULES and each call of `._eval`."""
     found = []
-    for top in ast.parse(source).body:
-        where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
-                if "_RULES" in ast.unparse(node.args[1]):
-                    found.append((node.lineno, where, "isinstance rule check"))
-            elif isinstance(node.func, ast.Attribute) and node.func.attr == "_eval":
-                found.append((node.lineno, where, "._eval call"))
+    for where, node in calls(source):
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            if "_RULES" in ast.unparse(node.args[1]):
+                found.append((node.lineno, where, "isinstance rule check"))
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "_eval":
+            found.append((node.lineno, where, "._eval call"))
     return sorted(found)
+
+
+def clock_reads(source: str) -> list:
+    """(line, enclosing module-level function or None) of each call of
+    perf_counter, by its own name or as a module's attribute."""
+    return sorted(
+        (node.lineno, where)
+        for where, node in calls(source)
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "perf_counter"
+    )
 
 
 def spelled_names(source: str, names) -> list:
@@ -74,6 +93,11 @@ def test_harness_and_cli_spell_no_method_name():
     assert spelled == []
 
 
+def test_harness_reads_the_clock_only_in_timing_report():
+    reads = clock_reads((PACKAGE / HARNESS).read_text())
+    assert reads and {where for _, where in reads} == {TIMER}
+
+
 def test_method_runners_cover_every_family_and_variant():
     assert set(METHOD_RUNNERS) == {"svlet", EYM_ORACLE, *TUNED_FAMILIES, *ASYMPTOTIC_VARIANTS}
     # load_config's default method list and the "unknown method" message read this order.
@@ -102,3 +126,16 @@ def test_checks_see_restated_facts():
         (8, "apply", "._eval call"),
     ]
     assert spelled_names(source, METHOD_NAMES) == [(9, "atn-sure"), (9, "svst")]
+
+
+def test_clock_check_sees_stray_reads():
+    source = (
+        "import time\n"
+        "from time import perf_counter\n"
+        "def timing_report(grid):\n"
+        "    return [perf_counter() for _ in grid]\n"
+        "def run_sweep(grid):\n"
+        "    return time.perf_counter()\n"
+        "STARTED = perf_counter()\n"
+    )
+    assert clock_reads(source) == [(4, "timing_report"), (6, "run_sweep"), (7, None)]

@@ -55,14 +55,21 @@ processes of the peak resident set size (`ru_maxrss`) after MEMORY_OPS
 ops of the workload's pool for seed MEMORY_SEED, each op run on
 `library_calls()` and left unchecked, and of the `tracemalloc` peak of one
 more op, both in MB: a fixed count of ops, so the peak does not grow with
-the ops a faster tree completes.  The shell, yardstick and memory
-processes run with `-B`, so none writes into the export.  Standard
+the ops a faster tree completes.  "quality" holds the mean NMSE that
+`bench.run_sweep` gives each of QUALITY_METHODS on each of QUALITY_CELLS,
+QUALITY_TRIALS trials from QUALITY_SEED, scored in one fresh process with
+BLAS on one thread, beside each method's ratio to QUALITY_BASE in the same
+cell (criterion 8's ratio is svlet's in the first cell) and a SHA-256 of
+the values: unlike a time, NMSE is deterministic on one BLAS build, so a
+changed digest is a quality change.  The shell, yardstick, memory and
+quality processes run with `-B`, so none writes into the export.  Standard
 library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -252,6 +259,45 @@ def memory_record(checkout: str, names: list) -> dict:
     return record
 
 
+# The quality record: NMSE per method and cell, (n, m, rank, snr) each, from
+# the harness's own sweep.
+QUALITY_CELLS = ((50, 50, 2, 4.0), (50, 50, 25, 2.0), (100, 100, 2, 4.0), (200, 100, 2, 4.0), (100, 200, 2, 4.0))
+QUALITY_METHODS = ("svlet(C=10,K=2)", "opt-shrink", "svst-sure")
+QUALITY_BASE = "opt-shrink"
+QUALITY_TRIALS = 20
+QUALITY_SEED = 20260818
+QUALITY_CODE = """
+import json, sys
+from svshrink.bench import ExperimentGrid, run_sweep
+
+cells, methods, trials, seed = json.loads(sys.argv[1])
+nmse = []
+for n, m, rank, snr in cells:
+    grid = ExperimentGrid(n=n, m=m, ranks=(rank,), snrs=(snr,), methods=methods, trials=trials, seed=seed)
+    rows = {row.method: row.nmse for row in run_sweep(grid).rows}
+    nmse.append([rows[method] for method in methods])
+print(json.dumps(nmse))
+"""
+
+
+def quality_record(checkout: str) -> dict:
+    """Mean NMSE of each QUALITY_METHODS on each QUALITY_CELLS, its ratio
+    to QUALITY_BASE's, and a SHA-256 of the NMSE values as JSON."""
+    nmse, = fresh_runs(checkout, ("src",), QUALITY_CODE,
+                       [QUALITY_CELLS, QUALITY_METHODS, QUALITY_TRIALS, QUALITY_SEED], 1)
+    cells = []
+    for (n, m, rank, snr), values in zip(QUALITY_CELLS, nmse):
+        by_method = dict(zip(QUALITY_METHODS, values))
+        base = by_method[QUALITY_BASE]
+        # An error row's NMSE is None, and so is every ratio it enters.
+        ratios = {method: None if value is None or base is None else value / base
+                  for method, value in by_method.items()}
+        cells.append({"n": n, "m": m, "rank": rank, "snr": snr, "nmse": by_method,
+                      f"ratio_vs_{QUALITY_BASE}": ratios})
+    return {"methods": list(QUALITY_METHODS), "trials": QUALITY_TRIALS, "seed": QUALITY_SEED, "cells": cells,
+            "sha256": hashlib.sha256(json.dumps(nmse).encode()).hexdigest()}
+
+
 def fresh_runs(checkout: str, paths: tuple, code: str, argument, count: int) -> list:
     """The JSON last lines of count fresh `python -B -c code` processes in
     the checkout, with its paths on PYTHONPATH, BLAS on one thread and the
@@ -345,6 +391,7 @@ def main(argv=None) -> int:
         shell = shell_record(checkout)
         yardstick = yardstick_record(checkout)
         memory = memory_record(checkout, list(runs))
+        quality = quality_record(checkout)
         lines = src_lines(checkout)
     finally:
         shutil.rmtree(checkout, ignore_errors=True)
@@ -365,6 +412,7 @@ def main(argv=None) -> int:
         "shell": shell,
         "yardstick": yardstick,
         "memory": memory,
+        "quality": quality,
         "src_lines": lines,
         "previous": previous_record(args.number),
     }
