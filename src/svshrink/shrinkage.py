@@ -175,14 +175,20 @@ class Atn:
         into out, a pair of zeroed C-ordered arrays of y's shape whose
         other entries stay 0.  Every gamma writes the same entries, so a
         grid passes one pair for all of them.  gamma stays a scalar, which
-        keeps numpy's fast paths for ** 1.0 and ** 2.0.  At y = tau the
-        ratio is exactly 1, so eta = y * (1 - 1) = +0.0 there, the clamp's
-        value."""
+        keeps numpy's fast paths for ** 1.0 and ** 2.0.  eta is formed as
+        1 - ratio, times y in place, and eta' in ratio itself, times gamma - 1
+        and plus 1 in place: IEEE products and sums commute, so these are
+        the bits of y * (1 - ratio) and 1 + (gamma - 1) * ratio.  At y = tau
+        the ratio is exactly 1, so eta = +0.0 there, the clamp's value."""
         reached, quotient, y = thresholded
         vals, ders = out
         ratio = quotient ** gamma
-        vals.ravel()[reached] = y * (1.0 - ratio)
-        ders.ravel()[reached] = 1.0 + (gamma - 1.0) * ratio
+        eta = np.subtract(1.0, ratio)
+        eta *= y
+        vals.ravel()[reached] = eta
+        ratio *= gamma - 1.0
+        ratio += 1.0
+        ders.ravel()[reached] = ratio
         return vals, ders
 
     def _eval(self, y: np.ndarray, idx: np.ndarray, slope: bool = True) -> tuple:

@@ -7,7 +7,8 @@ the spectral weight
 
     w_i = |n - m| / y_i + 2 * y_i * sum_{j != i} 1 / (y_i^2 - y_j^2),
 
-which depends on the spectrum alone, the divergence and the unbiased risk
+which depends on the spectrum alone (its |n - m| part is zero on a square
+matrix and is not formed there), the divergence and the unbiased risk
 estimate are
 
     div  = sum_i eta'(y_i) + sum_i eta(y_i) * w_i,
@@ -221,12 +222,15 @@ def _divergences(vals, ders, s, rowsums, shape: MatrixShape, work=None) -> np.nd
     so a row gives the same bits alone as in a batch."""
     # div = sum(eta') + sum(eta * w), with eta * w summed as its |n - m| term
     # and its gap term; forming w first would move SURE in the last bits.
+    # On a square matrix the |n - m| term is zero and is not formed: its +0.0
+    # moves no bit of a finite divergence, and a sum of eta / y past the
+    # double range cannot turn it into 0 * inf = NaN.
     div = ders.sum(axis=-1)
-    terms = np.divide(vals, s, out=work)
-    div += abs(shape.n - shape.m) * terms.sum(axis=-1)
+    if shape.n != shape.m:
+        div += abs(shape.n - shape.m) * np.divide(vals, s, out=work).sum(axis=-1)
     # One matmul over the batch whose core is a (1, L) by (L, 1) product:
     # each row still meets rowsums in a dot product of its own.
-    np.multiply(s, vals, out=terms)
+    terms = np.multiply(s, vals, out=work)
     div += 2.0 * np.matmul(terms[..., None, :], rowsums[:, None])[..., 0, 0]
     return div
 
@@ -348,7 +352,8 @@ def _fit_expansion(s, rowsums, shape: MatrixShape, sigma: float, K: int, T: floa
     # A sigma far above the spectrum can overflow here; the solve rejects
     # the non-finite system that results.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = s - abs(shape.n - shape.m) * sigma2 / s - 2.0 * sigma2 * s * rowsums
+        g = s - abs(shape.n - shape.m) * sigma2 / s if shape.n != shape.m else s
+        g = g - 2.0 * sigma2 * s * rowsums
         phi, phid = _dog_atoms(s, K, T)
         M = phi.T @ phi
         M = 0.5 * (M + M.T)

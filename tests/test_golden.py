@@ -86,12 +86,18 @@ EXPECTED = {
     "denoise-svlt-20x30": "e4e94cf2de7d8ddd5dc6e98ff2820180f50a09e727c73bdee3b5a870d19ad2d1",
     "denoise-eym-30x20": "d7fd2e993d22e474a61184e766f1a24ab13b6b55474c37480a9386294c3e00ae",
     "denoise-eym-20x30": "bd13696accb81545ba6676d29fbef126278ea52729c46f965fa8ad3c0df16baa",
+    "denoise-svst-25x25": "584d1bf798d36ed0df6c68e8f01d84a032f3a7aa5b49b975fb492319a6b5c223",
+    "denoise-atn-25x25": "c6d79778837e9f0176f5deaa3b2220c7f524b68cd32371afc8e2007cac0634ec",
+    "denoise-svlt-25x25": "033f028d4f16b83955789780aa369f6e03b58862d89947e71f2c17d0869fba3c",
     "denoise-svht-25x25": "d22f3a37d8dae6802ca8f96bc63c16a290df86a97dec900f351b8bf92d032fdc",
     "denoise-opt-shrink-25x25": "3c20d95e37933db5bf59160ffe3466d19a15ec573756cc5c8cab059f7e10f89f",
     "tune-svlet-30x20": "ecea036c72ed9eaf168e9a9470c3bc628f2394641e79d6d605734d3448c396b4",
     "tune-svst-30x20": "df452ed5ab5aa5935b7bd5597b543e84c5327eb1969a32c303b9b427c104db1b",
     "tune-atn-30x20": "8af33c34f9d462057d4bb2d8209e37c80eb8fe3faff2518138d1cbbd3c7a180c",
     "tune-svlt-30x20": "7ae59c2bba387d4a6d19a550501871e1b411d995986d63011b4d4537b7d0081b",
+    "tune-svst-25x25": "df3018dc0184698ecd5ae59fec0eea65dbb1de61c7d92a7876d8adbae763ae23",
+    "tune-atn-25x25": "a18bceee93b301874be9f182346c139b1bf2c96b6e2f74e167699502f933ebf0",
+    "tune-svlt-25x25": "138297cb52a3cd2d18196db494e148db51941038211ad0c62481bae558351437",
     "tune-svlet-20x30": "2a3b6145cc1f1d696ea363652fc57c1290fead9aef7664b213e96b536448e2bf",
     "tune-svst-20x30": "6556d68d8cd7de6339b8e2e5c2ced579e0f6fbe533420e2614e84bccffb776bd",
     "tune-atn-20x30": "78324aefe27a9e627b3376ce5d11410b1bd4662d7e969a1cc82fb9340c289c07",
@@ -144,7 +150,7 @@ DENOISE_CASES = [
         ("eym", ["--rank", "3"]),
     )
     for n, m in ((30, 20), (20, 30))
-] + [("svht", 25, 25, []), ("opt-shrink", 25, 25, [])]
+] + [(method, 25, 25, []) for method in ("svht", "opt-shrink", "svst", "atn", "svlt")]
 
 
 def _denoise_digest(tmp_path, capsys, method, n, m, extra) -> str:
@@ -195,6 +201,12 @@ def test_denoise_svlt_p1_bytes(tmp_path, capsys):
 @pytest.mark.parametrize(("n", "m"), [(30, 20), (20, 30)], ids=["30x20", "20x30"])
 def test_tune_bytes(tmp_path, capsys, family, n, m):
     assert _tune_digest(tmp_path, capsys, family, n, m) == EXPECTED[f"tune-{family}-{n}x{m}"]
+
+
+@pytest.mark.parametrize("family", ["svst", "atn", "svlt"])
+def test_square_tune_bytes(tmp_path, capsys, family):
+    """On a square matrix the |n - m| term of the divergence is zero."""
+    assert _tune_digest(tmp_path, capsys, family, 25, 25) == EXPECTED[f"tune-{family}-25x25"]
 
 
 def test_sweep_bytes(tmp_path, capsys):

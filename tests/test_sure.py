@@ -1055,6 +1055,71 @@ class TestOverflow:
             derivative(rule, factors.S[0])
         assert np.isfinite(apply(rule, factors.S)).all()
 
+    def test_square_residual_overflow_raises(self):
+        """test_residual_overflow_raises on a 6x6 draw, where the |n - m|
+        term of the divergence is not formed: sure() fails on the residual
+        and the divergence is finite.  The rules, grids and expansion solves
+        on the same data follow the scale law from 2^-500 to 2^500 times Y
+        and sigma; at 2^1000 every grid's SURE leaves the double range and
+        fails with the one typed error."""
+        Y = np.random.default_rng(73).standard_normal((6, 6))
+        problem, factors = DenoiseProblem(Y, 0.5), svd(Y)
+        rule = Svlet(K=1, T=1.0, a=[1e200])
+        with pytest.raises(ContractError, match="residual"):
+            sure(problem, factors, rule)
+        assert divergence(factors.S, rule, factors.shape) == 3.6e201
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-500, 17, 500):
+                assert_scale_law(problem, factors, k, Ks=(1, 2))
+            assert_scale_law(problem, factors, 1000, rules=False, Ks=(1, 2))
+
+    def test_square_non_finite_divergence_raises(self):
+        """test_non_finite_divergence_raises on a 6x6 draw: an eta' that
+        overflows fails divergence() with the one typed error whether or
+        not the |n - m| term is formed, sure() fails on the residual first,
+        and a divergence on 1e5 times the data has the bits of its scaled
+        form.  The grids on 1e5 times the data compute without a numpy
+        warning."""
+        draw = np.random.default_rng(73).standard_normal((6, 6))
+        factors = svd(1e5 * draw)
+        rule = Svlet(K=1, T=1e9, a=[1e300])
+        small_rule = Svlet(K=1, T=math.ldexp(1e9, -17), a=[1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            div = divergence(factors.S, rule, factors.shape)
+            small = divergence(np.ldexp(factors.S, -17), small_rule, factors.shape)
+            for family in ("svst", "atn", "svlt"):
+                assert math.isfinite(tune_grid(DenoiseProblem(1e5 * draw, 0.5), factors, family).sure)
+        assert np.isfinite(div) and np.float64(div).tobytes() == np.float64(small).tobytes()
+        with pytest.raises(ContractError, match="residual"):
+            sure(DenoiseProblem(1e5 * draw, 0.5), factors, rule)
+        Y, rule = 0.1 * draw, Svlet(K=2, T=1.0, a=[1e308, 1e308])
+        factors = svd(Y)
+        with pytest.raises(ContractError, match="^the rule's divergence is not finite$"):
+            divergence(factors.S, rule, factors.shape)
+        with pytest.raises(ContractError, match="residual"):
+            sure(DenoiseProblem(Y, 0.5), factors, rule)
+        with pytest.raises(ContractError, match="^rule produced a non-finite derivative$"):
+            derivative(rule, factors.S[-1])
+        assert np.isfinite(apply(rule, factors.S)).all()
+
+    def test_square_divergence_leaves_out_overflowing_ratio_sum(self):
+        """On a square matrix sum_i eta_i / y_i, the |n - m| term's sum,
+        can overflow while the divergence does not; the term is zero and
+        not formed, so divergence() returns the finite value.  Forming it
+        gave 0 * -inf = NaN and failed as a divergence that is not
+        finite.  sure() still fails, on the residual."""
+        s = np.array([0.008592650889543115, 0.0052135062245616, 0.0040398619621624145,
+                      0.0019680792524699457, 0.0012588838215299395, 0.0005128366278450354])
+        rule = Svlet(K=3, T=0.0012078500526587746, a=[-1.3257237708414506e301, -1.1448144668592229e308,
+                                                         3.668619685703201e305])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert divergence(s, rule, MatrixShape(6, 6)) == -1.4117737863911994e308
+        with pytest.raises(ContractError, match="residual"):
+            sure(DenoiseProblem(np.diag(s), 1.0), SvdFactors(np.eye(6), s, np.eye(6)), rule)
+
     def test_divergence_does_not_form_residual(self):
         """Every y^2 is finite but their sum is not: the divergence, which
         never squares y, is finite and equals the value the same sums gave

@@ -261,7 +261,8 @@ def memory_record(checkout: str, names: list) -> dict:
 
 # The quality record: NMSE per method and cell, (n, m, rank, snr) each, from
 # the harness's own sweep.
-QUALITY_CELLS = ((50, 50, 2, 4.0), (50, 50, 25, 2.0), (100, 100, 2, 4.0), (200, 100, 2, 4.0), (100, 200, 2, 4.0))
+QUALITY_CELLS = ((50, 50, 2, 4.0), (50, 50, 25, 2.0), (100, 100, 2, 4.0), (200, 100, 2, 4.0), (100, 200, 2, 4.0),
+                 (20, 20, 2, 2.0), (100, 400, 5, 1.0), (400, 400, 5, 1.0))
 QUALITY_METHODS = ("svlet(C=10,K=2)", "opt-shrink", "svst-sure")
 QUALITY_BASE = "opt-shrink"
 QUALITY_TRIALS = 20
