@@ -167,9 +167,7 @@ def _check_spectrum(spectrum: np.ndarray) -> np.ndarray:
         raise ContractError("spectrum contains non-finite entries")
     if (s < 0.0).any():
         raise ContractError("spectrum contains negative entries")
-    if (s[1:] > s[:-1]).any():
-        raise ContractError("spectrum must be sorted in descending order")
-    return s
+    raise ContractError("spectrum must be sorted in descending order")
 
 
 @dataclass(frozen=True, eq=False)

@@ -134,6 +134,12 @@ class TestMethodSpec:
         assert (spec.C, spec.K) == (10.0, 2)
         assert spec.label == "svlet(C=10,K=2)"
 
+    def test_parse_skips_empty_items(self):
+        """Empty parentheses and a trailing comma add no parameter."""
+        assert parse_method("svlet()") == parse_method("svlet")
+        spec = parse_method("svlet(C=5,)")
+        assert (spec.C, spec.K) == (5.0, 2)
+
     def test_label_round_trips(self):
         spec = MethodSpec(family="svlet", C=3.0, K=4)
         assert parse_method(spec.label) == spec

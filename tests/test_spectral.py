@@ -303,6 +303,17 @@ class TestSvd:
         with pytest.raises(ContractError):
             svd(np.zeros((0, 3)))
 
+    def test_lapack_failure_fails_typed(self, monkeypatch):
+        """A LinAlgError from LAPACK becomes a FactorizationError that quotes it."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(FactorizationError, match="^SVD did not converge: SVD did not converge$") as excinfo:
+            svd(np.eye(3))
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestScaleLaw:
     """svd scales Y by 2^-e and S back by 2^e, both with np.ldexp, so the
@@ -609,6 +620,17 @@ class TestMatrixIO:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
         with pytest.raises(MatrixParseError, match="line 2, column 2"):
+            read_matrix(path)
+
+    def test_more_values_than_bytes_goes_to_the_line_parser(self, tmp_path):
+        """A first line of 4 fields over 2 lines asks for 8 values from 7
+        bytes: the codec returns None before it allocates, and the line
+        parser names the empty field."""
+        path = tmp_path / "short.csv"
+        path.write_bytes(b"1,,,\n2\n")
+        assert _read_csv(path.read_bytes()) is None
+        message = re.escape(f"{path}: line 1, column 2: cannot parse '' as a float")
+        with pytest.raises(MatrixParseError, match=message):
             read_matrix(path)
 
     @pytest.mark.parametrize(

@@ -8,8 +8,10 @@ Ground truth: a brute-force double-loop evaluation of the divergence
 
 the algebraic identity div(Identity) = n*m (paired cross terms sum to 1,
 so L + |n-m|L + L(L-1) = n*m), the closed-form K=1 solution
-a_1 = 1 - n*m*sigma^2 / sum(y_i^2), and exhaustive trace inspection for
-grid tuning (the tuner must return the argmin of its own trace).  The
+a_1 = 1 - n*m*sigma^2 / sum(y_i^2), and for grid tuning one oracle,
+grid_oracle, that writes each grid out as the README defines it and
+scores every candidate with sure() (the trace must equal it bit for bit
+and the winner be its first minimum).  The
 oracles that share no formula with the divergence, and SURE's
 unbiasedness off the square, are in test_divergence_oracle.py.
 """
@@ -61,7 +63,6 @@ from svshrink.sure import (
     _scores,
     _spectral_pieces,
     _svlt_weight_table,
-    _upper_half_grid,
 )
 
 
@@ -473,42 +474,34 @@ class TestSolveSvlet:
             solve_svlet(problem, factors, K=2, C=0.0)
 
 
+GRID_RULES = {"svst": Svst, "atn": Atn, "svlt": Svlt}
+
+
+def grid_oracle(problem, factors, family, p1=100.0):
+    """The family's grid as the README defines it, as the tuple of
+    (params, sure()) pairs over its nested loops, last parameter fastest.
+    Each axis is written with the code's operation order, 0.5 * y1 * k /
+    count, so it has the trace's bits; every candidate's rule is scored by
+    sure() once."""
+    y1, L = float(factors.S[0]), len(factors.S)
+    thresholds = [0.5 * y1 * k / 100 for k in range(1, 101)]
+    axes = {
+        "svst": (thresholds,),
+        "atn": (thresholds, [float(g) for g in range(1, 21)]),
+        "svlt": ([float(p1)], [float(p2) for p2 in range(1, L + 1)], [0.5 * y1 * k / 50 for k in range(1, 51)]),
+    }[family]
+    rule = GRID_RULES[family]
+    return tuple((params, sure(problem, factors, rule(*params)).sure) for params in product(*axes))
+
+
+def assert_same_trace(got, want):
+    """The same parameter tuples in the same order, and SUREs with the same bits."""
+    assert [params for params, _ in got] == [params for params, _ in want]
+    assert np.array([value for _, value in got]).tobytes() == np.array([value for _, value in want]).tobytes()
+
+
 class TestTuneGrid:
     """Exhaustive SURE minimization over parameter grids."""
-
-    def test_returns_argmin_of_own_trace(self):
-        rng = np.random.default_rng(48)
-        problem, factors = random_problem(rng, 12, 12, sigma=0.9)
-        for family in ("svst", "atn", "svlt"):
-            report = tune_grid(problem, factors, family)
-            sures = [v for (_, v) in report.trace]
-            assert report.sure == min(sures)
-
-    def test_svst_trace_has_100_rows(self):
-        rng = np.random.default_rng(49)
-        problem, factors = random_problem(rng, 10, 10)
-        report = tune_grid(problem, factors, "svst")
-        assert len(report.trace) == 100
-
-    def test_atn_trace_cross_product(self):
-        rng = np.random.default_rng(50)
-        problem, factors = random_problem(rng, 8, 8)
-        report = tune_grid(problem, factors, "atn")
-        assert len(report.trace) == 100 * 20
-
-    def test_svlt_trace_cross_product(self):
-        rng = np.random.default_rng(51)
-        problem, factors = random_problem(rng, 8, 6)
-        report = tune_grid(problem, factors, "svlt")
-        assert len(report.trace) == 6 * 50  # L * offsets
-
-    def test_svst_grid_spans_half_top_value(self):
-        rng = np.random.default_rng(52)
-        problem, factors = random_problem(rng, 10, 10)
-        report = tune_grid(problem, factors, "svst")
-        lams = [p[0] for (p, _) in report.trace]
-        np.testing.assert_allclose(max(lams), 0.5 * factors.S[0])
-        assert min(lams) > 0.0
 
     def test_dominant_noise_selects_largest_threshold(self):
         """When sigma dwarfs the data every value should be killed, so the
@@ -533,20 +526,6 @@ class TestTuneGrid:
         for ((tau,), atn_value), ((lam,), svst_value) in zip(gamma_one, svst.trace):
             np.testing.assert_allclose(tau, lam, rtol=1e-12)
             np.testing.assert_allclose(atn_value, svst_value, rtol=1e-12)
-
-    def test_reported_sure_matches_reevaluation(self):
-        """The winner and every trace entry equal sure() of that candidate,
-        bitwise, on a tall and a wide shape."""
-        rng = np.random.default_rng(55)
-        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
-        for n, m in ((11, 7), (7, 11)):
-            problem, factors = random_problem(rng, n, m, sigma=0.6)
-            for family, build in families.items():
-                report = tune_grid(problem, factors, family)
-                again = sure(problem, factors, report.rule)
-                assert report.sure == again.sure
-                for params, value in report.trace:
-                    assert value == sure(problem, factors, build(*params)).sure
 
     def test_lexicographic_tie_break(self):
         """With p1 = 0 every logistic weight is expit(0) = 0.5 whatever p2
@@ -575,75 +554,41 @@ class TestTuneGrid:
             tune_grid(problem, factors, "svht")
 
     @pytest.mark.parametrize(
-        "n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9), (7, 3), (3, 7), (1, 6), (41, 80)]
+        "family, options",
+        [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})],
+        ids=["svst", "atn", "svlt", "svlt-p1"],
     )
-    def test_trace_equals_sure_bitwise(self, n, m):
-        """Every trace value, on each grid and with a non-default svlt p1,
-        equals sure() of that candidate's rule bit for bit, and the winner
-        is the first minimum of the trace.  The candidates come in the
-        order of the nested loops the grids were first written with, so
-        ties go where they always went."""
-        rng = np.random.default_rng(61 + n + 2 * m)
-        problem, factors = random_problem(rng, n, m, sigma=0.5)
-        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
-        grids = [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})]
-        y1, L = float(factors.S[0]), min(n, m)
-        thresholds = _upper_half_grid(y1, 100).tolist()
-        gammas = [float(g) for g in range(1, 21)]
-        offsets = _upper_half_grid(y1, 50).tolist()
-        for family, options in grids:
-            report = tune_grid(problem, factors, family, **options)
-            p1 = float(options.get("p1", 100.0))
-            expected = {
-                "svst": [(lam,) for lam in thresholds],
-                "atn": [(tau, g) for tau in thresholds for g in gammas],
-                "svlt": [(p1, float(p2), offset) for p2 in range(1, L + 1) for offset in offsets],
-            }[family]
-            assert [params for params, _ in report.trace] == expected
-            sures = [value for _, value in report.trace]
-            first_min = sures.index(min(sures))
-            assert report.rule == families[family](*report.trace[first_min][0])
-            assert report.sure == sures[first_min]
-            for params, value in report.trace:
-                assert type(value) is float
-                assert value == sure(problem, factors, families[family](*params)).sure
-
     @pytest.mark.parametrize(
         "n, m", [(120, 100), (100, 130), (100, 100), (9, 5), (5, 9), (7, 3), (3, 7), (1, 6), (41, 80)]
     )
-    def test_trace_reads_as_the_eager_tuple(self, n, m):
-        """The trace, built on access, reads as the tuple of (params, sure)
-        pairs of Python floats over the grid's nested loops: its pairs, len,
-        indexing, repeated iteration and equality are a tuple's."""
+    def test_trace_equals_sure_bitwise(self, n, m, family, options):
+        """The trace reads as the oracle's tuple: the same axes, each value
+        sure() of its candidate's rule bit for bit, a Python float.  The
+        winner is the first minimum, ties going to the smallest tuple.  Its
+        len, indexing, repeated iteration and equality are a tuple's, and
+        a second call gives an equal trace."""
         rng = np.random.default_rng(61 + n + 2 * m)
         problem, factors = random_problem(rng, n, m, sigma=0.5)
-        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
-        y1, L = float(factors.S[0]), min(n, m)
-        thresholds = _upper_half_grid(y1, 100).tolist()
-        gammas = [float(g) for g in range(1, 21)]
-        offsets = _upper_half_grid(y1, 50).tolist()
-        for family, options in [("svst", {}), ("atn", {}), ("svlt", {}), ("svlt", {"p1": 0.75})]:
-            report = tune_grid(problem, factors, family, **options)
-            axes = {
-                "svst": (thresholds,),
-                "atn": (thresholds, gammas),
-                "svlt": ([float(options.get("p1", 100.0))], [float(p2) for p2 in range(1, L + 1)], offsets),
-            }[family]
-            sures = np.array([sure(problem, factors, families[family](*params)).sure for params in product(*axes)])
-            eager = tuple(zip(product(*axes), sures.tolist()))
-            lazy = tuple(report.trace)
-            assert lazy == eager
-            assert all(type(p) is float for params, value in lazy for p in params + (value,))
-            assert len(report.trace) == len(eager)
-            assert report.trace[0] == eager[0] and report.trace[-1] == eager[-1]
-            assert report.trace[-len(eager)] == eager[0]
-            for k in (len(eager), -len(eager) - 1):
-                with pytest.raises(IndexError):
-                    report.trace[k]
-            assert tuple(report.trace) == lazy
-            assert report.trace == eager and eager == report.trace
-            assert report.trace != eager[:-1] and report.trace != list(eager)
-            assert report.trace == tune_grid(problem, factors, family, **options).trace
+        report = tune_grid(problem, factors, family, **options)
+        eager = grid_oracle(problem, factors, family, **options)
+        lazy = tuple(report.trace)
+        assert len(eager) == {"svst": 100, "atn": 2000, "svlt": 50 * min(n, m)}[family]
+        assert_same_trace(lazy, eager)
+        assert all(type(p) is float for params, value in lazy for p in params + (value,))
+        sures = [value for _, value in eager]
+        first_min = sures.index(min(sures))
+        assert report.rule == GRID_RULES[family](*eager[first_min][0])
+        assert report.sure == sures[first_min]
+        assert len(report.trace) == len(eager)
+        assert report.trace[0] == eager[0] and report.trace[-1] == eager[-1]
+        assert report.trace[-len(eager)] == eager[0]
+        for k in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                report.trace[k]
+        assert tuple(report.trace) == lazy
+        assert report.trace == eager and eager == report.trace
+        assert report.trace != eager[:-1] and report.trace != list(eager)
+        assert report.trace == tune_grid(problem, factors, family, **options).trace
 
     @pytest.mark.parametrize("L, p1", [(1, 100.0), (50, 100.0), (40, 0.75), (7, 0.0)])
     def test_svlt_weight_table_is_built_once_and_read_only(self, L, p1):
@@ -675,20 +620,17 @@ class TestTuneGrid:
         bit, and that trace equals sure() of every candidate."""
         rng = np.random.default_rng(66 + n + 2 * m)
         problem, factors = random_problem(rng, n, m, sigma=0.5)
-        families = {"svst": Svst, "atn": Atn, "svlt": Svlt}
         L = min(n, m)
         budgets = [1, 37 * L, 70 * L, 100 * L - 1, 100 * L, 130 * L, 150 * L - 1, 300 * L, 10**9]
-        for family, build in families.items():
+        for family in GRID_RULES:
             default = tune_grid(problem, factors, family)
-            values = np.array([value for _, value in default.trace])
-            expected = [sure(problem, factors, build(*params)).sure for params, _ in default.trace]
-            assert values.tobytes() == np.array(expected).tobytes()
+            oracle = grid_oracle(problem, factors, family)
+            assert_same_trace(default.trace, oracle)
             for budget in budgets:
                 monkeypatch.setattr(sure_module, "BLOCK_ELEMENTS", budget)
                 report = tune_grid(problem, factors, family)
                 monkeypatch.undo()
-                assert [params for params, _ in report.trace] == [params for params, _ in default.trace]
-                assert np.array([value for _, value in report.trace]).tobytes() == values.tobytes()
+                assert_same_trace(report.trace, oracle)
                 assert report.rule == default.rule and report.sure == default.sure
 
     @pytest.mark.parametrize("family", ["atn", "svlt"])
